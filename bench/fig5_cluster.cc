@@ -81,6 +81,9 @@ bool RunOne(const SweepConfig& config, int nodes, SweepResult* out) {
   options.node.executor_slots = config.app_slots;
   options.node.service_floor = ServiceFloor(config, nodes);
   options.node.enable_product_cache = false;
+  // Handlers sleep in the node gate while holding a reactor worker, so
+  // the shared reactor needs one worker per concurrent client call.
+  options.node.rmi.reactor.workers = config.clients;
   options.shared_db_slots = config.db_slots;
   options.shared_db_floor = config.db_floor;
   MetricsRegistry metrics;

@@ -1,8 +1,8 @@
 // Join + grouped-aggregation throughput: the row-at-a-time join
 // fallback versus the vectorized hash join (DESIGN.md §4h), across
 // probe-side thread counts and build-side cardinalities, plus a
-// grouped-aggregation sweep (few vs many groups) and the name-mapper
-// resolution cost before/after the single-joined-query rewrite.
+// grouped-aggregation sweep (few vs many groups) and the name-mapper's
+// cold resolution cost (two indexed point queries).
 //
 // One database:
 //   fact (id INT PRIMARY KEY, k_small INT, k_large INT, v INT, tag TEXT)
@@ -213,15 +213,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Name resolution: queries-per-cold-resolution before/after the
-  // single-joined-query rewrite (cache off so every Resolve hits the
-  // database, as relocation-heavy admin windows do).
+  // Name resolution: latency and queries per cold resolution (cache off
+  // so every Resolve hits the database, as relocation-heavy admin windows
+  // do).
   const int64_t kItems = smoke ? 200 : 2000;
-  for (const bool joined : {false, true}) {
+  {
     Database ndb;
     Config config;
     config.Set("name_mapper.cache_capacity", "0");
-    config.Set("name_mapper.joined_resolve", joined ? "true" : "false");
     hedc::archive::NameMapper mapper(&ndb, config);
     if (!mapper.Init().ok() ||
         !mapper.RegisterArchive(1, "disk", "/vol1").ok()) {
@@ -258,8 +257,7 @@ int main(int argc, char** argv) {
     const double queries_per_resolution =
         static_cast<double>(ndb.stats().queries.load() - queries_before) /
         static_cast<double>(kItems);
-    std::string label =
-        std::string("name_resolve_") + (joined ? "joined" : "legacy");
+    const std::string label = "name_resolve";
     const double per_sec = static_cast<double>(kItems) / wall_s;
     std::printf("%-26s %14.0f %12.1f %12.1f  queries/resolve=%.2f\n",
                 label.c_str(), per_sec, PercentileUs(lat_us, 0.5),

@@ -18,8 +18,8 @@ cmake --build build -j
 echo "=== cluster lane (routing, failover, coherence) ==="
 (cd build && ctest -L cluster --output-on-failure)
 
-echo "=== full suite (fast tests + stress + bench-smoke) ==="
-(cd build && ctest --output-on-failure -j)
+echo "=== full suite, 8 tests in parallel (fast tests + stress + bench-smoke) ==="
+(cd build && ctest --output-on-failure -j8)
 
 echo "=== scale-out crosscheck (measured vs modeled fig5 curve) ==="
 python3 bench/validate_bench_json.py BENCH_cluster_scaleout.json \

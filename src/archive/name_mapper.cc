@@ -37,7 +37,6 @@ const char* NameTypeName(NameType type) {
 
 NameMapper::NameMapper(db::Database* db, Config config)
     : db_(db), config_(std::move(config)) {
-  joined_resolve_ = config_.GetBool("name_mapper.joined_resolve", true);
   int64_t capacity = config_.GetInt("name_mapper.cache_capacity", 1024);
   if (capacity > 0) {
     cache_capacity_per_shard_ = std::max<size_t>(
@@ -194,85 +193,34 @@ std::string NameMapper::RootFor(NameType type) const {
 
 Result<ResolvedName> NameMapper::ResolveUncached(int64_t item_id,
                                                  NameType type) {
-  int64_t archive_id = 0;
-  std::string rel_path;
-  std::string prefix;
-  bool online = false;
-
-  if (joined_resolve_) {
-    // One statement: the location entry hash-joined to its archive. The
-    // planner drives the (small) archives table and builds the hash
-    // side from the item_id index, so the big table is never scanned.
-    db_queries_->Add();
-    HEDC_ASSIGN_OR_RETURN(
-        db::ResultSet joined,
-        db_->Execute(
-            "SELECT location_entries.archive_id AS archive_id, "
-            "location_entries.rel_path AS rel_path, "
-            "archives.path_prefix AS path_prefix, "
-            "archives.online AS online "
-            "FROM location_entries "
-            "JOIN archives "
-            "ON location_entries.archive_id = archives.archive_id "
-            "WHERE location_entries.item_id = ? "
-            "AND location_entries.name_type = ?",
-            {db::Value::Int(item_id),
-             db::Value::Text(NameTypeName(type))}));
-    if (joined.rows.empty()) {
-      // The inner join hides which side was missing; one extra indexed
-      // query (miss path only) keeps the NotFound/Corruption split.
-      db_queries_->Add();
-      HEDC_ASSIGN_OR_RETURN(
-          db::ResultSet entries,
-          db_->Execute("SELECT archive_id FROM location_entries "
-                       "WHERE item_id = ? AND name_type = ?",
-                       {db::Value::Int(item_id),
-                        db::Value::Text(NameTypeName(type))}));
-      if (entries.rows.empty()) {
-        return Status::NotFound(
-            StrFormat("no %s location for item %lld", NameTypeName(type),
-                      static_cast<long long>(item_id)));
-      }
-      return Status::Corruption(
-          StrFormat("location entry references unknown archive %lld",
-                    static_cast<long long>(
-                        entries.Get(0, "archive_id").AsInt())));
-    }
-    archive_id = joined.Get(0, "archive_id").AsInt();
-    rel_path = joined.Get(0, "rel_path").AsText();
-    prefix = joined.Get(0, "path_prefix").AsText();
-    online = joined.Get(0, "online").AsBool();
-  } else {
-    // Legacy plan: two indexed point queries.
-    db_queries_->Add();
-    HEDC_ASSIGN_OR_RETURN(
-        db::ResultSet entries,
-        db_->Execute("SELECT archive_id, rel_path FROM location_entries "
-                     "WHERE item_id = ? AND name_type = ?",
-                     {db::Value::Int(item_id),
-                      db::Value::Text(NameTypeName(type))}));
-    if (entries.rows.empty()) {
-      return Status::NotFound(
-          StrFormat("no %s location for item %lld", NameTypeName(type),
-                    static_cast<long long>(item_id)));
-    }
-    archive_id = entries.Get(0, "archive_id").AsInt();
-    rel_path = entries.Get(0, "rel_path").AsText();
-
-    db_queries_->Add();
-    HEDC_ASSIGN_OR_RETURN(
-        db::ResultSet arch,
-        db_->Execute("SELECT path_prefix, online FROM archives "
-                     "WHERE archive_id = ?",
-                     {db::Value::Int(archive_id)}));
-    if (arch.rows.empty()) {
-      return Status::Corruption(
-          StrFormat("location entry references unknown archive %lld",
-                    static_cast<long long>(archive_id)));
-    }
-    prefix = arch.Get(0, "path_prefix").AsText();
-    online = arch.Get(0, "online").AsBool();
+  db_queries_->Add();
+  HEDC_ASSIGN_OR_RETURN(
+      db::ResultSet entries,
+      db_->Execute("SELECT archive_id, rel_path FROM location_entries "
+                   "WHERE item_id = ? AND name_type = ?",
+                   {db::Value::Int(item_id),
+                    db::Value::Text(NameTypeName(type))}));
+  if (entries.rows.empty()) {
+    return Status::NotFound(
+        StrFormat("no %s location for item %lld", NameTypeName(type),
+                  static_cast<long long>(item_id)));
   }
+  int64_t archive_id = entries.Get(0, "archive_id").AsInt();
+  std::string rel_path = entries.Get(0, "rel_path").AsText();
+
+  db_queries_->Add();
+  HEDC_ASSIGN_OR_RETURN(
+      db::ResultSet arch,
+      db_->Execute("SELECT path_prefix, online FROM archives "
+                   "WHERE archive_id = ?",
+                   {db::Value::Int(archive_id)}));
+  if (arch.rows.empty()) {
+    return Status::Corruption(
+        StrFormat("location entry references unknown archive %lld",
+                  static_cast<long long>(archive_id)));
+  }
+  std::string prefix = arch.Get(0, "path_prefix").AsText();
+  bool online = arch.Get(0, "online").AsBool();
 
   if (!online) {
     return Status::Unavailable(

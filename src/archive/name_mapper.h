@@ -68,10 +68,8 @@ class NameMapper {
   Status AddLocation(int64_t item_id, NameType type, int64_t archive_id,
                      const std::string& rel_path);
 
-  // Resolves one name. Cold resolutions run a single joined query
-  // (location entry hash-joined to its archive); set
-  // "name_mapper.joined_resolve" to false to fall back to the
-  // historical two-indexed-queries plan.
+  // Resolves one name. Cold resolutions run the two indexed point
+  // queries (location entry by item id, then its archive by id).
   Result<ResolvedName> Resolve(int64_t item_id, NameType type);
 
   // All names registered for an item.
@@ -118,13 +116,11 @@ class NameMapper {
                 const ResolvedName& value);
   void CacheEraseItem(int64_t item_id);
 
-  // Uncached resolution: the entry/archive row for (item_id, type),
-  // fetched joined (one statement) or via the legacy two queries.
+  // Uncached resolution: the entry/archive rows for (item_id, type).
   Result<ResolvedName> ResolveUncached(int64_t item_id, NameType type);
 
   db::Database* db_;
   Config config_;
-  bool joined_resolve_ = true;
   size_t cache_capacity_per_shard_ = 0;  // 0 disables the cache
   std::atomic<uint64_t> cache_gen_{0};
   std::array<CacheShard, kCacheShards> cache_shards_;

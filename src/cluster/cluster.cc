@@ -37,14 +37,12 @@ ClusterRunner::ClusterRunner(ClusterOptions options, Clock* clock,
                                               clock_);
     options_.node.shared_db = shared_db_.get();
   }
-  if (options_.node.rmi.use_reactor) {
-    // All nodes' RMI listeners share this loop: O(workers) threads for
-    // the whole cluster, however many nodes and channels exist.
-    net::Reactor::Options reactor_options = options_.node.rmi.reactor;
-    if (reactor_options.metrics == nullptr) reactor_options.metrics = metrics_;
-    shared_reactor_ = std::make_unique<net::Reactor>(reactor_options);
-    options_.node.rmi.shared_reactor = shared_reactor_.get();
-  }
+  // All nodes' RMI listeners share this loop: O(workers) threads for the
+  // whole cluster, however many nodes and channels exist.
+  net::Reactor::Options reactor_options = options_.node.rmi.reactor;
+  if (reactor_options.metrics == nullptr) reactor_options.metrics = metrics_;
+  shared_reactor_ = std::make_unique<net::Reactor>(reactor_options);
+  options_.node.rmi.shared_reactor = shared_reactor_.get();
   // The load probe reads the node gate's in-flight count, giving the
   // least_loaded policy live load on top of sticky-assignment counts.
   router_ = std::make_unique<SessionRouter>(

@@ -58,7 +58,7 @@ struct ClusterOptions {
   // Reads cluster.nodes, cluster.routing, cluster.virtual_points,
   // cluster.node_slots, cluster.service_floor_us, cluster.wal_dir,
   // cluster.shared_db_slots, cluster.shared_db_floor_us, plus the node
-  // RMI transport knobs (net.reactor and friends; see
+  // RMI transport knobs (net.workers and friends; see
   // dm::TcpRmiServer::Options::FromConfig). Unknown routing names fall
   // back to least_loaded.
   static ClusterOptions FromConfig(const Config& config);
@@ -109,9 +109,9 @@ class ClusterRunner {
   Clock* clock_;
   MetricsRegistry* metrics_;
   std::unique_ptr<SharedGate> shared_db_;
-  // One event loop serving every node's RMI port when net.reactor is on.
-  // Declared before nodes_ so it outlives them (each node's Stop drains
-  // its listener from this reactor).
+  // One event loop serving every node's RMI port. Declared before nodes_
+  // so it outlives them (each node's Stop drains its listener from this
+  // reactor).
   std::unique_ptr<net::Reactor> shared_reactor_;
   MembershipRegistry membership_;
   std::unique_ptr<SessionRouter> router_;

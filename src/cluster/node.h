@@ -79,10 +79,10 @@ struct NodeOptions {
   // owned; nullptr = queries run ungated). Set by the cluster runner
   // when ClusterOptions::shared_db_slots > 0.
   SharedGate* shared_db = nullptr;
-  // RMI transport engine (blocking vs reactor) and tuning. The cluster
-  // runner points rmi.shared_reactor at its own reactor when net.reactor
-  // is on, so N nodes serve from one event loop instead of N thread
-  // armies.
+  // RMI transport tuning. The cluster runner points rmi.shared_reactor
+  // at its own reactor, so N nodes serve from one event loop instead of
+  // N thread armies; rmi.reactor.workers sizes that loop's worker pool,
+  // which bounds how many calls the whole cluster executes at once.
   dm::TcpRmiServer::Options rmi;
   dm::DataManager::Options dm;
   pl::ProductCache::Options cache;

@@ -1,7 +1,5 @@
 #include "dm/tcp_remote.h"
 
-#include <sys/socket.h>
-
 #include "core/crc32.h"
 
 namespace hedc::dm {
@@ -9,10 +7,10 @@ namespace hedc::dm {
 namespace {
 
 // Per-connection state machine for [u32 len][payload][u32 crc32] frames on
-// the reactor. Mirrors the blocking server's semantics exactly: a hostile
-// length or checksum mismatch drops the connection without a response
-// (peers observe kUnavailable on their next read); a valid frame executes
-// on the worker pool and always produces a response frame.
+// the reactor. A hostile length or checksum mismatch drops the connection
+// without a response (peers observe kUnavailable on their next read); a
+// valid frame executes on the worker pool and always produces a response
+// frame.
 class RmiFrameProtocol : public net::ReactorProtocol {
  public:
   RmiFrameProtocol(RmiHandler* rmi, MetricsRegistry* metrics,
@@ -45,7 +43,7 @@ class RmiFrameProtocol : public net::ReactorProtocol {
       return 0;
     }
     // Transport-level frame count; the RMI codec layer above counts
-    // remote.server.calls (one per decoded call, either engine).
+    // remote.server.calls (one per decoded call).
     metrics_->GetCounter("remote.server.frames")->Add();
     ctx->Dispatch([rmi = rmi_, payload = std::move(payload)]() mutable {
       return net::ReactorReply{net::EncodeFrame(rmi->Handle(payload)),
@@ -65,15 +63,10 @@ class RmiFrameProtocol : public net::ReactorProtocol {
 TcpRmiServer::Options TcpRmiServer::Options::FromConfig(
     const Config& config) {
   Options options;
-  // Reactor engine is the default since the PR-8 soak; net.reactor=false
-  // selects the thread-per-connection engine.
-  options.use_reactor = config.GetBool("net.reactor", true);
   options.reactor = net::Reactor::Options::FromConfig(config);
   options.max_frame = static_cast<size_t>(
       config.GetInt("net.max_frame_bytes",
                     static_cast<int64_t>(options.max_frame)));
-  // One knob governs idle policy in both engines.
-  options.blocking_idle_timeout = options.reactor.idle_timeout;
   return options;
 }
 
@@ -95,37 +88,29 @@ net::Reactor* TcpRmiServer::reactor() {
 Status TcpRmiServer::Start(int port) {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_) return Status::FailedPrecondition("server already running");
-  if (options_.use_reactor) {
-    net::Reactor* r = reactor();
-    if (!r->running()) {
-      // Owned reactor: boots on first Start and survives Stop/Start
-      // cycles (only this server's listener is drained on Stop).
-      HEDC_RETURN_IF_ERROR(r->Start());
-    }
-    RmiHandler* rmi = rmi_;
-    MetricsRegistry* metrics = metrics_;
-    size_t max_frame = options_.max_frame;
-    Result<net::Reactor::ListenerInfo> listener =
-        r->AddListener(port, [rmi, metrics, max_frame] {
-          metrics->GetCounter("remote.server.connections")->Add();
-          return std::make_unique<RmiFrameProtocol>(rmi, metrics, max_frame);
-        });
-    if (!listener.ok()) return listener.status();
-    reactor_listener_ = listener.value();
-    running_ = true;
-    return Status::Ok();
+  net::Reactor* r = reactor();
+  if (!r->running()) {
+    // Owned reactor: boots on first Start and survives Stop/Start cycles
+    // (only this server's listener is drained on Stop).
+    HEDC_RETURN_IF_ERROR(r->Start());
   }
-  HEDC_RETURN_IF_ERROR(listener_.Listen(port));
+  RmiHandler* rmi = rmi_;
+  MetricsRegistry* metrics = metrics_;
+  size_t max_frame = options_.max_frame;
+  Result<net::Reactor::ListenerInfo> listener =
+      r->AddListener(port, [rmi, metrics, max_frame] {
+        metrics->GetCounter("remote.server.connections")->Add();
+        return std::make_unique<RmiFrameProtocol>(rmi, metrics, max_frame);
+      });
+  if (!listener.ok()) return listener.status();
+  listener_ = listener.value();
   running_ = true;
-  stopping_ = false;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
 
 int TcpRmiServer::port() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.use_reactor) return reactor_listener_.port;
-  return listener_.port();
+  return listener_.port;
 }
 
 bool TcpRmiServer::running() const {
@@ -133,81 +118,18 @@ bool TcpRmiServer::running() const {
   return running_;
 }
 
-void TcpRmiServer::AcceptLoop() {
-  while (true) {
-    Result<net::TcpSocket> accepted = listener_.Accept();
-    if (!accepted.ok()) return;  // listener closed (Stop) or fatal error
-    metrics_->GetCounter("remote.server.connections")->Add();
-    net::TcpSocket socket = std::move(accepted).value();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    live_connection_fds_.push_back(socket.fd());
-    connection_threads_.emplace_back(
-        [this, sock = std::move(socket)]() mutable {
-          ServeConnection(std::move(sock));
-        });
-  }
-}
-
-void TcpRmiServer::ServeConnection(net::TcpSocket socket) {
-  if (options_.blocking_idle_timeout > 0) {
-    // Parity with the reactor's idle reaper: a silent connection is
-    // dropped instead of parking this thread forever.
-    socket.SetRecvTimeout(options_.blocking_idle_timeout);
-  }
-  while (true) {
-    Result<std::vector<uint8_t>> request =
-        net::RecvFrame(socket, options_.max_frame);
-    if (!request.ok()) break;  // peer closed, reset, idle, or corrupt
-    metrics_->GetCounter("remote.server.frames")->Add();
-    std::vector<uint8_t> response = rmi_->Handle(request.value());
-    if (!net::SendFrame(socket, response).ok()) break;
-  }
-  int fd = socket.fd();
-  socket.Close();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < live_connection_fds_.size(); ++i) {
-    if (live_connection_fds_[i] == fd) {
-      live_connection_fds_.erase(live_connection_fds_.begin() +
-                                 static_cast<long>(i));
-      break;
-    }
-  }
-}
-
 void TcpRmiServer::Stop() {
-  int reactor_listener_id = -1;
+  int listener_id = -1;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_) return;
     running_ = false;
-    if (options_.use_reactor) {
-      reactor_listener_id = reactor_listener_.id;
-      reactor_listener_ = net::Reactor::ListenerInfo{};
-    } else {
-      stopping_ = true;
-      // Shut down live connections so blocked reads fail; the fds are
-      // closed by their owning ServeConnection threads.
-      for (int fd : live_connection_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
+    listener_id = listener_.id;
+    listener_ = net::Reactor::ListenerInfo{};
   }
-  if (reactor_listener_id >= 0) {
-    // Drains this listener's connections and in-flight frames; must run
-    // outside mu_ (port() readers proceed meanwhile).
-    reactor()->CloseListener(reactor_listener_id);
-    return;
-  }
-  listener_.Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // After the accept thread exits no new connection threads appear.
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(connection_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  // Drains this listener's connections and in-flight frames; must run
+  // outside mu_ (port() readers proceed meanwhile).
+  reactor()->CloseListener(listener_id);
 }
 
 Result<std::vector<uint8_t>> TcpChannel::Call(

@@ -7,26 +7,20 @@
 // reconnects lazily after any transport error, so a ResilientChannel
 // layered on top can simply retry.
 //
-// The server has two interchangeable engines, selected by
-// Options::use_reactor (config `net.reactor`):
-//  * blocking (default): an accept thread plus one thread per connection
-//    — simple, but caps concurrency at thread scale;
-//  * reactor: connections are parsed by a per-connection frame state
-//    machine on a shared epoll loop (net/reactor.h) and frames execute on
-//    its worker pool — C10K-capable, and many servers can share one
-//    Reactor (Options::shared_reactor), which is how a whole cluster's
-//    nodes serve without thread explosion.
-// Client-visible semantics are identical by construction and locked down
-// by tests/net_conformance_test.cc: framing errors drop the connection
-// (peers observe kUnavailable), valid frames always get a response, and
-// Stop() kills in-flight calls.
+// The server parses each connection with a frame state machine on an
+// epoll loop (net/reactor.h) and executes frames on its worker pool, so
+// it holds C10K keep-alive connections without a thread each. Many
+// servers can share one Reactor (Options::shared_reactor), which is how a
+// whole cluster's nodes serve without thread explosion. Client-visible
+// semantics are locked down by tests/net_conformance_test.cc: framing
+// errors drop the connection (peers observe kUnavailable), valid frames
+// always get a response, and Stop() kills in-flight calls.
 #ifndef HEDC_DM_TCP_REMOTE_H_
 #define HEDC_DM_TCP_REMOTE_H_
 
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -39,28 +33,21 @@ namespace hedc::dm {
 
 // Serves RMI frames over TCP. Start() after Stop() reboots the server (on
 // a fresh ephemeral port when port 0 is used), which is how a cluster
-// node restarts. In blocking mode Stop() joins the accept and connection
-// threads; in reactor mode it drains this server's listener (an owned
-// reactor keeps running for the next Start(); a shared one is untouched).
+// node restarts. Stop() drains this server's listener (an owned reactor
+// keeps running for the next Start(); a shared one is untouched).
 class TcpRmiServer {
  public:
   struct Options {
-    // Serve through an epoll reactor instead of thread-per-connection.
-    bool use_reactor = false;
     // Reactor tuning when this server owns its reactor.
     net::Reactor::Options reactor;
     // Serve on an existing (already started) reactor instead; not owned.
     net::Reactor* shared_reactor = nullptr;
     // Frames whose header claims more than this are rejected before any
-    // payload allocation and the connection dropped (both engines).
+    // payload allocation and the connection dropped.
     size_t max_frame = 64u << 20;
-    // Blocking mode: per-recv silence deadline on each connection
-    // (0 = wait forever) — the counterpart of reactor idle reaping.
-    Micros blocking_idle_timeout = 0;
 
-    // Reads net.reactor plus the net.* reactor knobs (see
-    // net::Reactor::Options::FromConfig); net.idle_timeout_ms applies to
-    // both engines so the knob flips implementation, not policy.
+    // Reads the net.* reactor knobs (see net::Reactor::Options::FromConfig)
+    // and net.max_frame_bytes.
     static Options FromConfig(const Config& config);
   };
 
@@ -84,24 +71,17 @@ class TcpRmiServer {
   void Stop();
 
  private:
-  void AcceptLoop();
-  void ServeConnection(net::TcpSocket socket);
   // The serving reactor (shared or lazily created owned instance).
   net::Reactor* reactor();
 
   RmiHandler* rmi_;
   MetricsRegistry* metrics_;
   Options options_;
-  net::TcpListener listener_;
-  std::thread accept_thread_;
   std::unique_ptr<net::Reactor> own_reactor_;
 
   mutable std::mutex mu_;
   bool running_ = false;
-  bool stopping_ = false;
-  net::Reactor::ListenerInfo reactor_listener_;
-  std::vector<std::thread> connection_threads_;
-  std::vector<int> live_connection_fds_;
+  net::Reactor::ListenerInfo listener_;
 };
 
 // Client-side channel: connects on first use, one in-flight call at a

@@ -596,8 +596,7 @@ bool Reactor::FlushConn(Conn* c) {
 bool Reactor::MaybeCloseOnEof(Conn* c) {
   if (c->peer_eof && !c->dispatch_pending && c->out_bytes == 0) {
     // Peer finished sending and nothing is owed: a trailing partial
-    // request (if any) can never complete, so drop the connection — the
-    // same outcome the blocking server's RecvFrame-EOF path produces.
+    // request (if any) can never complete, so drop the connection.
     CloseConn(c, CloseReason::kNormal);
     return false;
   }

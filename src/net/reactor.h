@@ -1,20 +1,21 @@
 // Shared epoll reactor for the web and RMI transports (C10K; ROADMAP 3).
 //
-// Both socket servers were thread-per-connection, which caps concurrent
-// clients at thread scale — nowhere near the paper's growing-user-base
-// story (§6.1) once keep-alive browsers and cluster channel fan-out are
-// real. Reactor is one event loop that owns every connection: sockets are
-// nonblocking and edge-triggered, reads accumulate into a per-connection
-// buffer that a pluggable ReactorProtocol parses incrementally (the
-// [u32 len][payload][u32 crc32] RMI framing and HTTP/1.1 each provide
-// one), and completed requests execute on a small worker pool so a slow
-// handler never stalls the loop. Responses are queued back onto the loop
-// thread, written with backpressure (reading pauses above a write-buffer
-// watermark), and idle / incomplete-request / stalled-write connections
-// are reaped by deadline sweeps. One Reactor instance can carry many
-// listeners — a whole cluster's RMI ports plus the web tier — which is
-// what makes many-nodes x many-channels affordable: the thread count is
-// O(workers), not O(connections).
+// A thread-per-connection server caps concurrent clients at thread scale —
+// nowhere near the paper's growing-user-base story (§6.1) once keep-alive
+// browsers and cluster channel fan-out are real. Reactor is the one engine
+// under both socket servers (web::HttpTcpServer and dm::TcpRmiServer). It is
+// one event loop that owns every connection: sockets are nonblocking and
+// edge-triggered, reads accumulate into a per-connection buffer that a
+// pluggable ReactorProtocol parses incrementally (the
+// [u32 len][payload][u32 crc32] RMI framing and HTTP/1.1 each provide one),
+// and completed requests execute on a small worker pool so a slow handler
+// never stalls the loop. Responses are queued back onto the loop thread,
+// written with backpressure (reading pauses above a write-buffer watermark),
+// and idle / incomplete-request / stalled-write connections are reaped by
+// deadline sweeps. One Reactor instance can carry many listeners — a whole
+// cluster's RMI ports plus the web tier — which is what makes many-nodes x
+// many-channels affordable: the thread count is O(workers), not
+// O(connections).
 //
 // Threading contract: ReactorProtocol callbacks run on the loop thread;
 // dispatched work runs on the worker pool; Reactor's public methods are

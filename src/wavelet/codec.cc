@@ -10,7 +10,6 @@ namespace hedc::wavelet {
 
 namespace {
 constexpr uint32_t kCodecMagic = 0x48575631;        // "HWV1"
-constexpr uint32_t kCodec2dMagic = 0x48575632;      // "HWV2"
 constexpr uint32_t kProgressiveMagic = 0x48575633;  // "HWV3"
 
 // Streams travel over HTTP now, so header lengths are attacker
@@ -436,114 +435,6 @@ Result<size_t> CoefficientCount(const std::vector<uint8_t>& stream) {
   StreamHeader header;
   HEDC_RETURN_IF_ERROR(ReadHeader(&reader, &header));
   return header.num_coeffs;
-}
-
-std::vector<uint8_t> EncodeImage2d(const std::vector<double>& pixels,
-                                   size_t width, size_t height,
-                                   const CodecOptions& options) {
-  size_t pw = NextPow2(std::max<size_t>(width, 1));
-  size_t ph = NextPow2(std::max<size_t>(height, 1));
-  std::vector<double> padded(pw * ph, 0.0);
-  for (size_t y = 0; y < height; ++y) {
-    for (size_t x = 0; x < width; ++x) {
-      padded[y * pw + x] = pixels[y * width + x];
-    }
-    // Step-extend rows.
-    for (size_t x = width; x < pw; ++x) {
-      padded[y * pw + x] = width > 0 ? pixels[y * width + width - 1] : 0;
-    }
-  }
-  for (size_t y = height; y < ph; ++y) {
-    for (size_t x = 0; x < pw; ++x) {
-      padded[y * pw + x] = height > 0 ? padded[(height - 1) * pw + x] : 0;
-    }
-  }
-  Haar2dForward(&padded, ph, pw);
-
-  struct Entry2d {
-    uint32_t index;
-    double value;
-  };
-  std::vector<Entry2d> entries;
-  entries.reserve(padded.size());
-  for (size_t i = 0; i < padded.size(); ++i) {
-    if (std::fabs(padded[i]) >= options.threshold &&
-        std::fabs(padded[i]) >= options.quant_step / 2) {
-      entries.push_back({static_cast<uint32_t>(i), padded[i]});
-    }
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry2d& a, const Entry2d& b) {
-              return std::fabs(a.value) > std::fabs(b.value);
-            });
-
-  ByteBuffer out;
-  out.PutU32(kCodec2dMagic);
-  out.PutVarint(width);
-  out.PutVarint(height);
-  out.PutVarint(pw);
-  out.PutVarint(ph);
-  out.PutF64(options.quant_step);
-  out.PutVarint(entries.size());
-  for (const Entry2d& e : entries) {
-    out.PutVarint(e.index);
-    out.PutSignedVarint(
-        static_cast<int64_t>(std::llround(e.value / options.quant_step)));
-  }
-  return std::move(out).TakeData();
-}
-
-Result<std::vector<double>> DecodeImage2d(const std::vector<uint8_t>& stream,
-                                          double fraction, size_t* width,
-                                          size_t* height) {
-  ByteReader reader(stream);
-  uint32_t magic = 0;
-  HEDC_RETURN_IF_ERROR(reader.GetU32(&magic));
-  if (magic != kCodec2dMagic) {
-    return Status::Corruption("not a 2-D wavelet stream (bad magic)");
-  }
-  uint64_t w = 0, h = 0, pw = 0, ph = 0, num = 0;
-  double quant_step = 0;
-  HEDC_RETURN_IF_ERROR(reader.GetVarint(&w));
-  HEDC_RETURN_IF_ERROR(reader.GetVarint(&h));
-  HEDC_RETURN_IF_ERROR(reader.GetVarint(&pw));
-  HEDC_RETURN_IF_ERROR(reader.GetVarint(&ph));
-  HEDC_RETURN_IF_ERROR(reader.GetF64(&quant_step));
-  HEDC_RETURN_IF_ERROR(reader.GetVarint(&num));
-  if (pw == 0 || ph == 0 || pw < w || ph < h || quant_step <= 0 ||
-      !std::isfinite(quant_step) || pw * ph > (64u << 20)) {
-    return Status::Corruption("2-D wavelet stream header invalid");
-  }
-  if (num > pw * ph || num * 2 > reader.remaining()) {
-    return Status::Corruption("2-D coefficient count exceeds stream");
-  }
-  size_t take = num;
-  if (fraction < 1.0) {
-    take = static_cast<size_t>(
-        std::ceil(fraction * static_cast<double>(num)));
-    if (fraction > 0 && take == 0) take = 1;
-  }
-  std::vector<double> coeffs(pw * ph, 0.0);
-  for (size_t i = 0; i < num && i < take; ++i) {
-    uint64_t index = 0;
-    int64_t quantized = 0;
-    HEDC_RETURN_IF_ERROR(reader.GetVarint(&index));
-    HEDC_RETURN_IF_ERROR(reader.GetSignedVarint(&quantized));
-    if (index >= pw * ph) {
-      return Status::Corruption("2-D coefficient index out of range");
-    }
-    coeffs[index] = static_cast<double>(quantized) * quant_step;
-  }
-  Haar2dInverse(&coeffs, ph, pw);
-  std::vector<double> pixels(w * h, 0.0);
-  for (size_t y = 0; y < h; ++y) {
-    for (size_t x = 0; x < w; ++x) {
-      pixels[y * w + x] = coeffs[y * pw + x];
-    }
-  }
-  *width = w;
-  *height = h;
-  return pixels;
 }
 
 double RelativeL2Error(const std::vector<double>& reference,

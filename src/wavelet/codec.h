@@ -131,21 +131,6 @@ inline Result<std::vector<double>> DecodeSignalPrefix(
   return DecodeSignalPrefix(prefix.data(), prefix.size(), info);
 }
 
-// --- 2-D progressive codec (image previews in the StreamCorder) --------
-
-// Encodes a row-major `width` x `height` image (any dimensions; padded to
-// powers of two internally) with the 2-D Haar transform and the same
-// magnitude-ordered coefficient stream as EncodeSignal.
-std::vector<uint8_t> EncodeImage2d(const std::vector<double>& pixels,
-                                   size_t width, size_t height,
-                                   const CodecOptions& options = {});
-
-// Decodes the first `fraction` of the coefficients; returns the pixels
-// and writes the dimensions.
-Result<std::vector<double>> DecodeImage2d(const std::vector<uint8_t>& stream,
-                                          double fraction, size_t* width,
-                                          size_t* height);
-
 }  // namespace hedc::wavelet
 
 #endif  // HEDC_WAVELET_CODEC_H_

@@ -91,36 +91,4 @@ void HaarInverse(std::vector<double>* data, int levels) {
   }
 }
 
-void Haar2dForward(std::vector<double>* data, size_t rows, size_t cols) {
-  // Transform each row.
-  std::vector<double> line;
-  for (size_t r = 0; r < rows; ++r) {
-    line.assign(data->begin() + r * cols, data->begin() + (r + 1) * cols);
-    HaarForward(&line);
-    for (size_t c = 0; c < cols; ++c) (*data)[r * cols + c] = line[c];
-  }
-  // Transform each column.
-  line.resize(rows);
-  for (size_t c = 0; c < cols; ++c) {
-    for (size_t r = 0; r < rows; ++r) line[r] = (*data)[r * cols + c];
-    HaarForward(&line);
-    for (size_t r = 0; r < rows; ++r) (*data)[r * cols + c] = line[r];
-  }
-}
-
-void Haar2dInverse(std::vector<double>* data, size_t rows, size_t cols) {
-  std::vector<double> line(rows);
-  for (size_t c = 0; c < cols; ++c) {
-    for (size_t r = 0; r < rows; ++r) line[r] = (*data)[r * cols + c];
-    HaarInverse(&line);
-    for (size_t r = 0; r < rows; ++r) (*data)[r * cols + c] = line[r];
-  }
-  line.resize(cols);
-  for (size_t r = 0; r < rows; ++r) {
-    line.assign(data->begin() + r * cols, data->begin() + (r + 1) * cols);
-    HaarInverse(&line);
-    for (size_t c = 0; c < cols; ++c) (*data)[r * cols + c] = line[c];
-  }
-}
-
 }  // namespace hedc::wavelet

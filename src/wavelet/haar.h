@@ -1,4 +1,4 @@
-// Orthonormal Haar wavelet transforms (1-D and 2-D).
+// Orthonormal 1-D Haar wavelet transforms.
 //
 // §3.4/§6.3: raw data is pre-processed into wavelet-compressed
 // range-partitioned views; clients reconstruct approximations from a
@@ -25,11 +25,6 @@ void HaarInverse(std::vector<double>* data, int levels = 0);
 // Pads with the last value (step extension) to the next power of two;
 // returns the original length.
 size_t PadToPow2(std::vector<double>* data);
-
-// 2-D transform on row-major `rows` x `cols` data (both powers of two):
-// standard decomposition (full 1-D transform on rows, then columns).
-void Haar2dForward(std::vector<double>* data, size_t rows, size_t cols);
-void Haar2dInverse(std::vector<double>* data, size_t rows, size_t cols);
 
 }  // namespace hedc::wavelet
 

@@ -1,7 +1,5 @@
 #include "web/http_tcp.h"
 
-#include <sys/socket.h>
-
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
@@ -57,8 +55,19 @@ const char* StatusText(int code) {
   }
 }
 
-}  // namespace
+// An HttpRequest parsed off the wire, plus connection disposition.
+struct ParsedHttpRequest {
+  HttpRequest request;
+  bool keep_alive = true;
+};
 
+enum class HttpParseResult { kNeedMore, kOk, kBad };
+
+// Incremental HTTP/1.1 request parser over buffered bytes. On kOk fills
+// `out` and sets `consumed` to the total request length (headers + body).
+// kNeedMore leaves both untouched; kBad means the connection should get a
+// 400 and be dropped (malformed request line/headers, oversized header
+// block or declared body).
 HttpParseResult ParseHttpRequest(const uint8_t* data, size_t n,
                                  size_t max_header, size_t max_body,
                                  ParsedHttpRequest* out, size_t* consumed) {
@@ -150,6 +159,8 @@ HttpParseResult ParseHttpRequest(const uint8_t* data, size_t n,
   return HttpParseResult::kOk;
 }
 
+// The wire encoding of a response: status line, Content-Type,
+// Content-Length, Connection, Set-Cookie headers, then body + binary_body.
 std::vector<uint8_t> SerializeHttpResponse(const HttpResponse& response,
                                            bool keep_alive) {
   std::string head;
@@ -172,12 +183,9 @@ std::vector<uint8_t> SerializeHttpResponse(const HttpResponse& response,
   return bytes;
 }
 
-namespace {
-
-// Reactor-side connection state machine: buffer -> ParseHttpRequest ->
-// dispatch handler -> serialized reply (close_after on "Connection:
-// close"); malformed input gets a 400 and the connection dropped, exactly
-// like the blocking engine.
+// Per-connection state machine: buffer -> ParseHttpRequest -> dispatch
+// handler -> serialized reply (close_after on "Connection: close");
+// malformed input gets a 400 and the connection dropped.
 class HttpProtocol : public net::ReactorProtocol {
  public:
   HttpProtocol(HttpTcpServer::Handler* handler, MetricsRegistry* metrics,
@@ -230,11 +238,7 @@ class HttpProtocol : public net::ReactorProtocol {
 HttpTcpServer::Options HttpTcpServer::Options::FromConfig(
     const Config& config) {
   Options options;
-  // Reactor engine is the default since the PR-8 soak; net.reactor=false
-  // selects the thread-per-connection engine.
-  options.use_reactor = config.GetBool("net.reactor", true);
   options.reactor = net::Reactor::Options::FromConfig(config);
-  options.blocking_idle_timeout = options.reactor.idle_timeout;
   return options;
 }
 
@@ -262,37 +266,29 @@ net::Reactor* HttpTcpServer::reactor() {
 Status HttpTcpServer::Start(int port) {
   std::lock_guard<std::mutex> lock(mu_);
   if (running_) return Status::FailedPrecondition("server already running");
-  if (options_.use_reactor) {
-    net::Reactor* r = reactor();
-    if (!r->running()) {
-      HEDC_RETURN_IF_ERROR(r->Start());
-    }
-    Handler* handler = &handler_;
-    MetricsRegistry* metrics = metrics_;
-    size_t max_header = options_.max_header_bytes;
-    size_t max_body = options_.max_body_bytes;
-    Result<net::Reactor::ListenerInfo> listener =
-        r->AddListener(port, [handler, metrics, max_header, max_body] {
-          metrics->GetCounter("web.http_connections")->Add();
-          return std::make_unique<HttpProtocol>(handler, metrics, max_header,
-                                                max_body);
-        });
-    if (!listener.ok()) return listener.status();
-    reactor_listener_ = listener.value();
-    running_ = true;
-    return Status::Ok();
+  net::Reactor* r = reactor();
+  if (!r->running()) {
+    HEDC_RETURN_IF_ERROR(r->Start());
   }
-  HEDC_RETURN_IF_ERROR(listener_.Listen(port));
+  Handler* handler = &handler_;
+  MetricsRegistry* metrics = metrics_;
+  size_t max_header = options_.max_header_bytes;
+  size_t max_body = options_.max_body_bytes;
+  Result<net::Reactor::ListenerInfo> listener =
+      r->AddListener(port, [handler, metrics, max_header, max_body] {
+        metrics->GetCounter("web.http_connections")->Add();
+        return std::make_unique<HttpProtocol>(handler, metrics, max_header,
+                                              max_body);
+      });
+  if (!listener.ok()) return listener.status();
+  listener_ = listener.value();
   running_ = true;
-  stopping_ = false;
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
 }
 
 int HttpTcpServer::port() const {
   std::lock_guard<std::mutex> lock(mu_);
-  if (options_.use_reactor) return reactor_listener_.port;
-  return listener_.port();
+  return listener_.port;
 }
 
 bool HttpTcpServer::running() const {
@@ -300,96 +296,16 @@ bool HttpTcpServer::running() const {
   return running_;
 }
 
-void HttpTcpServer::AcceptLoop() {
-  while (true) {
-    Result<net::TcpSocket> accepted = listener_.Accept();
-    if (!accepted.ok()) return;
-    metrics_->GetCounter("web.http_connections")->Add();
-    net::TcpSocket socket = std::move(accepted).value();
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) return;
-    live_connection_fds_.push_back(socket.fd());
-    connection_threads_.emplace_back(
-        [this, sock = std::move(socket)]() mutable {
-          ServeConnection(std::move(sock));
-        });
-  }
-}
-
-void HttpTcpServer::ServeConnection(net::TcpSocket socket) {
-  if (options_.blocking_idle_timeout > 0) {
-    socket.SetRecvTimeout(options_.blocking_idle_timeout);
-  }
-  std::vector<uint8_t> buffer;
-  while (true) {
-    // Accumulate until the shared parser accepts or rejects the prefix.
-    ParsedHttpRequest parsed;
-    size_t consumed = 0;
-    HttpParseResult result = ParseHttpRequest(
-        buffer.data(), buffer.size(), options_.max_header_bytes,
-        options_.max_body_bytes, &parsed, &consumed);
-    if (result == HttpParseResult::kNeedMore) {
-      uint8_t chunk[16384];
-      ssize_t r = ::recv(socket.fd(), chunk, sizeof(chunk), 0);
-      if (r <= 0) break;  // EOF, reset, or idle deadline
-      buffer.insert(buffer.end(), chunk, chunk + r);
-      continue;
-    }
-    if (result == HttpParseResult::kBad) {
-      metrics_->GetCounter("web.http_bad_requests")->Add();
-      std::vector<uint8_t> reply = SerializeHttpResponse(
-          HttpResponse::BadRequest("malformed request"), false);
-      socket.SendAll(reply.data(), reply.size());
-      break;
-    }
-    buffer.erase(buffer.begin(), buffer.begin() + static_cast<long>(consumed));
-    metrics_->GetCounter("web.http_requests")->Add();
-    HttpResponse response = handler_(parsed.request);
-    std::vector<uint8_t> reply =
-        SerializeHttpResponse(response, parsed.keep_alive);
-    if (!socket.SendAll(reply.data(), reply.size()).ok()) break;
-    if (!parsed.keep_alive) break;
-  }
-  int fd = socket.fd();
-  socket.Close();
-  std::lock_guard<std::mutex> lock(mu_);
-  for (size_t i = 0; i < live_connection_fds_.size(); ++i) {
-    if (live_connection_fds_[i] == fd) {
-      live_connection_fds_.erase(live_connection_fds_.begin() +
-                                 static_cast<long>(i));
-      break;
-    }
-  }
-}
-
 void HttpTcpServer::Stop() {
-  int reactor_listener_id = -1;
+  int listener_id = -1;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (!running_) return;
     running_ = false;
-    if (options_.use_reactor) {
-      reactor_listener_id = reactor_listener_.id;
-      reactor_listener_ = net::Reactor::ListenerInfo{};
-    } else {
-      stopping_ = true;
-      for (int fd : live_connection_fds_) ::shutdown(fd, SHUT_RDWR);
-    }
+    listener_id = listener_.id;
+    listener_ = net::Reactor::ListenerInfo{};
   }
-  if (reactor_listener_id >= 0) {
-    reactor()->CloseListener(reactor_listener_id);
-    return;
-  }
-  listener_.Close();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(connection_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
+  reactor()->CloseListener(listener_id);
 }
 
 }  // namespace hedc::web

@@ -4,15 +4,10 @@
 // module puts them on real loopback sockets so browsers' dominant access
 // pattern — many keep-alive connections, mostly idle — is exercised for
 // real. HttpTcpServer wraps any handler (typically WebServer::Dispatch)
-// and, like dm::TcpRmiServer, has two interchangeable engines behind
-// Options::use_reactor / config `net.reactor`:
-//  * blocking: accept thread + thread per connection — fine for a lab,
-//    collapses at C10K;
-//  * reactor: per-connection incremental HTTP parser on a shared epoll
-//    loop (net/reactor.h), handlers on its worker pool.
-// Responses are serialized by one shared function, so the two engines are
-// byte-identical on the wire — the property the differential conformance
-// suite (tests/net_conformance_test.cc) pins down.
+// and, like dm::TcpRmiServer, serves on an epoll reactor (net/reactor.h):
+// a per-connection incremental HTTP parser runs on the event loop and
+// handlers run on its worker pool. The wire encoding is pinned by golden
+// byte transcripts in tests/net_conformance_test.cc.
 #ifndef HEDC_WEB_HTTP_TCP_H_
 #define HEDC_WEB_HTTP_TCP_H_
 
@@ -20,7 +15,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/config.h"
@@ -31,30 +25,6 @@
 
 namespace hedc::web {
 
-// An HttpRequest parsed off the wire, plus connection disposition.
-struct ParsedHttpRequest {
-  HttpRequest request;
-  bool keep_alive = true;
-};
-
-enum class HttpParseResult { kNeedMore, kOk, kBad };
-
-// Incremental HTTP/1.1 request parser over buffered bytes. On kOk fills
-// `out` and sets `consumed` to the total request length (headers + body).
-// kNeedMore leaves both untouched; kBad means the connection should get a
-// 400 and be dropped (malformed request line/headers, oversized header
-// block or declared body). Shared by both engines so they accept and
-// reject exactly the same byte streams.
-HttpParseResult ParseHttpRequest(const uint8_t* data, size_t n,
-                                 size_t max_header, size_t max_body,
-                                 ParsedHttpRequest* out, size_t* consumed);
-
-// The single wire encoding of a response, used by both engines:
-// status line, Content-Type, Content-Length, Connection, Set-Cookie
-// headers, then body + binary_body.
-std::vector<uint8_t> SerializeHttpResponse(const HttpResponse& response,
-                                           bool keep_alive);
-
 // Serves HTTP over loopback TCP. Handler-based rather than bound to
 // WebServer so tests can serve canned responses; wire it to a WebServer
 // with [&server](const HttpRequest& r) { return server.Dispatch(r); }.
@@ -63,16 +33,12 @@ class HttpTcpServer {
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
   struct Options {
-    bool use_reactor = false;
     net::Reactor::Options reactor;       // used when owning the reactor
     net::Reactor* shared_reactor = nullptr;  // not owned
     size_t max_header_bytes = 64u << 10;
     size_t max_body_bytes = 8u << 20;
-    // Blocking mode: per-recv silence deadline (0 = wait forever).
-    Micros blocking_idle_timeout = 0;
 
-    // net.reactor plus the net.* reactor knobs; net.idle_timeout_ms
-    // applies to both engines.
+    // The net.* reactor knobs (see net::Reactor::Options::FromConfig).
     static Options FromConfig(const Config& config);
   };
 
@@ -89,23 +55,16 @@ class HttpTcpServer {
   void Stop();
 
  private:
-  void AcceptLoop();
-  void ServeConnection(net::TcpSocket socket);
   net::Reactor* reactor();
 
   Handler handler_;
   MetricsRegistry* metrics_;
   Options options_;
-  net::TcpListener listener_;
-  std::thread accept_thread_;
   std::unique_ptr<net::Reactor> own_reactor_;
 
   mutable std::mutex mu_;
   bool running_ = false;
-  bool stopping_ = false;
-  net::Reactor::ListenerInfo reactor_listener_;
-  std::vector<std::thread> connection_threads_;
-  std::vector<int> live_connection_fds_;
+  net::Reactor::ListenerInfo listener_;
 };
 
 }  // namespace hedc::web

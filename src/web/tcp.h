@@ -1,15 +1,18 @@
 // Loopback TCP plumbing: listener, connected socket, and a CRC-checked
 // length-delimited frame codec.
 //
-// The presentation tier historically spoke only in-process structures
-// (web/http.h); this module adds the real socket layer the middle tier
+// The presentation tier speaks in-process structures (web/http.h); this
+// module is the client side of the real socket layer the middle tier
 // needs for networked call redirection (§5.4). It is deliberately small:
 // blocking sockets, per-socket receive deadlines via SO_RCVTIMEO, and a
 // frame format of [u32 length][payload][u32 crc32] so torn or garbled
 // frames surface as kCorruption instead of desynchronizing the stream.
-// Binds are restricted to 127.0.0.1 — the build environment has no
-// external network, and the scale-out story only needs process-local
-// sockets to make the transport (and its failure modes) real.
+// The servers (web::HttpTcpServer, dm::TcpRmiServer) do not use these
+// blocking calls: they serve on the epoll reactor (net/reactor.h), which
+// shares only EncodeFrame. TcpListener remains for simple loopback peers
+// such as test doubles. Binds are restricted to 127.0.0.1 — the
+// scale-out story only needs process-local sockets to make the transport
+// (and its failure modes) real.
 #ifndef HEDC_WEB_TCP_H_
 #define HEDC_WEB_TCP_H_
 

@@ -290,27 +290,20 @@ TEST_F(NameMapperTest, ResolveConstructsName) {
   EXPECT_EQ(url.value().name, "http://hedc.ethz.ch/data/raid1/hle/2002/100");
 }
 
-TEST_F(NameMapperTest, ColdResolveUsesExactlyOneQuery) {
-  // §4.3 prices dynamic mapping at two extra indexed queries; the
-  // joined plan folds them into one statement.
-  int64_t q0 = db_.stats().queries.load();
-  int64_t j0 = db_.stats().joins.load();
-  ASSERT_TRUE(mapper_->Resolve(100, NameType::kFilename).ok());
-  EXPECT_EQ(db_.stats().queries.load() - q0, 1);
-  EXPECT_EQ(db_.stats().joins.load() - j0, 1);
-}
-
 TEST_F(NameMapperTest, LegacyTwoQueryResolveStillAvailable) {
+  // §4.3 prices dynamic mapping at two extra indexed queries: the
+  // location entry by item id, then its archive by id. No join runs.
   Config config;
   config.Set("root.filename", "/hedc");
-  config.Set("name_mapper.joined_resolve", "false");
   config.Set("name_mapper.cache_capacity", "0");
-  NameMapper legacy(&db_, config);
+  NameMapper uncached(&db_, config);
   int64_t q0 = db_.stats().queries.load();
-  auto r = legacy.Resolve(100, NameType::kFilename);
+  int64_t j0 = db_.stats().joins.load();
+  auto r = uncached.Resolve(100, NameType::kFilename);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r.value().name, "/hedc/raid1/hle/2002/100");
   EXPECT_EQ(db_.stats().queries.load() - q0, 2);
+  EXPECT_EQ(db_.stats().joins.load() - j0, 0);
 }
 
 TEST_F(NameMapperTest, MissingItemNotFound) {
@@ -345,7 +338,7 @@ TEST_F(NameMapperTest, CacheDisabledWithZeroCapacity) {
   ASSERT_TRUE(uncached.Resolve(100, NameType::kFilename).ok());
   int64_t q0 = db_.stats().queries.load();
   ASSERT_TRUE(uncached.Resolve(100, NameType::kFilename).ok());
-  EXPECT_EQ(db_.stats().queries.load() - q0, 1);  // still the cold path
+  EXPECT_EQ(db_.stats().queries.load() - q0, 2);  // still the cold path
 }
 
 TEST_F(NameMapperTest, RemountInvalidatesWarmCache) {

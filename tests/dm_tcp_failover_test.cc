@@ -169,11 +169,17 @@ TEST(TcpRemoteTest, KillingNodeMidCallFailsOverToFallbackStress) {
     primary.tcp->Stop();
     killed.store(true, std::memory_order_release);
   });
+  // At least 200 calls, and at least 50 of them started after the kill
+  // landed: under a loaded scheduler the killer can wake after 200 fast
+  // calls have already finished on the primary.
   int fallback_answers = 0;
-  for (int i = 0; i < 200; ++i) {
+  int calls = 0;
+  for (int after_kill = 0; calls < 200 || after_kill < 50; ++calls) {
+    if (killed.load(std::memory_order_acquire)) ++after_kill;
     auto rs = remote.Execute("SELECT name FROM users WHERE user_id = ?",
                              {db::Value::Int(1)});
-    ASSERT_TRUE(rs.ok()) << "call " << i << ": " << rs.status().ToString();
+    ASSERT_TRUE(rs.ok()) << "call " << calls << ": "
+                         << rs.status().ToString();
     ASSERT_EQ(rs.value().num_rows(), 1u);
     if (rs.value().rows[0][0].AsText() == "bravo") ++fallback_answers;
   }
@@ -208,7 +214,7 @@ TEST(TcpRemoteTest, KillingNodeMidCallFailsOverToFallbackStress) {
       ++client_spans;
     }
   }
-  EXPECT_EQ(client_spans, 220);
+  EXPECT_EQ(client_spans, 20 + calls);
 }
 
 int OpenFdCount() {

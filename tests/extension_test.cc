@@ -1,12 +1,10 @@
 // Tests for the "moving target" extensions: the Phoenix-2 second
-// instrument, the purge process, the 2-D progressive codec, and
-// failure-injection around relocation.
+// instrument, the purge process, and failure-injection around
+// relocation.
 #include <gtest/gtest.h>
 
-#include "core/rng.h"
 #include "hedc_fixture.h"
 #include "rhessi/phoenix.h"
-#include "wavelet/codec.h"
 
 namespace hedc {
 namespace {
@@ -167,52 +165,6 @@ TEST_F(ExtensionStackTest, RelocationCompensatesOnOfflineTarget) {
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().archive_id, 1);  // compensated back
   EXPECT_TRUE(stack_.data_manager->io().ReadItemFile(1).ok());
-}
-
-TEST(Codec2dTest, RoundTripNonSquare) {
-  Rng rng(2);
-  const size_t w = 20, h = 9;  // non-power-of-two, non-square
-  std::vector<double> pixels(w * h);
-  for (auto& p : pixels) p = rng.Uniform(0, 50);
-  std::vector<uint8_t> stream = wavelet::EncodeImage2d(pixels, w, h);
-  size_t rw = 0, rh = 0;
-  auto decoded = wavelet::DecodeImage2d(stream, 1.0, &rw, &rh);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(rw, w);
-  EXPECT_EQ(rh, h);
-  EXPECT_LT(wavelet::RelativeL2Error(pixels, decoded.value()), 1e-4);
-}
-
-TEST(Codec2dTest, ProgressiveRefinement) {
-  // Smooth 2-D field: error decreases with fraction.
-  const size_t n = 32;
-  std::vector<double> pixels(n * n);
-  for (size_t y = 0; y < n; ++y) {
-    for (size_t x = 0; x < n; ++x) {
-      pixels[y * n + x] =
-          std::sin(static_cast<double>(x) * 0.2) *
-          std::cos(static_cast<double>(y) * 0.3) * 100;
-    }
-  }
-  std::vector<uint8_t> stream = wavelet::EncodeImage2d(pixels, n, n);
-  double prev = 1e18;
-  for (double fraction : {0.05, 0.25, 1.0}) {
-    size_t w = 0, h = 0;
-    auto decoded = wavelet::DecodeImage2d(stream, fraction, &w, &h);
-    ASSERT_TRUE(decoded.ok());
-    double err = wavelet::RelativeL2Error(pixels, decoded.value());
-    EXPECT_LE(err, prev + 1e-9);
-    prev = err;
-  }
-  EXPECT_LT(prev, 1e-4);
-}
-
-TEST(Codec2dTest, BadStreamsRejected) {
-  size_t w = 0, h = 0;
-  EXPECT_FALSE(wavelet::DecodeImage2d({1, 2, 3}, 1.0, &w, &h).ok());
-  // A 1-D stream is not a 2-D stream.
-  std::vector<uint8_t> one_d = wavelet::EncodeSignal({1, 2, 3, 4});
-  EXPECT_FALSE(wavelet::DecodeImage2d(one_d, 1.0, &w, &h).ok());
 }
 
 }  // namespace

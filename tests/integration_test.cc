@@ -1,7 +1,7 @@
 // End-to-end integration tests over the full stack: multi-user flows,
 // predefined queries, the explore visual tool, usage statistics,
-// StreamCorder peer-to-peer, 2-D progressive previews, and concurrent
-// web browsing against a live repository.
+// StreamCorder peer-to-peer, and concurrent web browsing against a live
+// repository.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -11,7 +11,6 @@
 #include "dm/predefined_queries.h"
 #include "dm/remote.h"
 #include "hedc_fixture.h"
-#include "wavelet/codec.h"
 
 namespace hedc {
 namespace {
@@ -131,36 +130,6 @@ TEST_F(IntegrationTest, StreamCorderPeerToPeer) {
   // B now serves from its own cache.
   ASSERT_TRUE(node_b.FetchRawUnit(1).ok());
   EXPECT_EQ(node_b.peer_fetches(), 1);
-}
-
-TEST_F(IntegrationTest, Progressive2dImagePreview) {
-  // Compute a spectrogram, encode it progressively, verify refinement.
-  auto packed = stack_.data_manager->io().ReadItemFile(1);
-  ASSERT_TRUE(packed.ok());
-  auto unit = rhessi::RawDataUnit::Unpack(packed.value());
-  ASSERT_TRUE(unit.ok());
-  analysis::AnalysisParams params;
-  params.SetInt("t_bins", 64);
-  params.SetInt("e_bins", 32);
-  auto product =
-      stack_.registry->Get("spectrogram")->Run(unit.value().photons, params);
-  ASSERT_TRUE(product.ok());
-  const analysis::Image& image = *product.value().image;
-
-  std::vector<uint8_t> stream = wavelet::EncodeImage2d(
-      image.pixels, image.width, image.height);
-  size_t w = 0, h = 0;
-  auto coarse = wavelet::DecodeImage2d(stream, 0.05, &w, &h);
-  ASSERT_TRUE(coarse.ok()) << coarse.status().ToString();
-  EXPECT_EQ(w, image.width);
-  EXPECT_EQ(h, image.height);
-  auto full = wavelet::DecodeImage2d(stream, 1.0, &w, &h);
-  ASSERT_TRUE(full.ok());
-  double coarse_err = wavelet::RelativeL2Error(image.pixels, coarse.value());
-  double full_err = wavelet::RelativeL2Error(image.pixels, full.value());
-  EXPECT_LT(full_err, 1e-4);
-  EXPECT_GT(coarse_err, full_err);
-  EXPECT_LT(coarse_err, 1.0);
 }
 
 TEST_F(IntegrationTest, StatusPageForAdmins) {

@@ -52,7 +52,6 @@ TEST(NetAdversarialTest, SlowlorisDiesOnReadTimeoutWithoutHoldingWorker) {
   EchoRmi rmi;
   MetricsRegistry metrics;
   dm::TcpRmiServer::Options options;
-  options.use_reactor = true;
   options.reactor.workers = 1;
   options.reactor.read_timeout = 150 * kMicrosPerMilli;
   options.reactor.idle_timeout = 30 * kMicrosPerSecond;
@@ -100,7 +99,6 @@ TEST(NetAdversarialTest, OversizedFrameRejectedBeforeAllocation) {
   EchoRmi rmi;
   MetricsRegistry metrics;
   dm::TcpRmiServer::Options options;
-  options.use_reactor = true;
   options.max_frame = 1u << 20;
   dm::TcpRmiServer server(&rmi, &metrics, options);
   ASSERT_TRUE(server.Start().ok());
@@ -129,7 +127,6 @@ TEST(NetAdversarialTest, HalfOpenFloodIsReapedAndFdsReturnToBaseline) {
   EchoRmi rmi;
   MetricsRegistry metrics;
   dm::TcpRmiServer::Options options;
-  options.use_reactor = true;
   options.reactor.idle_timeout = 100 * kMicrosPerMilli;
   dm::TcpRmiServer server(&rmi, &metrics, options);
   ASSERT_TRUE(server.Start().ok());

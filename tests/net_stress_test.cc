@@ -28,7 +28,6 @@ class EchoRmi : public dm::RmiHandler {
 
 dm::TcpRmiServer::Options ReactorOptions() {
   dm::TcpRmiServer::Options options;
-  options.use_reactor = true;
   options.reactor.workers = 2;
   return options;
 }

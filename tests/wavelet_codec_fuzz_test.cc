@@ -32,11 +32,6 @@ void ExpectSaneDecode(const std::vector<uint8_t>& bytes) {
     EXPECT_LE(prefix.value().size(), kMaxReasonableOutput);
     EXPECT_LE(info.coeffs_decoded, info.coeffs_total);
   }
-  size_t w = 0, h = 0;
-  auto two_d = DecodeImage2d(bytes, 1.0, &w, &h);
-  if (two_d.ok()) {
-    EXPECT_LE(two_d.value().size(), kMaxReasonableOutput);
-  }
   auto count = CoefficientCount(bytes);
   if (count.ok()) {
     EXPECT_LE(count.value(), kMaxReasonableOutput);
@@ -53,8 +48,7 @@ TEST(CodecFuzzTest, TruncationAtEveryByte) {
   Rng rng(101);
   std::vector<double> signal = RandomSignal(&rng, 300);
   for (const std::vector<uint8_t>& stream :
-       {EncodeSignal(signal), EncodeSignalProgressive(signal),
-        EncodeImage2d(signal, 30, 10)}) {
+       {EncodeSignal(signal), EncodeSignalProgressive(signal)}) {
     for (size_t size = 0; size < stream.size(); ++size) {
       std::vector<uint8_t> truncated(stream.begin(),
                                      stream.begin() + size);
@@ -81,8 +75,7 @@ TEST(CodecFuzzTest, BitFlipsNeverCrash) {
   Rng rng(103);
   std::vector<double> signal = RandomSignal(&rng, 400);
   std::vector<std::vector<uint8_t>> streams = {
-      EncodeSignal(signal), EncodeSignalProgressive(signal),
-      EncodeImage2d(signal, 20, 20)};
+      EncodeSignal(signal), EncodeSignalProgressive(signal)};
   for (const auto& stream : streams) {
     for (int round = 0; round < 400; ++round) {
       std::vector<uint8_t> mutated = stream;

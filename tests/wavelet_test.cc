@@ -81,19 +81,6 @@ TEST(HaarTest, PadToPow2) {
   EXPECT_EQ(empty.size(), 1u);
 }
 
-TEST(Haar2dTest, RoundTrip) {
-  Rng rng(4);
-  const size_t rows = 16, cols = 32;
-  std::vector<double> data(rows * cols);
-  for (auto& v : data) v = rng.Uniform(-3, 3);
-  std::vector<double> original = data;
-  Haar2dForward(&data, rows, cols);
-  Haar2dInverse(&data, rows, cols);
-  for (size_t i = 0; i < data.size(); ++i) {
-    EXPECT_NEAR(data[i], original[i], 1e-9);
-  }
-}
-
 TEST(CodecTest, LosslessAtFullFraction) {
   Rng rng(5);
   std::vector<double> signal(300);  // non-power-of-two

@@ -142,15 +142,18 @@ std::string ReadHttpResponse(net::TcpSocket& socket) {
 }
 
 // The real web tier served over a socket: HttpTcpServer adapts
-// WebServer::Dispatch onto either transport engine (DESIGN.md §4i), so
-// the same raw-HTTP login + catalog flow must work blocking and reactor.
+// WebServer::Dispatch onto the reactor (DESIGN.md §4i), either its own or
+// one shared with other listeners (Options::shared_reactor), so the same
+// raw-HTTP login + catalog flow must work on both.
 TEST_F(WebStackTest, FullStackServesOverBothTcpEngines) {
   std::string cookie = LoginCookie("alice", "pw-a");
   ASSERT_FALSE(cookie.empty());
-  for (bool use_reactor : {false, true}) {
-    SCOPED_TRACE(use_reactor ? "reactor" : "blocking");
+  net::Reactor shared;
+  ASSERT_TRUE(shared.Start().ok());
+  for (net::Reactor* reactor : {static_cast<net::Reactor*>(nullptr), &shared}) {
+    SCOPED_TRACE(reactor == nullptr ? "own reactor" : "shared reactor");
     web::HttpTcpServer::Options options;
-    options.use_reactor = use_reactor;
+    options.shared_reactor = reactor;
     web::HttpTcpServer http(
         [&](const HttpRequest& request) {
           return stack_.web_server->Dispatch(request);
@@ -310,10 +313,12 @@ TEST_F(WebStackTest, RecalibrationInvalidatesEveryViewResolution) {
 
 TEST_F(WebStackTest, ViewServedIdenticallyOverBothTcpEngines) {
   std::vector<std::string> bodies;
-  for (bool use_reactor : {false, true}) {
-    SCOPED_TRACE(use_reactor ? "reactor" : "blocking");
+  net::Reactor shared;
+  ASSERT_TRUE(shared.Start().ok());
+  for (net::Reactor* reactor : {static_cast<net::Reactor*>(nullptr), &shared}) {
+    SCOPED_TRACE(reactor == nullptr ? "own reactor" : "shared reactor");
     web::HttpTcpServer::Options options;
-    options.use_reactor = use_reactor;
+    options.shared_reactor = reactor;
     web::HttpTcpServer http(
         [&](const HttpRequest& request) {
           return stack_.web_server->Dispatch(request);
@@ -336,8 +341,8 @@ TEST_F(WebStackTest, ViewServedIdenticallyOverBothTcpEngines) {
     http.Stop();
   }
   ASSERT_EQ(bodies.size(), 2u);
-  // Byte-identical across engines: the prefix is sliced from the same
-  // cached stream regardless of transport.
+  // Byte-identical either way: the prefix is sliced from the same cached
+  // stream regardless of which reactor carries it.
   EXPECT_EQ(bodies[0], bodies[1]);
   std::vector<uint8_t> raw(bodies[0].begin(), bodies[0].end());
   EXPECT_TRUE(wavelet::DecodeSignalPrefix(raw).ok());
