@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: build, the fast cluster lane, the full test suite
 # (including the bench-smoke JSON-schema checks, the transport conformance
-# suite and the remote chaos/failover suites), the measured-vs-model
+# suite and the remote chaos/failover suites), the end-to-end benchmark's
+# own unit tests (perfbench/run.py --test), the measured-vs-model
 # scale-out and c10k p99-flatness crosschecks, then the stress suite —
 # concurrency hammers, networked chaos/failover, the cluster kill/restart
 # stress and the reactor net-stress lane (`ctest -L net-stress` runs just
@@ -20,6 +21,9 @@ echo "=== cluster lane (routing, failover, coherence) ==="
 
 echo "=== full suite, 8 tests in parallel (fast tests + stress + bench-smoke) ==="
 (cd build && ctest --output-on-failure -j8)
+
+echo "=== end-to-end benchmark unit tests (perfbench) ==="
+python3 perfbench/run.py --test
 
 echo "=== scale-out crosscheck (measured vs modeled fig5 curve) ==="
 python3 bench/validate_bench_json.py BENCH_cluster_scaleout.json \

@@ -140,8 +140,7 @@ Status NameMapper::Init() {
                    "rel_path TEXT)"));
   (void)r2;
   for (const char* sql :
-       {"CREATE INDEX archives_by_id ON archives (archive_id) USING HASH",
-        "CREATE INDEX loc_by_item ON location_entries (item_id) USING HASH",
+       {"CREATE INDEX loc_by_item ON location_entries (item_id) USING HASH",
         "CREATE INDEX loc_by_archive ON location_entries (archive_id) "
         "USING HASH"}) {
     Result<db::ResultSet> r = db_->Execute(sql);

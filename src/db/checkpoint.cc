@@ -66,9 +66,11 @@ Status WriteSnapshot(Database* db, const std::string& snapshot_path) {
       payload.PutU8(static_cast<uint8_t>(col.type));
       payload.PutU8((col.not_null ? 1 : 0) | (col.primary_key ? 2 : 0));
     }
-    // Indexes.
-    payload.PutVarint(table->indexes().size());
+    // Indexes, minus the primary-key index CREATE TABLE rebuilds.
+    const IndexDef* pkey = table->primary_key_index();
+    payload.PutVarint(table->indexes().size() - (pkey != nullptr ? 1 : 0));
     for (const IndexDef& def : table->indexes()) {
+      if (&def == pkey) continue;
       payload.PutString(def.name);
       payload.PutString(schema.column(def.column).name);
       payload.PutU8(def.kind == IndexKind::kHash ? 1 : 0);

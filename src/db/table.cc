@@ -9,7 +9,14 @@ namespace hedc::db {
 Table::Table(std::string name, Schema schema, int64_t rows_per_morsel)
     : name_(std::move(name)),
       schema_(std::move(schema)),
-      rows_per_morsel_(std::clamp<int64_t>(rows_per_morsel, 16, 1 << 20)) {}
+      rows_per_morsel_(std::clamp<int64_t>(rows_per_morsel, 16, 1 << 20)) {
+  // PRIMARY KEY implies a hash index, so uniqueness costs one probe.
+  if (auto pk = schema_.PrimaryKeyIndex(); pk.has_value()) {
+    has_primary_key_ = CreateIndex(name_ + "_pkey", schema_.column(*pk).name,
+                                   IndexKind::kHash)
+                           .ok();
+  }
+}
 
 Table::Morsel* Table::GetOrCreateMorsel(int64_t row_id) {
   int64_t key = row_id / rows_per_morsel_;
@@ -305,35 +312,23 @@ void Table::IndexErase(int64_t row_id, const Row& row) {
   }
 }
 
-Status Table::CheckPrimaryKey(const Row& row, int64_t ignore_row_id) {
-  auto pk = schema_.PrimaryKeyIndex();
-  if (!pk.has_value()) return Status::Ok();
-  const Value& key = row[*pk];
-  // Use an index on the pk column when available, else scan.
-  const IndexDef* def = FindIndex(*pk, /*need_range=*/false);
-  if (def != nullptr) {
-    std::vector<int64_t> ids;
-    IndexLookup(*def, key, &ids);
-    for (int64_t id : ids) {
-      if (id != ignore_row_id) {
-        return Status::AlreadyExists(
-            StrFormat("duplicate primary key %s in table %s",
-                      key.AsText().c_str(), name_.c_str()));
-      }
-    }
-    return Status::Ok();
-  }
-  Status dup = Status::Ok();
-  Scan([&](int64_t row_id, const Row& existing) {
-    if (row_id != ignore_row_id && existing[*pk] == key) {
-      dup = Status::AlreadyExists(
+Status Table::CheckPrimaryKey(const Row& row, int64_t ignore_row_id) const {
+  const IndexDef* pk = primary_key_index();
+  if (pk == nullptr) return Status::Ok();
+  const Value& key = row[pk->column];
+  std::vector<int64_t> ids;
+  IndexLookup(*pk, key, &ids);
+  for (int64_t id : ids) {
+    if (id == ignore_row_id) continue;
+    // Re-check the row: a stale entry or a bucket collision is no clash.
+    const Row* other = Slot(id);
+    if (other != nullptr && (*other)[pk->column] == key) {
+      return Status::AlreadyExists(
           StrFormat("duplicate primary key %s in table %s",
                     key.AsText().c_str(), name_.c_str()));
-      return false;
     }
-    return true;
-  });
-  return dup;
+  }
+  return Status::Ok();
 }
 
 }  // namespace hedc::db

@@ -7,7 +7,11 @@
 // work for the vectorized scan path (db/vectorized.h): parallel scans
 // claim whole morsels and zone maps let range predicates skip them
 // wholesale. B+-tree or hash indexes can be attached per column and are
-// maintained on every mutation. All mutations are single-writer
+// maintained on every mutation. A PRIMARY KEY column always has a hash
+// index named `<table>_pkey`, created with the table: uniqueness costs one
+// probe per insert or key update, and the planner uses the index like any
+// other. Snapshots do not store it; re-creating the table rebuilds it.
+// All mutations are single-writer
 // (guarded by Database's per-table latch at the executor level); scans
 // require at least the shared latch, which keeps morsels and slot rows
 // stable while chunks borrow pointers into them.
@@ -126,6 +130,11 @@ class Table {
   const IndexDef* FindIndex(size_t column, bool need_range) const;
 
   const std::vector<IndexDef>& indexes() const { return index_defs_; }
+  // The `<table>_pkey` hash index the constructor creates for the PRIMARY
+  // KEY column (always the first index), or nullptr without a key.
+  const IndexDef* primary_key_index() const {
+    return has_primary_key_ ? &index_defs_.front() : nullptr;
+  }
   const BTreeIndex* btree(const std::string& index_name) const;
   const HashIndex* hash(const std::string& index_name) const;
   // Mutable index access for recovery tooling and fault-injection tests
@@ -148,7 +157,7 @@ class Table {
  private:
   void IndexInsert(int64_t row_id, const Row& row);
   void IndexErase(int64_t row_id, const Row& row);
-  Status CheckPrimaryKey(const Row& row, int64_t ignore_row_id);
+  Status CheckPrimaryKey(const Row& row, int64_t ignore_row_id) const;
 
   Morsel* GetOrCreateMorsel(int64_t row_id);
   Row* Slot(int64_t row_id);  // nullptr if absent or unoccupied
@@ -167,6 +176,7 @@ class Table {
   int64_t next_row_id_ = 1;
   size_t live_rows_ = 0;
 
+  bool has_primary_key_ = false;
   std::vector<IndexDef> index_defs_;
   std::vector<std::unique_ptr<BTreeIndex>> btrees_;  // parallel, null if hash
   std::vector<std::unique_ptr<HashIndex>> hashes_;   // parallel, null if btree

@@ -23,13 +23,11 @@ Status CreateGenericSchema(db::Database* db) {
       "user_id INT PRIMARY KEY, name TEXT NOT NULL, password_hash TEXT, "
       "can_browse BOOL, can_download BOOL, can_analyze BOOL, "
       "can_upload BOOL, is_super BOOL, status TEXT, sessions_open INT)",
-      "CREATE INDEX users_by_id ON users (user_id) USING HASH",
       "CREATE INDEX users_by_name ON users (name) USING HASH",
 
       "CREATE TABLE IF NOT EXISTS services ("
       "service_id INT PRIMARY KEY, service_type TEXT, location TEXT, "
       "prerequisites TEXT, status TEXT)",
-      "CREATE INDEX services_by_id ON services (service_id) USING HASH",
 
       "CREATE TABLE IF NOT EXISTS clients ("
       "client_id INT PRIMARY KEY, client_type TEXT, ip TEXT, status TEXT)",
@@ -83,8 +81,6 @@ Status CreateGenericSchema(db::Database* db) {
       "cache_key INT PRIMARY KEY, item_id INT, routine TEXT, "
       "parameters TEXT, unit_ids TEXT, calibration_versions TEXT, "
       "size_bytes INT, cost_seconds REAL, ana_id INT, created_time REAL)",
-      "CREATE INDEX product_cache_by_key ON product_cache (cache_key) "
-      "USING HASH",
   };
   return ExecAll(db, kStatements,
                  sizeof(kStatements) / sizeof(kStatements[0]));
@@ -96,7 +92,6 @@ Status CreateRhessiSchema(db::Database* db) {
       "unit_id INT PRIMARY KEY, t_start REAL, t_stop REAL, "
       "n_photons INT, calibration_version INT, file_bytes INT, "
       "format TEXT, received_time REAL, status TEXT)",
-      "CREATE INDEX raw_units_by_id ON raw_units (unit_id) USING HASH",
       "CREATE INDEX raw_units_by_time ON raw_units (t_start)",
 
       // High-level events: "roughly a period of time and range of energy
@@ -108,7 +103,6 @@ Status CreateRhessiSchema(db::Database* db) {
       "unit_id INT, calibration_version INT, version INT, "
       "superseded_by INT, label TEXT, notes TEXT, created_time REAL, "
       "source TEXT, quality REAL)",
-      "CREATE INDEX hle_by_id ON hle (hle_id) USING HASH",
       "CREATE INDEX hle_by_time ON hle (t_start)",
       "CREATE INDEX hle_by_type ON hle (event_type) USING HASH",
       "CREATE INDEX hle_by_owner ON hle (owner_id) USING HASH",
@@ -122,7 +116,6 @@ Status CreateRhessiSchema(db::Database* db) {
       "log_excerpt TEXT, calibration_version INT, version INT, "
       "superseded_by INT, created_time REAL, duration_ms REAL, "
       "peak_value REAL, pixels INT, notes TEXT)",
-      "CREATE INDEX ana_by_id ON ana (ana_id) USING HASH",
       "CREATE INDEX ana_by_hle ON ana (hle_id) USING HASH",
       "CREATE INDEX ana_by_param ON ana (param_hash) USING HASH",
       "CREATE INDEX ana_by_owner ON ana (owner_id) USING HASH",
@@ -132,7 +125,6 @@ Status CreateRhessiSchema(db::Database* db) {
       "CREATE TABLE IF NOT EXISTS catalogs ("
       "catalog_id INT PRIMARY KEY, owner_id INT NOT NULL, is_public BOOL, "
       "name TEXT NOT NULL, description TEXT, created_time REAL)",
-      "CREATE INDEX catalogs_by_id ON catalogs (catalog_id) USING HASH",
       "CREATE INDEX catalogs_by_name ON catalogs (name) USING HASH",
 
       "CREATE TABLE IF NOT EXISTS catalog_members ("

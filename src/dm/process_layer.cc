@@ -363,12 +363,6 @@ Result<int64_t> ProcessLayer::LoadPhoenixSpectrogram(
                   "freq_lo REAL, freq_hi REAL, time_bins INT, "
                   "freq_channels INT, file_bytes INT)"));
   (void)ddl;
-  Result<db::ResultSet> idx = db->Execute(
-      "CREATE INDEX phoenix_by_id ON phoenix_spectra (spectrum_id) "
-      "USING HASH");
-  if (!idx.ok() && idx.status().code() != StatusCode::kAlreadyExists) {
-    return idx.status();
-  }
   if (spectrum.spectrum_id <= 0) {
     return Status::InvalidArgument("spectrum needs a positive id");
   }

@@ -106,6 +106,7 @@ Frontend::Frontend(GlobalDirectory* directory, DurationPredictor* predictor,
   failed_ = metrics->GetCounter("pl.requests.failed");
   cancelled_ = metrics->GetCounter("pl.requests.cancelled");
   queue_depth_ = metrics->GetGauge("pl.queue_depth");
+  retained_photons_ = metrics->GetGauge("pl.frontend.retained_photons");
   size_t n = std::max<size_t>(options_.dispatcher_threads, 1);
   dispatchers_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -149,6 +150,7 @@ Result<int64_t> Frontend::Submit(ProcessingRequest request) {
   submitted_->Add();
   auto slot = std::make_unique<Slot>();
   slot->request = std::move(request);
+  retained_photons_->Add(static_cast<int64_t>(slot->request.photons.size()));
   slot->outcome.state = RequestState::kQueued;
   slot->outcome.submitted_at = clock_->Now();
   if (product_cache_ != nullptr && product_cache_->enabled()) {
@@ -205,6 +207,11 @@ void Frontend::Finish(Slot* slot, RequestState state, Status status) {
   slot->outcome.terminal = true;
   slot->outcome.status = std::move(status);
   slot->outcome.finished_at = clock_->Now();
+  // A terminal request is only ever read for its outcome: release the
+  // inputs, which for a raw unit run to megabytes of photons.
+  retained_photons_->Add(-static_cast<int64_t>(slot->request.photons.size()));
+  slot->request.photons = rhessi::PhotonList();
+  slot->request.input_units = std::vector<InputUnit>();
   ++completed_;
   switch (state) {
     case RequestState::kFailed:

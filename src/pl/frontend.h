@@ -170,6 +170,8 @@ class Frontend {
   void DispatcherLoop();
   // Pops the highest-priority queued request (FIFO within a priority).
   int64_t PopNext();
+  // Makes the request terminal and releases its inputs (photons,
+  // input_units); the outcome stays for Wait and GetState.
   void Finish(Slot* slot, RequestState state, Status status);
   // Delivery + commit for a request satisfied from the product cache (a
   // direct hit or a coalesced follower): decode, honour cancellation,
@@ -204,6 +206,8 @@ class Frontend {
   Counter* failed_;
   Counter* cancelled_;
   Gauge* queue_depth_;
+  // Photons held by requests that have not reached a terminal state.
+  Gauge* retained_photons_;
 };
 
 }  // namespace hedc::pl

@@ -798,7 +798,16 @@ class MetricsServlet : public Servlet {
 }  // namespace
 
 WebServer::WebServer(dm::DataManager* dm, pl::Frontend* frontend)
-    : dm_(dm), frontend_(frontend) {}
+    : dm_(dm), frontend_(frontend) {
+  // Continue past the usage rows of an earlier process on a recovered
+  // database; reusing their stat_ids would fail every audit insert.
+  Result<db::ResultSet> max_id =
+      dm_->io().DatabaseFor("usage_stats")->Execute(
+          "SELECT MAX(stat_id) FROM usage_stats");
+  if (max_id.ok() && !max_id.value().rows.empty()) {
+    stat_counter_ = max_id.value().rows[0][0].AsInt() + 1;
+  }
+}
 
 void WebServer::RegisterStandardServlets() {
   Register("/login", std::make_unique<LoginServlet>());
@@ -866,7 +875,7 @@ HttpResponse WebServer::Dispatch(const HttpRequest& request) {
   if (record_usage_) {
     // Operational section: usage statistics / audit trail (§4.1).
     dm::UserProfile profile = ProfileFor(request);
-    node->io().Update(
+    Result<db::ResultSet> recorded = node->io().Update(
         "usage_stats", "INSERT INTO usage_stats VALUES (?, ?, ?, ?, ?)",
         {db::Value::Int(stat_counter_.fetch_add(1)),
          db::Value::Real(static_cast<double>(start) / kMicrosPerSecond),
@@ -874,6 +883,7 @@ HttpResponse WebServer::Dispatch(const HttpRequest& request) {
          db::Value::Real(
              static_cast<double>(node->clock()->Now() - start) /
              kMicrosPerMilli)});
+    if (!recorded.ok()) metrics->GetCounter("web.usage_stats.failed")->Add();
   }
   return response;
 }

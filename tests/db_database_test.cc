@@ -2,12 +2,14 @@
 // aggregation, transactions, pools, blob store.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <thread>
 
 #include "core/clock.h"
 #include "core/config.h"
 #include "core/metrics.h"
 #include "db/blob_store.h"
+#include "db/checkpoint.h"
 #include "db/connection.h"
 #include "db/database.h"
 
@@ -470,6 +472,148 @@ TEST_F(DatabaseTest, ScannedVersusMatchedCounters) {
   // The process-global metric pair (exported on /metrics) ticks in step.
   EXPECT_EQ(scanned_metric->Value(), metric_scanned_before + 200);
   EXPECT_EQ(matched_metric->Value(), metric_matched_before + 100);
+}
+
+// PRIMARY KEY semantics on a table with no explicit index: the implicit
+// `<table>_pkey` hash index alone enforces uniqueness.
+class PrimaryKeyTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("hedc_pk_" + std::to_string(::getpid()) + "_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name());
+    std::filesystem::create_directories(dir_);
+    CreateTable(&db_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  static void CreateTable(Database* db) {
+    ASSERT_TRUE(db->Execute("CREATE TABLE usage (stat_id INT PRIMARY KEY, "
+                            "op TEXT)")
+                    .ok());
+  }
+  static StatusCode Insert(Database* db, int64_t id) {
+    return db->Execute("INSERT INTO usage VALUES (?, 'op')", {Value::Int(id)})
+        .status()
+        .code();
+  }
+  static int64_t Count(Database* db) {
+    return db->Execute("SELECT COUNT(*) FROM usage").value().rows[0][0].AsInt();
+  }
+  // A point query on the key finds `id` without a full scan, and a second
+  // insert of it is rejected.
+  static void ExpectIndexedAndUnique(Database* db, int64_t id) {
+    int64_t scans = db->stats().full_scans.load();
+    auto r = db->Execute("SELECT op FROM usage WHERE stat_id = ?",
+                         {Value::Int(id)});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().num_rows(), 1u);
+    EXPECT_EQ(db->stats().full_scans.load(), scans);
+    EXPECT_EQ(Insert(db, id), StatusCode::kAlreadyExists);
+  }
+
+  std::filesystem::path dir_;
+  Database db_;
+};
+
+TEST_F(PrimaryKeyTest, KeyColumnGetsOneHashIndex) {
+  const Table* table = db_.GetTable("usage");
+  ASSERT_NE(table, nullptr);
+  ASSERT_EQ(table->indexes().size(), 1u);
+  EXPECT_EQ(table->indexes()[0].name, "usage_pkey");
+  EXPECT_EQ(table->indexes()[0].kind, IndexKind::kHash);
+  EXPECT_EQ(table->primary_key_index(), &table->indexes()[0]);
+  ASSERT_TRUE(db_.Execute("CREATE TABLE keyless (a INT, b TEXT)").ok());
+  EXPECT_TRUE(db_.GetTable("keyless")->indexes().empty());
+  EXPECT_EQ(db_.GetTable("keyless")->primary_key_index(), nullptr);
+}
+
+TEST_F(PrimaryKeyTest, DuplicateRejectedOnLargeTable) {
+  for (int64_t id = 1; id <= 10000; ++id) {
+    ASSERT_EQ(Insert(&db_, id), StatusCode::kOk);
+  }
+  EXPECT_EQ(Insert(&db_, 1), StatusCode::kAlreadyExists);
+  EXPECT_EQ(Insert(&db_, 5000), StatusCode::kAlreadyExists);
+  EXPECT_EQ(Insert(&db_, 10000), StatusCode::kAlreadyExists);
+  EXPECT_EQ(Insert(&db_, 10001), StatusCode::kOk);
+  EXPECT_EQ(Count(&db_), 10001);
+  ExpectIndexedAndUnique(&db_, 7777);
+}
+
+TEST_F(PrimaryKeyTest, UpdateToAnotherRowsKeyRejected) {
+  ASSERT_EQ(Insert(&db_, 1), StatusCode::kOk);
+  ASSERT_EQ(Insert(&db_, 2), StatusCode::kOk);
+  auto clash = db_.Execute("UPDATE usage SET stat_id = 2 WHERE stat_id = 1");
+  EXPECT_EQ(clash.status().code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(db_.Execute("SELECT COUNT(*) FROM usage WHERE stat_id = 1")
+                .value().rows[0][0].AsInt(), 1);
+  EXPECT_EQ(Count(&db_), 2);
+}
+
+TEST_F(PrimaryKeyTest, UpdateKeepingOwnKeyAccepted) {
+  ASSERT_EQ(Insert(&db_, 1), StatusCode::kOk);
+  ASSERT_EQ(Insert(&db_, 2), StatusCode::kOk);
+  auto same = db_.Execute(
+      "UPDATE usage SET stat_id = 1, op = 'renamed' WHERE stat_id = 1");
+  ASSERT_TRUE(same.ok()) << same.status().ToString();
+  EXPECT_EQ(same.value().affected_rows, 1);
+  auto other = db_.Execute("UPDATE usage SET op = 'x' WHERE stat_id = 2");
+  ASSERT_TRUE(other.ok()) << other.status().ToString();
+  // Moving a key to a free value frees the old one.
+  ASSERT_TRUE(
+      db_.Execute("UPDATE usage SET stat_id = 3 WHERE stat_id = 1").ok());
+  EXPECT_EQ(Insert(&db_, 1), StatusCode::kOk);
+  EXPECT_EQ(Insert(&db_, 3), StatusCode::kAlreadyExists);
+}
+
+TEST_F(PrimaryKeyTest, DeleteThenReinsertAccepted) {
+  ASSERT_EQ(Insert(&db_, 7), StatusCode::kOk);
+  ASSERT_TRUE(db_.Execute("DELETE FROM usage WHERE stat_id = 7").ok());
+  EXPECT_EQ(Insert(&db_, 7), StatusCode::kOk);
+  EXPECT_EQ(Count(&db_), 1);
+  ExpectIndexedAndUnique(&db_, 7);
+}
+
+TEST_F(PrimaryKeyTest, RolledBackInsertFreesItsKey) {
+  ASSERT_TRUE(db_.Begin().ok());
+  ASSERT_EQ(Insert(&db_, 9), StatusCode::kOk);
+  ASSERT_TRUE(db_.Rollback().ok());
+  EXPECT_EQ(Count(&db_), 0);
+  EXPECT_EQ(Insert(&db_, 9), StatusCode::kOk);
+  ExpectIndexedAndUnique(&db_, 9);
+}
+
+TEST_F(PrimaryKeyTest, IndexRebuiltByWalReplay) {
+  std::string wal = (dir_ / "db.wal").string();
+  {
+    Database db;
+    ASSERT_TRUE(db.OpenWal(wal).ok());
+    CreateTable(&db);
+    for (int64_t id = 1; id <= 100; ++id) {
+      ASSERT_EQ(Insert(&db, id), StatusCode::kOk);
+    }
+    ASSERT_TRUE(db.Execute("DELETE FROM usage WHERE stat_id = 50").ok());
+  }
+  Database replayed;
+  ASSERT_TRUE(replayed.OpenWal(wal).ok());
+  EXPECT_EQ(replayed.GetTable("usage")->indexes().size(), 1u);
+  ExpectIndexedAndUnique(&replayed, 42);
+  EXPECT_EQ(Insert(&replayed, 50), StatusCode::kOk);
+  EXPECT_EQ(Count(&replayed), 100);
+}
+
+TEST_F(PrimaryKeyTest, IndexRebuiltBySnapshotRoundTrip) {
+  for (int64_t id = 1; id <= 100; ++id) {
+    ASSERT_EQ(Insert(&db_, id), StatusCode::kOk);
+  }
+  std::string snapshot = (dir_ / "db.snapshot").string();
+  ASSERT_TRUE(WriteSnapshot(&db_, snapshot).ok());
+  Database restored;
+  Status loaded = LoadSnapshot(&restored, snapshot);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  EXPECT_EQ(restored.GetTable("usage")->indexes().size(), 1u);
+  ExpectIndexedAndUnique(&restored, 42);
+  EXPECT_EQ(Count(&restored), 100);
 }
 
 }  // namespace

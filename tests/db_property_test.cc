@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "core/rng.h"
 #include "core/strings.h"
@@ -361,6 +362,77 @@ TEST_P(SqlPropertyTest, JoinedQueriesMatchRowAtATime) {
   both("SELECT f.id, d.name, g.r FROM f JOIN d ON f.k = d.k "
        "JOIN g ON g.name = d.name",
        {});
+}
+
+// PRIMARY KEY enforcement on a table with no explicit index (only the
+// implicit hash index): random INSERTs and key-moving UPDATEs, many of
+// them duplicates, must be accepted exactly when a std::set model of the
+// live keys says the key is free. Rolled-back inserts must free theirs.
+TEST_P(SqlPropertyTest, PrimaryKeyMatchesKeySetModel) {
+  Rng rng(GetParam());
+  Database db;
+  ASSERT_TRUE(db.Execute("CREATE TABLE k (id INT PRIMARY KEY, v INT)").ok());
+  std::set<int64_t> keys;
+  auto expect_code = [&](const Result<ResultSet>& r, bool accept, int step) {
+    if (accept) {
+      ASSERT_TRUE(r.ok()) << "step " << step << ": " << r.status().ToString();
+    } else {
+      ASSERT_EQ(r.status().code(), StatusCode::kAlreadyExists)
+          << "step " << step;
+    }
+  };
+  for (int step = 0; step < 3000; ++step) {
+    // A small key space makes duplicates frequent.
+    int64_t id = rng.UniformInt(0, 199);
+    double action = rng.NextDouble();
+    if (action < 0.45) {
+      auto r = db.Execute("INSERT INTO k VALUES (?, ?)",
+                          {Value::Int(id), Value::Int(step)});
+      bool accept = keys.count(id) == 0;
+      expect_code(r, accept, step);
+      if (accept) keys.insert(id);
+    } else if (action < 0.7) {
+      // Move key `from` to `id`; keeping its own key is always allowed.
+      int64_t from = rng.UniformInt(0, 199);
+      auto r = db.Execute("UPDATE k SET id = ? WHERE id = ?",
+                          {Value::Int(id), Value::Int(from)});
+      bool present = keys.count(from) > 0;
+      bool accept = !present || from == id || keys.count(id) == 0;
+      expect_code(r, accept, step);
+      if (accept) {
+        ASSERT_EQ(r.value().affected_rows, present ? 1 : 0) << "step " << step;
+        if (present) {
+          keys.erase(from);
+          keys.insert(id);
+        }
+      }
+    } else if (action < 0.9) {
+      auto r = db.Execute("DELETE FROM k WHERE id = ?", {Value::Int(id)});
+      ASSERT_TRUE(r.ok());
+      ASSERT_EQ(r.value().affected_rows, static_cast<int64_t>(keys.erase(id)));
+    } else {
+      ASSERT_TRUE(db.Begin().ok());
+      auto r = db.Execute("INSERT INTO k VALUES (?, ?)",
+                          {Value::Int(id), Value::Int(step)});
+      expect_code(r, keys.count(id) == 0, step);
+      ASSERT_TRUE(db.Rollback().ok());
+    }
+    if (step % 250 == 0) {
+      int64_t scans = db.stats().full_scans.load();
+      auto point = db.Execute("SELECT COUNT(*) FROM k WHERE id = ?",
+                              {Value::Int(id)});
+      ASSERT_TRUE(point.ok());
+      ASSERT_EQ(point.value().rows[0][0].AsInt(),
+                static_cast<int64_t>(keys.count(id)));
+      ASSERT_EQ(db.stats().full_scans.load(), scans) << "step " << step;
+      auto all = db.Execute("SELECT id FROM k ORDER BY id");
+      ASSERT_TRUE(all.ok());
+      std::vector<int64_t> got;
+      for (const Row& row : all.value().rows) got.push_back(row[0].AsInt());
+      ASSERT_EQ(got, std::vector<int64_t>(keys.begin(), keys.end()))
+          << "step " << step;
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SqlPropertyTest,

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/clock.h"
+#include "core/metrics.h"
 #include "pl/frontend.h"
 #include "pl/idl_server.h"
 #include "pl/server_manager.h"
@@ -290,6 +291,38 @@ TEST_F(FrontendTest, UnknownRequestIdInWaitAndCancel) {
   RequestOutcome outcome = frontend.Wait(999);
   EXPECT_EQ(outcome.state, RequestState::kFailed);
   EXPECT_FALSE(frontend.GetState(999).ok());
+}
+
+TEST_F(FrontendTest, FinishedRequestsReleaseTheirPhotons) {
+  Gauge* retained = MetricsRegistry::Default()->GetGauge(
+      "pl.frontend.retained_photons");
+  int64_t before = retained->Value();
+  Frontend frontend = MakeFrontend(
+      [](const ProcessingRequest&,
+         const analysis::AnalysisProduct&) -> Result<int64_t> { return 7; });
+  std::vector<int64_t> ids;
+  for (int i = 0; i < 9; ++i) {
+    ProcessingRequest request;
+    // Committed, delivered-only and failed requests all end terminal.
+    request.routine = i % 3 == 2 ? "no_such_routine" : "histogram";
+    request.skip_commit = i % 3 == 1;
+    request.photons = SmallPhotons();
+    request.input_units = {InputUnit{static_cast<int64_t>(i), 1}};
+    ids.push_back(frontend.Submit(std::move(request)).value());
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    RequestOutcome outcome = frontend.Wait(ids[i]);
+    EXPECT_TRUE(outcome.terminal);
+    EXPECT_EQ(outcome.state, i % 3 == 0   ? RequestState::kCommitted
+                             : i % 3 == 1 ? RequestState::kDelivered
+                                          : RequestState::kFailed);
+  }
+  EXPECT_EQ(retained->Value(), before);
+  // The outcomes outlive the released inputs.
+  RequestOutcome again = frontend.Wait(ids[0]);
+  EXPECT_EQ(again.committed_ana_id, 7);
+  EXPECT_FALSE(again.product.rendered.empty());
+  EXPECT_EQ(frontend.GetState(ids[2]).value(), RequestState::kFailed);
 }
 
 // Fault-injection hammer: many concurrent invocations against seeded

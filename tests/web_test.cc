@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <filesystem>
 
 #include "cluster_fixture.h"
 #include "core/strings.h"
@@ -624,6 +625,50 @@ TEST(WebClusterDispatchTest, RoutedDispatchSticksPerSessionKey) {
   int64_t served1 = runner->node(1)->dm()->requests_handled() - before1;
   EXPECT_EQ(served0 + served1, 8);
   EXPECT_TRUE(served0 == 0 || served1 == 0) << "session key did not stick";
+}
+
+// A web server built over a recovered database continues the usage_stats
+// ids of the previous process instead of colliding with them.
+TEST(WebUsageStatsTest, UsageRowsAccumulateAcrossRestarts) {
+  std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("hedc_usage_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  std::string wal = (dir / "db.wal").string();
+  Counter* failed =
+      MetricsRegistry::Default()->GetCounter("web.usage_stats.failed");
+  int64_t failed_before = failed->Value();
+  // One process lifetime: recover, serve `requests`, count usage rows.
+  auto serve = [&wal](int requests) -> int64_t {
+    VirtualClock clock;
+    db::Database db;
+    EXPECT_TRUE(db.OpenWal(wal).ok());
+    EXPECT_TRUE(dm::CreateFullSchema(&db).ok());
+    archive::ArchiveManager archives;
+    Config mapper_config;
+    mapper_config.Set("root.filename", "/hedc");
+    archive::NameMapper mapper(&db, mapper_config);
+    EXPECT_TRUE(mapper.Init().ok());
+    dm::DataManager::Options options;
+    options.pool.connection_setup_cost = 0;
+    options.sessions.session_setup_cost = 0;
+    dm::DataManager data_manager("dm0", &db, &archives, &mapper, &clock,
+                                 options);
+    WebServer web(&data_manager, nullptr);
+    web.RegisterStandardServlets();
+    for (int i = 0; i < requests; ++i) {
+      web.Dispatch(MakeRequest("/catalog?name=standard"));
+    }
+    return db.Execute("SELECT COUNT(*) FROM usage_stats")
+        .value()
+        .rows[0][0]
+        .AsInt();
+  };
+  EXPECT_EQ(serve(5), 5);
+  EXPECT_EQ(serve(4), 9);
+  EXPECT_EQ(serve(3), 12);
+  EXPECT_EQ(failed->Value(), failed_before);
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(WebStackTest, RedirectionSpreadsAcrossPeers) {
