@@ -2,7 +2,9 @@
 # Tier-1 verification: build, the fast cluster lane, the full test suite
 # (including the bench-smoke JSON-schema checks, the transport conformance
 # suite and the remote chaos/failover suites), the end-to-end benchmark's
-# own unit tests (perfbench/run.py --test), the measured-vs-model
+# own unit tests (perfbench/run.py --test) and its response checks on
+# every workload (perfbench/run.py --all, which exits non-zero when a
+# /hle page, image or /approx bound is wrong), the measured-vs-model
 # scale-out and c10k p99-flatness crosschecks, then the stress suite —
 # concurrency hammers, networked chaos/failover, the cluster kill/restart
 # stress and the reactor net-stress lane (`ctest -L net-stress` runs just
@@ -24,6 +26,9 @@ echo "=== full suite, 8 tests in parallel (fast tests + stress + bench-smoke) ==
 
 echo "=== end-to-end benchmark unit tests (perfbench) ==="
 python3 perfbench/run.py --test
+
+echo "=== end-to-end response checks (perfbench, every workload, 2 s each) ==="
+python3 perfbench/run.py --all --seconds 2
 
 echo "=== scale-out crosscheck (measured vs modeled fig5 curve) ==="
 python3 bench/validate_bench_json.py BENCH_cluster_scaleout.json \

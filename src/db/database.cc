@@ -54,14 +54,18 @@ std::string NormalizeName(std::string_view name) { return ToLower(name); }
 
 }  // namespace
 
-Value ResultSet::Get(size_t row, const std::string& column) const {
-  if (row >= rows.size()) return Value::Null();
+std::optional<size_t> ResultSet::ColumnIndex(std::string_view column) const {
   for (size_t i = 0; i < columns.size(); ++i) {
-    if (EqualsIgnoreCase(columns[i], column)) {
-      return i < rows[row].size() ? rows[row][i] : Value::Null();
-    }
+    if (EqualsIgnoreCase(columns[i], column)) return i;
   }
-  return Value::Null();
+  return std::nullopt;
+}
+
+const Value& ResultSet::Get(size_t row, std::string_view column) const {
+  static const Value kNull;
+  if (row >= rows.size()) return kNull;
+  std::optional<size_t> i = ColumnIndex(column);
+  return i && *i < rows[row].size() ? rows[row][*i] : kNull;
 }
 
 Status Database::OpenWal(const std::string& wal_path) {

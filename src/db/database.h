@@ -19,8 +19,10 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -44,8 +46,14 @@ struct ResultSet {
   int64_t last_insert_row_id = 0;
 
   size_t num_rows() const { return rows.size(); }
-  // Value at (row, named column); Null when out of range/unknown.
-  Value Get(size_t row, const std::string& column) const;
+  // Ordinal of the named column (case-insensitive); nullopt when absent.
+  // Decoders that read many rows look each column up once and index
+  // `rows[i][ordinal]` directly.
+  std::optional<size_t> ColumnIndex(std::string_view column) const;
+  // Value at (row, named column) by reference, valid while the result set
+  // lives; a static Null when the row is out of range or the column is
+  // unknown. Scans `columns` on every call.
+  const Value& Get(size_t row, std::string_view column) const;
 };
 
 // Execution statistics for the evaluation harness.

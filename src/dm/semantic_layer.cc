@@ -1,83 +1,121 @@
 #include "dm/semantic_layer.h"
 
+#include <array>
+#include <string_view>
+#include <variant>
+
 #include "core/strings.h"
 
 namespace hedc::dm {
 
 namespace {
 
-HleRecord HleFromRow(const db::ResultSet& rs, size_t row) {
-  HleRecord r;
-  r.hle_id = rs.Get(row, "hle_id").AsInt();
-  r.owner_id = rs.Get(row, "owner_id").AsInt();
-  r.is_public = rs.Get(row, "is_public").AsBool();
-  r.event_type = rs.Get(row, "event_type").AsText();
-  r.t_start = rs.Get(row, "t_start").AsReal();
-  r.t_end = rs.Get(row, "t_end").AsReal();
-  r.e_min = rs.Get(row, "e_min").AsReal();
-  r.e_max = rs.Get(row, "e_max").AsReal();
-  r.peak_rate = rs.Get(row, "peak_rate").AsReal();
-  r.peak_energy = rs.Get(row, "peak_energy").AsReal();
-  r.photon_count = rs.Get(row, "photon_count").AsInt();
-  r.unit_id = rs.Get(row, "unit_id").AsInt();
-  r.calibration_version =
-      static_cast<int>(rs.Get(row, "calibration_version").AsInt());
-  r.version = static_cast<int>(rs.Get(row, "version").AsInt());
-  r.superseded_by = rs.Get(row, "superseded_by").AsInt();
-  r.label = rs.Get(row, "label").AsText();
-  r.notes = rs.Get(row, "notes").AsText();
-  r.created_time = rs.Get(row, "created_time").AsReal();
-  r.source = rs.Get(row, "source").AsText();
-  r.quality = rs.Get(row, "quality").AsReal();
-  return r;
-}
+// One record field and the column it is decoded from.
+template <typename Record>
+struct Field {
+  std::string_view column;
+  std::variant<int64_t Record::*, int Record::*, double Record::*,
+               bool Record::*, std::string Record::*>
+      member;
+};
 
-AnaRecord AnaFromRow(const db::ResultSet& rs, size_t row) {
-  AnaRecord r;
-  r.ana_id = rs.Get(row, "ana_id").AsInt();
-  r.hle_id = rs.Get(row, "hle_id").AsInt();
-  r.owner_id = rs.Get(row, "owner_id").AsInt();
-  r.is_public = rs.Get(row, "is_public").AsBool();
-  r.routine = rs.Get(row, "routine").AsText();
-  r.parameters = rs.Get(row, "parameters").AsText();
-  r.param_hash = rs.Get(row, "param_hash").AsInt();
-  r.status = rs.Get(row, "status").AsText();
-  r.quality = rs.Get(row, "quality").AsReal();
-  r.t_start = rs.Get(row, "t_start").AsReal();
-  r.t_end = rs.Get(row, "t_end").AsReal();
-  r.e_min = rs.Get(row, "e_min").AsReal();
-  r.e_max = rs.Get(row, "e_max").AsReal();
-  r.photon_count = rs.Get(row, "photon_count").AsInt();
-  r.image_bytes = rs.Get(row, "image_bytes").AsInt();
-  r.log_excerpt = rs.Get(row, "log_excerpt").AsText();
-  r.calibration_version =
-      static_cast<int>(rs.Get(row, "calibration_version").AsInt());
-  r.version = static_cast<int>(rs.Get(row, "version").AsInt());
-  r.superseded_by = rs.Get(row, "superseded_by").AsInt();
-  r.created_time = rs.Get(row, "created_time").AsReal();
-  r.duration_ms = rs.Get(row, "duration_ms").AsReal();
-  r.peak_value = rs.Get(row, "peak_value").AsReal();
-  r.pixels = rs.Get(row, "pixels").AsInt();
-  r.notes = rs.Get(row, "notes").AsText();
-  return r;
+void Assign(const db::Value& v, int64_t* out) { *out = v.AsInt(); }
+void Assign(const db::Value& v, int* out) {
+  *out = static_cast<int>(v.AsInt());
 }
+void Assign(const db::Value& v, double* out) { *out = v.AsReal(); }
+void Assign(const db::Value& v, bool* out) { *out = v.AsBool(); }
+void Assign(const db::Value& v, std::string* out) { *out = v.AsText(); }
 
-CatalogRecord CatalogFromRow(const db::ResultSet& rs, size_t row) {
-  CatalogRecord r;
-  r.catalog_id = rs.Get(row, "catalog_id").AsInt();
-  r.owner_id = rs.Get(row, "owner_id").AsInt();
-  r.is_public = rs.Get(row, "is_public").AsBool();
-  r.name = rs.Get(row, "name").AsText();
-  r.description = rs.Get(row, "description").AsText();
-  r.created_time = rs.Get(row, "created_time").AsReal();
-  return r;
+const Field<HleRecord> kHleFields[] = {
+    {"hle_id", &HleRecord::hle_id},
+    {"owner_id", &HleRecord::owner_id},
+    {"is_public", &HleRecord::is_public},
+    {"event_type", &HleRecord::event_type},
+    {"t_start", &HleRecord::t_start},
+    {"t_end", &HleRecord::t_end},
+    {"e_min", &HleRecord::e_min},
+    {"e_max", &HleRecord::e_max},
+    {"peak_rate", &HleRecord::peak_rate},
+    {"peak_energy", &HleRecord::peak_energy},
+    {"photon_count", &HleRecord::photon_count},
+    {"unit_id", &HleRecord::unit_id},
+    {"calibration_version", &HleRecord::calibration_version},
+    {"version", &HleRecord::version},
+    {"superseded_by", &HleRecord::superseded_by},
+    {"label", &HleRecord::label},
+    {"notes", &HleRecord::notes},
+    {"created_time", &HleRecord::created_time},
+    {"source", &HleRecord::source},
+    {"quality", &HleRecord::quality},
+};
+
+const Field<AnaRecord> kAnaFields[] = {
+    {"ana_id", &AnaRecord::ana_id},
+    {"hle_id", &AnaRecord::hle_id},
+    {"owner_id", &AnaRecord::owner_id},
+    {"is_public", &AnaRecord::is_public},
+    {"routine", &AnaRecord::routine},
+    {"parameters", &AnaRecord::parameters},
+    {"param_hash", &AnaRecord::param_hash},
+    {"status", &AnaRecord::status},
+    {"quality", &AnaRecord::quality},
+    {"t_start", &AnaRecord::t_start},
+    {"t_end", &AnaRecord::t_end},
+    {"e_min", &AnaRecord::e_min},
+    {"e_max", &AnaRecord::e_max},
+    {"photon_count", &AnaRecord::photon_count},
+    {"image_bytes", &AnaRecord::image_bytes},
+    {"log_excerpt", &AnaRecord::log_excerpt},
+    {"calibration_version", &AnaRecord::calibration_version},
+    {"version", &AnaRecord::version},
+    {"superseded_by", &AnaRecord::superseded_by},
+    {"created_time", &AnaRecord::created_time},
+    {"duration_ms", &AnaRecord::duration_ms},
+    {"peak_value", &AnaRecord::peak_value},
+    {"pixels", &AnaRecord::pixels},
+    {"notes", &AnaRecord::notes},
+};
+
+const Field<CatalogRecord> kCatalogFields[] = {
+    {"catalog_id", &CatalogRecord::catalog_id},
+    {"owner_id", &CatalogRecord::owner_id},
+    {"is_public", &CatalogRecord::is_public},
+    {"name", &CatalogRecord::name},
+    {"description", &CatalogRecord::description},
+    {"created_time", &CatalogRecord::created_time},
+};
+
+// Decodes every row of `rs` into a record. Each field's column ordinal is
+// looked up by name once per result set, so a table whose columns are
+// reordered or extended decodes the same; a column the result set lacks
+// reads as Null.
+template <typename Record, size_t N>
+std::vector<Record> DecodeRows(const db::ResultSet& rs,
+                               const Field<Record> (&fields)[N]) {
+  static const db::Value kNull;
+  std::array<std::optional<size_t>, N> ordinals;
+  for (size_t f = 0; f < N; ++f) {
+    ordinals[f] = rs.ColumnIndex(fields[f].column);
+  }
+  std::vector<Record> out(rs.num_rows());
+  for (size_t i = 0; i < rs.num_rows(); ++i) {
+    const db::Row& row = rs.rows[i];
+    for (size_t f = 0; f < N; ++f) {
+      const std::optional<size_t>& ordinal = ordinals[f];
+      const db::Value& v =
+          ordinal && *ordinal < row.size() ? row[*ordinal] : kNull;
+      std::visit([&](auto member) { Assign(v, &(out[i].*member)); },
+                 fields[f].member);
+    }
+  }
+  return out;
 }
 
 // Seeds an id generator past the current MAX(column) so multiple DM
 // nodes sharing one DBMS do not collide.
 void SeedIds(IoLayer* io, const std::string& table,
              const std::string& column, IdGenerator* ids) {
-  QuerySpec spec(table);
   Result<db::ResultSet> rs =
       io->DatabaseFor(table)->Execute("SELECT MAX(" + column + ") FROM " +
                                       table);
@@ -171,7 +209,7 @@ Result<HleRecord> SemanticLayer::GetHle(const Session& session,
     return Status::NotFound(StrFormat("HLE %lld",
                                       static_cast<long long>(hle_id)));
   }
-  HleRecord record = HleFromRow(rs, 0);
+  HleRecord record = std::move(DecodeRows(rs, kHleFields)[0]);
   if (!Visible(session, record.owner_id, record.is_public)) {
     // Indistinguishable from absent: privacy constraint (§5.3).
     return Status::NotFound(StrFormat("HLE %lld",
@@ -191,10 +229,7 @@ Result<std::vector<HleRecord>> SemanticLayer::ListHles(
     spec.RawPredicate(session.view_predicate);
   }
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
-  std::vector<HleRecord> out;
-  out.reserve(rs.num_rows());
-  for (size_t i = 0; i < rs.num_rows(); ++i) out.push_back(HleFromRow(rs, i));
-  return out;
+  return DecodeRows(rs, kHleFields);
 }
 
 Status SemanticLayer::SetHlePublic(const Session& session, int64_t hle_id,
@@ -315,7 +350,7 @@ Result<AnaRecord> SemanticLayer::GetAna(const Session& session,
     return Status::NotFound(StrFormat("ANA %lld",
                                       static_cast<long long>(ana_id)));
   }
-  AnaRecord record = AnaFromRow(rs, 0);
+  AnaRecord record = std::move(DecodeRows(rs, kAnaFields)[0]);
   if (!Visible(session, record.owner_id, record.is_public)) {
     return Status::NotFound(StrFormat("ANA %lld",
                                       static_cast<long long>(ana_id)));
@@ -332,10 +367,7 @@ Result<std::vector<AnaRecord>> SemanticLayer::ListAnalyses(
     spec.RawPredicate(session.view_predicate);
   }
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
-  std::vector<AnaRecord> out;
-  out.reserve(rs.num_rows());
-  for (size_t i = 0; i < rs.num_rows(); ++i) out.push_back(AnaFromRow(rs, i));
-  return out;
+  return DecodeRows(rs, kAnaFields);
 }
 
 Status SemanticLayer::SetAnaPublic(const Session& session, int64_t ana_id,
@@ -372,8 +404,7 @@ Result<std::optional<AnaRecord>> SemanticLayer::FindExistingAnalysis(
     spec.RawPredicate(session.view_predicate);
   }
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
-  for (size_t i = 0; i < rs.num_rows(); ++i) {
-    AnaRecord record = AnaFromRow(rs, i);
+  for (AnaRecord& record : DecodeRows(rs, kAnaFields)) {
     // The hash is an index accelerator; confirm the actual parameters.
     if (record.routine == routine &&
         record.parameters == canonical_params &&
@@ -413,7 +444,7 @@ Result<CatalogRecord> SemanticLayer::GetCatalogByName(
   spec.Where("name", CondOp::kEq, db::Value::Text(name));
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   if (rs.rows.empty()) return Status::NotFound("catalog " + name);
-  CatalogRecord record = CatalogFromRow(rs, 0);
+  CatalogRecord record = std::move(DecodeRows(rs, kCatalogFields)[0]);
   if (!Visible(session, record.owner_id, record.is_public)) {
     return Status::NotFound("catalog " + name);
   }
@@ -430,7 +461,7 @@ Status SemanticLayer::AddToCatalog(const Session& session,
     return Status::NotFound(StrFormat("catalog %lld",
                                       static_cast<long long>(catalog_id)));
   }
-  CatalogRecord record = CatalogFromRow(cat_rs, 0);
+  CatalogRecord record = std::move(DecodeRows(cat_rs, kCatalogFields)[0]);
   HEDC_RETURN_IF_ERROR(RequireOwnership(session, record.owner_id));
   HEDC_ASSIGN_OR_RETURN(HleRecord hle, GetHle(session, hle_id));
   (void)hle;
@@ -452,10 +483,19 @@ Result<std::vector<int64_t>> SemanticLayer::ListCatalogHles(
       .OrderBy("hle_id");
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   std::vector<int64_t> out;
-  for (size_t i = 0; i < rs.num_rows(); ++i) {
-    int64_t hle_id = rs.Get(i, "hle_id").AsInt();
-    // Only visible HLEs are listed.
-    if (GetHle(session, hle_id).ok()) out.push_back(hle_id);
+  for (const db::Row& member : rs.rows) {
+    int64_t hle_id = member[0].AsInt();
+    // Only visible HLEs are listed. The probe reads just the visibility
+    // columns; a member whose HLE is gone has no row and is skipped.
+    QuerySpec probe("hle");
+    probe.Select("owner_id")
+        .Select("is_public")
+        .Where("hle_id", CondOp::kEq, db::Value::Int(hle_id));
+    HEDC_ASSIGN_OR_RETURN(db::ResultSet hle, io_->Query(probe));
+    if (!hle.rows.empty() &&
+        Visible(session, hle.rows[0][0].AsInt(), hle.rows[0][1].AsBool())) {
+      out.push_back(hle_id);
+    }
   }
   return out;
 }
@@ -482,9 +522,7 @@ Result<std::vector<int64_t>> SemanticLayer::LineageSources(int64_t item_id) {
       .Where("item_id", CondOp::kEq, db::Value::Int(item_id));
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   std::vector<int64_t> out;
-  for (size_t i = 0; i < rs.num_rows(); ++i) {
-    out.push_back(rs.Get(i, "source_item_id").AsInt());
-  }
+  for (const db::Row& row : rs.rows) out.push_back(row[0].AsInt());
   return out;
 }
 

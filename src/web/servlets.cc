@@ -158,10 +158,15 @@ class HlePageServlet : public Servlet {
     if (!analyses.ok()) {
       return HttpResponse::NotFound(analyses.status().ToString());
     }
-    // Count queries (full workload shape: "two are count queries").
+    // Count queries (full workload shape: "two are count queries"). The
+    // analysis count is scoped like the list below, so another user's
+    // private analyses stay indistinguishable from absent (§5.3).
     dm::QuerySpec ana_count("ana");
     ana_count.CountOnly().Where("hle_id", dm::CondOp::kEq,
                                 db::Value::Int(hle_id));
+    if (!session.view_predicate.empty()) {
+      ana_count.RawPredicate(session.view_predicate);
+    }
     Result<db::ResultSet> n_ana = dm->io().Query(ana_count);
     dm::QuerySpec member_count("catalog_members");
     member_count.CountOnly().Where("hle_id", dm::CondOp::kEq,

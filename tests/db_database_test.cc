@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <optional>
 #include <thread>
 
 #include "core/clock.h"
@@ -52,6 +53,27 @@ TEST_F(DatabaseTest, PointQueryViaHashIndex) {
   ASSERT_EQ(r.value().num_rows(), 1u);
   EXPECT_EQ(r.value().Get(0, "hle_id").AsInt(), 42);
   EXPECT_EQ(db_.stats().full_scans.load(), scans_before);  // index used
+}
+
+TEST_F(DatabaseTest, ResultSetReadsColumnsByName) {
+  auto r = db_.Execute(
+      "SELECT event_type, hle_id, start_time FROM hle WHERE hle_id = 42");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const ResultSet& rs = r.value();
+  // Case-insensitive lookup of the projected column's ordinal.
+  EXPECT_EQ(rs.ColumnIndex("hle_id"), std::optional<size_t>(1));
+  EXPECT_EQ(rs.ColumnIndex("Start_Time"), std::optional<size_t>(2));
+  EXPECT_EQ(rs.ColumnIndex("EVENT_TYPE"), std::optional<size_t>(0));
+  EXPECT_EQ(rs.ColumnIndex("peak_energy"), std::nullopt);  // not projected
+  EXPECT_EQ(rs.ColumnIndex("no_such_column"), std::nullopt);
+
+  EXPECT_EQ(rs.Get(0, "HLE_ID").AsInt(), 42);
+  EXPECT_DOUBLE_EQ(rs.Get(0, "start_time").AsReal(), 420.0);
+  EXPECT_EQ(rs.Get(0, "Event_Type").AsText(), "flare");
+  EXPECT_EQ(&rs.Get(0, "hle_id"), &rs.rows[0][1]);  // by reference
+  EXPECT_TRUE(rs.Get(0, "no_such_column").is_null());
+  EXPECT_TRUE(rs.Get(1, "hle_id").is_null());  // row out of range
+  EXPECT_TRUE(ResultSet{}.Get(0, "hle_id").is_null());
 }
 
 TEST_F(DatabaseTest, RangeQueryViaBTree) {

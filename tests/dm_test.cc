@@ -2,6 +2,8 @@
 // semantic layer, processes, redirection.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "core/clock.h"
 #include "dm/dm.h"
 #include "dm/hedc_schema.h"
@@ -313,6 +315,252 @@ TEST_F(DmTest, CatalogMembershipRules) {
                 .status()
                 .code(),
             StatusCode::kAlreadyExists);
+}
+
+// Members are listed in ascending hle_id order, and only those the
+// session may see: another user's private HLE is indistinguishable from
+// absent (§5.3), as is a member whose HLE row is gone.
+TEST_F(DmTest, CatalogListingKeepsVisibilityRules) {
+  HleRecord hle;
+  hle.event_type = "flare";
+  int64_t alice_private = dm_->semantics().CreateHle(alice_, hle).value();
+  hle.is_public = true;
+  int64_t alice_public = dm_->semantics().CreateHle(alice_, hle).value();
+  int64_t bob_public = dm_->semantics().CreateHle(bob_, hle).value();
+  int64_t catalog_id =
+      dm_->semantics().CreateCatalog(alice_, "mixed", "", true).value();
+  for (int64_t hle_id : {bob_public, alice_private, alice_public}) {
+    ASSERT_TRUE(
+        dm_->semantics().AddToCatalog(alice_, catalog_id, hle_id).ok());
+  }
+
+  auto list = [&](const Session& session) {
+    return dm_->semantics().ListCatalogHles(session, catalog_id).value();
+  };
+  using Ids = std::vector<int64_t>;
+  EXPECT_EQ(list(bob_), (Ids{alice_public, bob_public}));
+  EXPECT_EQ(list(alice_), (Ids{alice_private, alice_public, bob_public}));
+  EXPECT_EQ(list(root_), (Ids{alice_private, alice_public, bob_public}));
+
+  // Deleted behind the semantic layer's back: the membership row stays.
+  ASSERT_TRUE(db_.Execute("DELETE FROM hle WHERE hle_id = ?",
+                          {db::Value::Int(alice_public)})
+                  .ok());
+  EXPECT_EQ(list(root_), (Ids{alice_private, bob_public}));
+  EXPECT_EQ(list(bob_), (Ids{bob_public}));
+}
+
+auto Tie(const HleRecord& r) {
+  return std::tie(r.hle_id, r.owner_id, r.is_public, r.event_type, r.t_start,
+                  r.t_end, r.e_min, r.e_max, r.peak_rate, r.peak_energy,
+                  r.photon_count, r.unit_id, r.calibration_version, r.version,
+                  r.superseded_by, r.label, r.notes, r.created_time, r.source,
+                  r.quality);
+}
+
+auto Tie(const AnaRecord& r) {
+  return std::tie(r.ana_id, r.hle_id, r.owner_id, r.is_public, r.routine,
+                  r.parameters, r.param_hash, r.status, r.quality, r.t_start,
+                  r.t_end, r.e_min, r.e_max, r.photon_count, r.image_bytes,
+                  r.log_excerpt, r.calibration_version, r.version,
+                  r.superseded_by, r.created_time, r.duration_ms,
+                  r.peak_value, r.pixels, r.notes);
+}
+
+// The schema is a moving target: this repository's hle and ana tables
+// declare their columns in another order than CreateRhessiSchema, plus a
+// column the DM does not know. Records still decode by column name.
+class PermutedSchemaTest : public DmTest {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(db_.Execute(
+                       "CREATE TABLE hle (quality REAL, source TEXT, "
+                       "created_time REAL, notes TEXT, label TEXT, "
+                       "superseded_by INT, version INT, "
+                       "calibration_version INT, unit_id INT, "
+                       "photon_count INT, extra_tag TEXT, "
+                       "peak_energy REAL, peak_rate REAL, e_max REAL, "
+                       "e_min REAL, t_end REAL, t_start REAL, "
+                       "event_type TEXT, is_public BOOL, "
+                       "owner_id INT NOT NULL, hle_id INT PRIMARY KEY)")
+                    .ok());
+    ASSERT_TRUE(db_.Execute(
+                       "CREATE TABLE ana (notes TEXT, pixels INT, "
+                       "ana_id INT PRIMARY KEY, peak_value REAL, "
+                       "routine TEXT, duration_ms REAL, created_time REAL, "
+                       "superseded_by INT, extra_score REAL, version INT, "
+                       "calibration_version INT, log_excerpt TEXT, "
+                       "image_bytes INT, photon_count INT, e_max REAL, "
+                       "e_min REAL, t_end REAL, t_start REAL, quality REAL, "
+                       "status TEXT, param_hash INT, parameters TEXT, "
+                       "is_public BOOL, owner_id INT NOT NULL, "
+                       "hle_id INT NOT NULL)")
+                    .ok());
+    DmTest::SetUp();
+  }
+
+  // INSERT with a column list, so each value lands in its named column.
+  void InsertNamed(
+      const std::string& table,
+      const std::vector<std::pair<std::string, db::Value>>& columns) {
+    std::string names, markers;
+    std::vector<db::Value> values;
+    for (const auto& [name, value] : columns) {
+      names += (names.empty() ? "" : ", ") + name;
+      markers += markers.empty() ? "?" : ", ?";
+      values.push_back(value);
+    }
+    auto r = db_.Execute(
+        "INSERT INTO " + table + " (" + names + ") VALUES (" + markers + ")",
+        values);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+
+  HleRecord InsertHle(int64_t hle_id, double t_start) {
+    HleRecord r;
+    r.hle_id = hle_id;
+    r.owner_id = alice_id_;
+    r.is_public = true;
+    r.event_type = "flare";
+    r.t_start = t_start;
+    r.t_end = t_start + 40.5;
+    r.e_min = 3.25;
+    r.e_max = 250.75;
+    r.peak_rate = 812.5;
+    r.peak_energy = 17.125;
+    r.photon_count = 123456;
+    r.unit_id = 77;
+    r.calibration_version = 3;
+    r.version = 2;
+    r.superseded_by = 0;
+    r.label = "label-" + std::to_string(hle_id);
+    r.notes = "notes";
+    r.created_time = 1000.5;
+    r.source = "import";
+    r.quality = 0.875;
+    InsertNamed("hle", {{"extra_tag", db::Value::Text("unknown to the DM")},
+                        {"hle_id", db::Value::Int(r.hle_id)},
+                        {"owner_id", db::Value::Int(r.owner_id)},
+                        {"is_public", db::Value::Bool(r.is_public)},
+                        {"event_type", db::Value::Text(r.event_type)},
+                        {"t_start", db::Value::Real(r.t_start)},
+                        {"t_end", db::Value::Real(r.t_end)},
+                        {"e_min", db::Value::Real(r.e_min)},
+                        {"e_max", db::Value::Real(r.e_max)},
+                        {"peak_rate", db::Value::Real(r.peak_rate)},
+                        {"peak_energy", db::Value::Real(r.peak_energy)},
+                        {"photon_count", db::Value::Int(r.photon_count)},
+                        {"unit_id", db::Value::Int(r.unit_id)},
+                        {"calibration_version",
+                         db::Value::Int(r.calibration_version)},
+                        {"version", db::Value::Int(r.version)},
+                        {"superseded_by", db::Value::Int(r.superseded_by)},
+                        {"label", db::Value::Text(r.label)},
+                        {"notes", db::Value::Text(r.notes)},
+                        {"created_time", db::Value::Real(r.created_time)},
+                        {"source", db::Value::Text(r.source)},
+                        {"quality", db::Value::Real(r.quality)}});
+    return r;
+  }
+
+  AnaRecord InsertAna(int64_t ana_id, int64_t hle_id,
+                      const std::string& parameters) {
+    AnaRecord r;
+    r.ana_id = ana_id;
+    r.hle_id = hle_id;
+    r.owner_id = alice_id_;
+    r.is_public = false;
+    r.routine = "imaging";
+    r.parameters = parameters;
+    r.param_hash = SemanticLayer::HashParams(r.routine, r.parameters);
+    r.status = "done";
+    r.quality = 0.5;
+    r.t_start = 10.25;
+    r.t_end = 20.5;
+    r.e_min = 6;
+    r.e_max = 12.5;
+    r.photon_count = 4321;
+    r.image_bytes = 2048;
+    r.log_excerpt = "ok";
+    r.calibration_version = 4;
+    r.version = 3;
+    r.superseded_by = 0;
+    r.created_time = 2000.25;
+    r.duration_ms = 31.5;
+    r.peak_value = 99.75;
+    r.pixels = 64;
+    r.notes = "ana-" + std::to_string(ana_id);
+    InsertNamed("ana", {{"ana_id", db::Value::Int(r.ana_id)},
+                        {"hle_id", db::Value::Int(r.hle_id)},
+                        {"owner_id", db::Value::Int(r.owner_id)},
+                        {"is_public", db::Value::Bool(r.is_public)},
+                        {"routine", db::Value::Text(r.routine)},
+                        {"parameters", db::Value::Text(r.parameters)},
+                        {"param_hash", db::Value::Int(r.param_hash)},
+                        {"status", db::Value::Text(r.status)},
+                        {"quality", db::Value::Real(r.quality)},
+                        {"t_start", db::Value::Real(r.t_start)},
+                        {"t_end", db::Value::Real(r.t_end)},
+                        {"e_min", db::Value::Real(r.e_min)},
+                        {"e_max", db::Value::Real(r.e_max)},
+                        {"photon_count", db::Value::Int(r.photon_count)},
+                        {"image_bytes", db::Value::Int(r.image_bytes)},
+                        {"log_excerpt", db::Value::Text(r.log_excerpt)},
+                        {"calibration_version",
+                         db::Value::Int(r.calibration_version)},
+                        {"version", db::Value::Int(r.version)},
+                        {"superseded_by", db::Value::Int(r.superseded_by)},
+                        {"created_time", db::Value::Real(r.created_time)},
+                        {"duration_ms", db::Value::Real(r.duration_ms)},
+                        {"peak_value", db::Value::Real(r.peak_value)},
+                        {"pixels", db::Value::Int(r.pixels)},
+                        {"notes", db::Value::Text(r.notes)},
+                        {"extra_score", db::Value::Real(-1)}});
+    return r;
+  }
+};
+
+TEST_F(PermutedSchemaTest, HleRecordsDecodeByName) {
+  HleRecord first = InsertHle(900, 100.5);
+  HleRecord second = InsertHle(901, 300.25);
+
+  auto got = dm_->semantics().GetHle(alice_, first.hle_id);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Tie(got.value()), Tie(first));
+
+  auto listed = dm_->semantics().ListHles(alice_, 0, 1000);
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  ASSERT_EQ(listed.value().size(), 2u);
+  EXPECT_EQ(Tie(listed.value()[0]), Tie(first));
+  EXPECT_EQ(Tie(listed.value()[1]), Tie(second));
+}
+
+TEST_F(PermutedSchemaTest, AnaRecordsDecodeByName) {
+  HleRecord hle = InsertHle(900, 100.5);
+  AnaRecord first = InsertAna(500, hle.hle_id, "pixels=64");
+  AnaRecord second = InsertAna(501, hle.hle_id, "pixels=128");
+
+  auto got = dm_->semantics().GetAna(alice_, second.ana_id);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(Tie(got.value()), Tie(second));
+
+  auto listed = dm_->semantics().ListAnalyses(alice_, hle.hle_id);
+  ASSERT_TRUE(listed.ok()) << listed.status().ToString();
+  ASSERT_EQ(listed.value().size(), 2u);
+  EXPECT_EQ(Tie(listed.value()[0]), Tie(first));
+  EXPECT_EQ(Tie(listed.value()[1]), Tie(second));
+
+  auto found = dm_->semantics().FindExistingAnalysis(alice_, hle.hle_id,
+                                                     "imaging", "pixels=128");
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  ASSERT_TRUE(found.value().has_value());
+  EXPECT_EQ(Tie(*found.value()), Tie(second));
+
+  // The private analyses stay private under the permuted layout too.
+  EXPECT_TRUE(dm_->semantics().GetAna(bob_, first.ana_id).status()
+                  .IsNotFound());
+  EXPECT_TRUE(dm_->semantics().ListAnalyses(bob_, hle.hle_id).value()
+                  .empty());
 }
 
 TEST_F(DmTest, IoLayerFileRoundTripViaNameMapping) {

@@ -470,6 +470,59 @@ TEST_F(WebStackTest, HlePageShowsEventDetails) {
   EXPECT_NE(response.body.find("peak rate"), std::string::npos);
 }
 
+size_t CountOccurrences(const std::string& text, const std::string& needle) {
+  size_t n = 0;
+  for (size_t pos = text.find(needle); pos != std::string::npos;
+       pos = text.find(needle, pos + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+// The page's analysis count is scoped like its analysis list: another
+// user's private analysis is indistinguishable from absent (§5.3).
+TEST_F(WebStackTest, HlePageCountsOnlyVisibleAnalyses) {
+  dm::UserProfile super_user;
+  super_user.is_super = true;
+  ASSERT_TRUE(
+      stack_.data_manager->users().CreateUser("root", "pw-r", super_user)
+          .ok());
+  dm::Session alice = stack_.Login("alice", "pw-a", "10.0.0.1");
+  dm::HleRecord hle;
+  hle.event_type = "flare";
+  hle.is_public = true;
+  int64_t hle_id =
+      stack_.data_manager->semantics().CreateHle(alice, hle).value();
+  dm::AnaRecord ana;
+  ana.hle_id = hle_id;
+  ana.routine = "histogram";
+  ana.is_public = false;
+  ASSERT_TRUE(stack_.data_manager->semantics().CreateAna(alice, ana).ok());
+  ana.routine = "lightcurve";
+  ana.is_public = true;
+  ASSERT_TRUE(stack_.data_manager->semantics().CreateAna(alice, ana).ok());
+
+  std::string url = "/hle?id=" + std::to_string(hle_id);
+  auto page_as = [&](const std::string& user, const std::string& password) {
+    return stack_.web_server->Dispatch(
+        MakeRequest(url, "10.0.1.1", LoginCookie(user, password)));
+  };
+  HttpResponse bob = page_as("bob", "pw-b");
+  ASSERT_EQ(bob.status_code, 200);
+  EXPECT_NE(bob.body.find("<p>1 analyses,"), std::string::npos) << bob.body;
+  EXPECT_EQ(CountOccurrences(bob.body, "<div class='ana'>"), 1u);
+  EXPECT_EQ(bob.body.find("histogram"), std::string::npos);
+  for (const auto& [user, password] :
+       {std::pair<std::string, std::string>{"alice", "pw-a"},
+        {"root", "pw-r"}}) {
+    HttpResponse page = page_as(user, password);
+    ASSERT_EQ(page.status_code, 200) << user;
+    EXPECT_NE(page.body.find("<p>2 analyses,"), std::string::npos)
+        << user << ": " << page.body;
+    EXPECT_EQ(CountOccurrences(page.body, "<div class='ana'>"), 2u) << user;
+  }
+}
+
 TEST_F(WebStackTest, MissingPagesAre404) {
   EXPECT_EQ(stack_.web_server->Dispatch(MakeRequest("/hle?id=99999"))
                 .status_code,
