@@ -1,6 +1,6 @@
-// Join + grouped-aggregation throughput: the row-at-a-time join
-// fallback versus the vectorized hash join (DESIGN.md §4h), across
-// probe-side thread counts and build-side cardinalities, plus a
+// Join + grouped-aggregation throughput of the vectorized hash join
+// (DESIGN.md §4h) across probe-side thread counts and build-side
+// cardinalities, plus a
 // grouped-aggregation sweep (few vs many groups) and the name-mapper's
 // cold resolution cost (two indexed point queries).
 //
@@ -74,9 +74,8 @@ RunResult RunQuery(Database* db, const std::string& sql, int64_t work_items,
   return out;
 }
 
-ExecOptions ModeOptions(bool vectorized, int threads) {
+ExecOptions ModeOptions(int threads) {
   ExecOptions opts;
-  opts.vectorized = vectorized;
   opts.scan_threads = threads;
   return opts;
 }
@@ -130,17 +129,16 @@ int main(int argc, char** argv) {
     ExecOptions opts;
   };
   const Mode kModes[] = {
-      {"row_t1", ModeOptions(false, 1)},
-      {"vec_t1", ModeOptions(true, 1)},
-      {"vec_t4", ModeOptions(true, 4)},
-      {"vec_t8", ModeOptions(true, 8)},
+      {"vec_t1", ModeOptions(1)},
+      {"vec_t4", ModeOptions(4)},
+      {"vec_t8", ModeOptions(8)},
   };
   struct JoinCase {
     const char* name;
     const char* sql;
   };
   // The unfiltered joins are probe-bound (every driver row reaches the
-  // hash table in both modes); the filtered ones put the compiled
+  // hash table); the filtered ones put the compiled
   // filter kernels on the driver's critical path, the common shape for
   // analytic joins (selective fact-side predicate, then probe).
   const JoinCase kJoins[] = {
@@ -161,7 +159,6 @@ int main(int argc, char** argv) {
   std::vector<BenchRow> rows;
   std::printf("%-26s %14s %12s %12s %12s\n", "mode", "tuples/sec", "p50_us",
               "p99_us", "tuples");
-  double row_large = 0, vec8_large = 0;
   for (const JoinCase& jc : kJoins) {
     int64_t check = -1;
     for (const Mode& mode : kModes) {
@@ -181,12 +178,6 @@ int main(int argc, char** argv) {
                                {"p50_us", qr.p50_us},
                                {"p99_us", qr.p99_us},
                                {"tuples", static_cast<double>(qr.check)}}});
-      if (std::strcmp(jc.name, "join_filtered_build16") == 0) {
-        if (std::strcmp(mode.name, "row_t1") == 0) row_large = qr.per_sec;
-        if (std::strncmp(mode.name, "vec_", 4) == 0) {
-          vec8_large = std::max(vec8_large, qr.per_sec);
-        }
-      }
     }
   }
 
@@ -270,11 +261,6 @@ int main(int argc, char** argv) {
                   {"queries_per_resolution", queries_per_resolution}}});
   }
 
-  if (row_large > 0) {
-    std::printf("\nvectorized (best thread count) over row-at-a-time, "
-                "filtered 16-key join: %.2fx\n",
-                vec8_large / row_large);
-  }
   if (!hedc::bench::WriteBenchJson("BENCH_join_agg.json", "join_agg", rows)) {
     std::fprintf(stderr, "cannot write BENCH_join_agg.json\n");
     return 1;

@@ -1,6 +1,5 @@
-// Scan-filter execution throughput: row-at-a-time interpreter versus
-// the vectorized engine (DESIGN.md §4e), versus vectorized +
-// morsel-parallel at 2/4/8 threads, versus vectorized + zone maps.
+// Scan-filter execution throughput of the vectorized engine (DESIGN.md
+// §4e): serial, morsel-parallel at 2/4/8 threads, and with zone maps.
 //
 // One database, one event table:
 //   ev (id INT PRIMARY KEY, t REAL, e INT, tag TEXT)
@@ -75,9 +74,8 @@ QueryResult RunQuery(Database* db, const std::string& sql,
   return out;
 }
 
-ExecOptions ModeOptions(bool vectorized, int threads, bool zone_maps) {
+ExecOptions ModeOptions(int threads, bool zone_maps) {
   ExecOptions opts;
-  opts.vectorized = vectorized;
   opts.zone_maps = zone_maps;
   opts.scan_threads = threads;
   return opts;
@@ -121,11 +119,10 @@ int main(int argc, char** argv) {
     ExecOptions opts;
   };
   const Mode kModes[] = {
-      {"row_t1", ModeOptions(false, 1, false)},
-      {"vec_t1", ModeOptions(true, 1, false)},
-      {"vecpar_t2", ModeOptions(true, 2, false)},
-      {"vecpar_t4", ModeOptions(true, 4, false)},
-      {"vecpar_t8", ModeOptions(true, 8, false)},
+      {"vec_t1", ModeOptions(1, false)},
+      {"vecpar_t2", ModeOptions(2, false)},
+      {"vecpar_t4", ModeOptions(4, false)},
+      {"vecpar_t8", ModeOptions(8, false)},
   };
   struct Sel {
     const char* name;
@@ -139,7 +136,6 @@ int main(int argc, char** argv) {
   std::vector<BenchRow> rows;
   std::printf("%-22s %14s %12s %12s %10s\n", "mode", "rows/sec", "p50_us",
               "p99_us", "matches");
-  double row_low = 0, vecpar8_low = 0;
   for (const Sel& sel : kSels) {
     int64_t matches = -1;
     for (const Mode& mode : kModes) {
@@ -163,12 +159,6 @@ int main(int argc, char** argv) {
            {"p50_us", qr.p50_us},
            {"p99_us", qr.p99_us},
            {"matches", static_cast<double>(qr.matches)}}});
-      if (sel.sql == kSels[0].sql) {
-        if (std::strcmp(mode.name, "row_t1") == 0) row_low = qr.rows_per_sec;
-        if (std::strcmp(mode.name, "vecpar_t8") == 0) {
-          vecpar8_low = qr.rows_per_sec;
-        }
-      }
     }
   }
 
@@ -180,7 +170,7 @@ int main(int argc, char** argv) {
   int64_t zone_matches = -1;
   double pruned_fraction = 0;
   for (bool zones : {false, true}) {
-    db.set_exec_options(ModeOptions(true, 1, zones));
+    db.set_exec_options(ModeOptions(1, zones));
     int64_t pruned_before = db.stats().morsels_pruned.load();
     QueryResult qr = RunQuery(&db, zone_sql, {}, kRows, kReps);
     if (zone_matches >= 0 && qr.matches != zone_matches) {
@@ -208,12 +198,7 @@ int main(int argc, char** argv) {
          {"zone_pruned_fraction", pruned_fraction}}});
   }
 
-  if (row_low > 0) {
-    std::printf("\nvectorized+parallel(8) over row-at-a-time, low "
-                "selectivity: %.2fx\n",
-                vecpar8_low / row_low);
-  }
-  std::printf("zone maps pruned %.0f%% of morsels on the range predicate\n",
+  std::printf("\nzone maps pruned %.0f%% of morsels on the range predicate\n",
               pruned_fraction * 100);
 
   if (!hedc::bench::WriteBenchJson("BENCH_query_exec.json", "query_exec",

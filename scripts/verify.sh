@@ -4,8 +4,9 @@
 # suite and the remote chaos/failover suites), the end-to-end benchmark's
 # own unit tests (perfbench/run.py --test) and its response checks on
 # every workload (perfbench/run.py --all, which exits non-zero when a
-# /hle page, image or /approx bound is wrong), the measured-vs-model
-# scale-out and c10k p99-flatness crosschecks, then the stress suite —
+# /hle page, image or /approx bound is wrong), the schema check of every
+# checked-in BENCH_*.json, the measured-vs-model scale-out and c10k
+# p99-flatness crosschecks, then the stress suite —
 # concurrency hammers, networked chaos/failover, the cluster kill/restart
 # stress and the reactor net-stress lane (`ctest -L net-stress` runs just
 # that lane; the stress label regex picks it up here) — under
@@ -29,6 +30,11 @@ python3 perfbench/run.py --test
 
 echo "=== end-to-end response checks (perfbench, every workload, 2 s each) ==="
 python3 perfbench/run.py --all --seconds 2
+
+echo "=== every checked-in BENCH_*.json passes the schema validator ==="
+for bench_json in BENCH_*.json; do
+  python3 bench/validate_bench_json.py "$bench_json"
+done
 
 echo "=== scale-out crosscheck (measured vs modeled fig5 curve) ==="
 python3 bench/validate_bench_json.py BENCH_cluster_scaleout.json \

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <thread>
 
-#include "core/config.h"
 #include "core/metrics.h"
 #include "core/strings.h"
 #include "db/join.h"
@@ -278,19 +277,6 @@ std::vector<std::string> Database::TableNames() const {
   return names;
 }
 
-void Database::Configure(const Config& config) {
-  ExecOptions opts = exec_options_;
-  opts.vectorized = config.GetBool("db.vectorized", opts.vectorized);
-  opts.zone_maps = config.GetBool("db.zone_maps", opts.zone_maps);
-  opts.morsel_rows = config.GetInt("db.morsel_rows", opts.morsel_rows);
-  opts.scan_threads =
-      static_cast<int>(config.GetInt("db.scan_threads", opts.scan_threads));
-  opts.join_partitions = static_cast<int>(
-      config.GetInt("db.join_partitions", opts.join_partitions));
-  opts.join_planner = config.GetBool("db.join_planner", opts.join_planner);
-  exec_options_ = opts;
-}
-
 ThreadPool* Database::ScanPool() {
   std::call_once(scan_pool_once_, [this] {
     // One worker fewer than the host so the caller thread (which always
@@ -301,6 +287,14 @@ ThreadPool* Database::ScanPool() {
     scan_pool_ = std::make_unique<ThreadPool>(std::min<size_t>(n, 16));
   });
   return scan_pool_.get();
+}
+
+ScanOptions Database::HeapScanOptions() {
+  ScanOptions sopts;
+  sopts.zone_maps = exec_options_.zone_maps;
+  sopts.threads = exec_options_.scan_threads;
+  sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
+  return sopts;
 }
 
 Result<ResultSet> Database::Execute(std::string_view sql,
@@ -354,10 +348,8 @@ Result<ResultSet> Database::ExecuteStatement(
   return Status::Internal("unreachable statement kind");
 }
 
-Status Database::CollectIndexCandidates(Table* table, const Expr* where,
-                                        std::vector<int64_t>* row_ids,
-                                        bool* used_index) {
-  *used_index = false;
+bool Database::CollectIndexCandidates(Table* table, const Expr* where,
+                                      std::vector<int64_t>* row_ids) {
   if (where != nullptr) {
     std::unordered_map<int, ColumnBounds> bounds = ExtractColumnBounds(where);
 
@@ -368,9 +360,8 @@ Status Database::CollectIndexCandidates(Table* table, const Expr* where,
           table->FindIndex(static_cast<size_t>(col), /*need_range=*/false);
       if (def == nullptr) continue;
       table->IndexLookup(*def, *b.eq, row_ids);
-      *used_index = true;
       stats_.index_scans.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
+      return true;
     }
     for (const auto& [col, b] : bounds) {
       if (!b.lo.has_value() && !b.hi.has_value()) continue;
@@ -379,15 +370,65 @@ Status Database::CollectIndexCandidates(Table* table, const Expr* where,
       if (def == nullptr) continue;
       table->IndexRange(*def, b.lo, b.lo_inclusive, b.hi, b.hi_inclusive,
                         row_ids);
-      *used_index = true;
       stats_.index_scans.fetch_add(1, std::memory_order_relaxed);
-      return Status::Ok();
+      return true;
     }
   }
-  // No usable index: the caller streams the heap scan with the predicate
-  // pushed down (rows are visited by reference, survivors copied).
   stats_.full_scans.fetch_add(1, std::memory_order_relaxed);
-  return Status::Ok();
+  return false;
+}
+
+Result<bool> Database::FilterRows(Table* table, const Expr* where,
+                                  bool scan_heap,
+                                  std::vector<ScanMatch>* matches) {
+  std::vector<int64_t> candidates;
+  if (!CollectIndexCandidates(table, where, &candidates)) {
+    if (!scan_heap) return false;
+    ScanStats scan;
+    HEDC_RETURN_IF_ERROR(
+        ScanFilter(*table, where, HeapScanOptions(), matches, &scan));
+    CountHeapScan(scan);
+    return false;
+  }
+  // Filter the index candidates with the full predicate (residual
+  // included). They count as examined rows but not as heap-scanned ones.
+  const size_t before = matches->size();
+  matches->reserve(before + candidates.size());
+  int64_t examined = 0;
+  int64_t stale = 0;
+  for (int64_t row_id : candidates) {
+    const Row* row = table->Find(row_id);
+    if (row == nullptr) {
+      // The index returned a row id the heap no longer has. Harmless
+      // for this query (the row is gone) but a symptom worth counting.
+      ++stale;
+      continue;
+    }
+    ++examined;
+    if (where != nullptr) {
+      HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, *row));
+      if (!keep.AsBool()) continue;
+    }
+    matches->push_back(ScanMatch{row_id, row});
+  }
+  const int64_t matched = static_cast<int64_t>(matches->size() - before);
+  stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
+  stats_.rows_matched.fetch_add(matched, std::memory_order_relaxed);
+  RowsMatchedCounter()->Add(matched);
+  if (stale > 0) {
+    stats_.stale_index_entries.fetch_add(stale, std::memory_order_relaxed);
+    StaleIndexCounter()->Add(stale);
+  }
+  return true;
+}
+
+void Database::CountHeapScan(const ScanStats& scan) {
+  stats_.rows_examined.fetch_add(scan.rows_scanned, std::memory_order_relaxed);
+  stats_.rows_matched.fetch_add(scan.rows_matched, std::memory_order_relaxed);
+  stats_.morsels_pruned.fetch_add(scan.morsels_pruned,
+                                  std::memory_order_relaxed);
+  RowsScannedCounter()->Add(scan.rows_scanned);
+  RowsMatchedCounter()->Add(scan.rows_matched);
 }
 
 Result<ResultSet> Database::ExecSelect(const SelectStmt& stmt,
@@ -469,110 +510,17 @@ Result<ResultSet> Database::ExecSelect(const SelectStmt& stmt,
     }
   }
 
-  bool used_index = false;
-  std::vector<int64_t> candidates;
-  HEDC_RETURN_IF_ERROR(
-      CollectIndexCandidates(table, where.get(), &candidates, &used_index));
-
-  // Aggregate fast path: no index, no ORDER BY (which reorders groups
-  // through first-seen) — scan → filter → aggregate per morsel without
-  // materializing matches (db/vectorized.h).
-  if (agg_path && !used_index && exec_options_.vectorized &&
-      stmt.order_by.empty()) {
-    ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
-    sopts.threads = exec_options_.scan_threads;
-    sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
-    ScanStats sstats;
-    GroupedAggregator agg(group_cols, agg_specs);
-    HEDC_RETURN_IF_ERROR(
-        ScanAggregate(*table, where.get(), sopts, &agg, &sstats));
-    stats_.rows_examined.fetch_add(sstats.rows_scanned,
-                                   std::memory_order_relaxed);
-    stats_.morsels_pruned.fetch_add(sstats.morsels_pruned,
-                                    std::memory_order_relaxed);
-    stats_.rows_matched.fetch_add(sstats.rows_matched,
-                                  std::memory_order_relaxed);
-    RowsScannedCounter()->Add(sstats.rows_scanned);
-    RowsMatchedCounter()->Add(sstats.rows_matched);
-    ResultSet result;
-    for (const SelectItem& item : stmt.items) {
-      result.columns.push_back(item.alias);
-    }
-    agg.Emit(agg_layout, /*empty_input_row=*/group_cols.empty(),
-             &result.rows);
-    if (stmt.limit >= 0 &&
-        result.rows.size() > static_cast<size_t>(stmt.limit)) {
-      result.rows.resize(static_cast<size_t>(stmt.limit));
-    }
-    return result;
-  }
-
   // Survivors are borrowed pointers into the heap — stable because the
   // shared latch blocks all mutation for the rest of this function — so
-  // neither scan path copies a row to find out it matched.
+  // no access path copies a row to find out it matched. An aggregate with
+  // neither an index nor ORDER BY (which reorders groups through
+  // first-seen) skips materializing: its heap scan aggregates per morsel
+  // below.
+  const bool stream_agg = agg_path && stmt.order_by.empty();
   std::vector<ScanMatch> matches;
-  if (used_index) {
-    // Filter the index candidates with the full predicate (residual
-    // included).
-    matches.reserve(candidates.size());
-    int64_t stale = 0;
-    for (int64_t row_id : candidates) {
-      const Row* row = table->Find(row_id);
-      if (row == nullptr) {
-        // The index returned a row id the heap no longer has. Harmless
-        // for this query (the row is gone) but a symptom worth counting.
-        ++stale;
-        continue;
-      }
-      stats_.rows_examined.fetch_add(1, std::memory_order_relaxed);
-      if (where != nullptr) {
-        HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, *row));
-        if (!keep.AsBool()) continue;
-      }
-      matches.push_back(ScanMatch{row_id, row});
-    }
-    if (stale > 0) {
-      stats_.stale_index_entries.fetch_add(stale, std::memory_order_relaxed);
-      StaleIndexCounter()->Add(stale);
-    }
-  } else if (exec_options_.vectorized) {
-    ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
-    sopts.threads = exec_options_.scan_threads;
-    sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
-    ScanStats sstats;
-    HEDC_RETURN_IF_ERROR(
-        ScanFilter(*table, where.get(), sopts, &matches, &sstats));
-    stats_.rows_examined.fetch_add(sstats.rows_scanned,
-                                   std::memory_order_relaxed);
-    stats_.morsels_pruned.fetch_add(sstats.morsels_pruned,
-                                    std::memory_order_relaxed);
-    RowsScannedCounter()->Add(sstats.rows_scanned);
-  } else {
-    // Legacy row-at-a-time scan (db.vectorized = off).
-    Status eval_error;
-    int64_t examined = 0;
-    table->Scan([&](int64_t row_id, const Row& row) {
-      ++examined;
-      if (where != nullptr) {
-        Result<Value> keep = EvalExpr(*where, row);
-        if (!keep.ok()) {
-          eval_error = keep.status();
-          return false;
-        }
-        if (!keep.value().AsBool()) return true;
-      }
-      matches.push_back(ScanMatch{row_id, &row});
-      return true;
-    });
-    stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
-    RowsScannedCounter()->Add(examined);
-    if (!eval_error.ok()) return eval_error;
-  }
-  stats_.rows_matched.fetch_add(static_cast<int64_t>(matches.size()),
-                                std::memory_order_relaxed);
-  RowsMatchedCounter()->Add(static_cast<int64_t>(matches.size()));
+  HEDC_ASSIGN_OR_RETURN(
+      bool used_index,
+      FilterRows(table, where.get(), /*scan_heap=*/!stream_agg, &matches));
 
   // ORDER BY before projection/limit (and before aggregation, where it
   // fixes the groups' first-seen order).
@@ -594,12 +542,18 @@ Result<ResultSet> Database::ExecSelect(const SelectStmt& stmt,
   ResultSet result;
 
   if (agg_path) {
-    // Aggregation over the materialized matches (index scans, ORDER BY,
-    // or the row-at-a-time mode). Groups preserve first-seen order in
-    // the (possibly sorted) match sequence.
+    // Groups preserve first-seen order: row-id order when streamed, else
+    // the order of the (possibly sorted) match sequence.
     GroupedAggregator agg(group_cols, agg_specs);
-    int64_t seq = 0;
-    for (const ScanMatch& m : matches) agg.AccumulateRow(*m.row, seq++);
+    if (stream_agg && !used_index) {
+      ScanStats scan;
+      HEDC_RETURN_IF_ERROR(
+          ScanAggregate(*table, where.get(), HeapScanOptions(), &agg, &scan));
+      CountHeapScan(scan);
+    } else {
+      int64_t seq = 0;
+      for (const ScanMatch& m : matches) agg.AccumulateRow(*m.row, seq++);
+    }
     for (const SelectItem& item : stmt.items) {
       result.columns.push_back(item.alias);
     }
@@ -719,33 +673,18 @@ Result<ResultSet> Database::ExecUpdate(const UpdateStmt& stmt,
     assigns.emplace_back(*ci, std::move(bound));
   }
 
-  bool used_index = false;
-  std::vector<int64_t> candidates;
+  // Matching rows are collected before the first mutation, under the
+  // exclusive latch, so they need no re-check. Row pointers die with
+  // the first mutation; the loop re-finds each row by id.
+  std::vector<ScanMatch> matches;
   HEDC_RETURN_IF_ERROR(
-      CollectIndexCandidates(table, where.get(), &candidates, &used_index));
-  bool residual_needed = used_index;
-  if (!used_index) {
-    // Streamed scan under the exclusive latch: rows cannot change between
-    // the scan and the mutation loop, so survivors need no re-check and
-    // non-matching rows are never copied.
-    HEDC_RETURN_IF_ERROR(
-        FilterByScan(table, where.get(), &candidates));
-  }
+      FilterRows(table, where.get(), /*scan_heap=*/true, &matches).status());
 
   ResultSet result;
-  for (int64_t row_id : candidates) {
+  for (const ScanMatch& m : matches) {
+    const int64_t row_id = m.row_id;
     const Row* current = table->Find(row_id);
-    if (current == nullptr) {
-      if (residual_needed) {
-        stats_.stale_index_entries.fetch_add(1, std::memory_order_relaxed);
-        StaleIndexCounter()->Add(1);
-      }
-      continue;
-    }
-    if (residual_needed && where != nullptr) {
-      HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, *current));
-      if (!keep.AsBool()) continue;
-    }
+    if (current == nullptr) continue;
     Row updated = *current;
     for (const auto& [col, expr] : assigns) {
       HEDC_ASSIGN_OR_RETURN(Value v, EvalExpr(*expr, *current));
@@ -780,29 +719,13 @@ Result<ResultSet> Database::ExecDelete(const DeleteStmt& stmt,
     HEDC_RETURN_IF_ERROR(BindExpr(where.get(), schema, params));
   }
 
-  bool used_index = false;
-  std::vector<int64_t> candidates;
+  std::vector<ScanMatch> matches;
   HEDC_RETURN_IF_ERROR(
-      CollectIndexCandidates(table, where.get(), &candidates, &used_index));
-  bool residual_needed = used_index;
-  if (!used_index) {
-    HEDC_RETURN_IF_ERROR(FilterByScan(table, where.get(), &candidates));
-  }
+      FilterRows(table, where.get(), /*scan_heap=*/true, &matches).status());
 
   ResultSet result;
-  for (int64_t row_id : candidates) {
-    const Row* current = table->Find(row_id);
-    if (current == nullptr) {
-      if (residual_needed) {
-        stats_.stale_index_entries.fetch_add(1, std::memory_order_relaxed);
-        StaleIndexCounter()->Add(1);
-      }
-      continue;
-    }
-    if (residual_needed && where != nullptr) {
-      HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*where, *current));
-      if (!keep.AsBool()) continue;
-    }
+  for (const ScanMatch& m : matches) {
+    const int64_t row_id = m.row_id;
     Row old_row;
     HEDC_RETURN_IF_ERROR(table->Delete(row_id, &old_row));
     RecordMutation(
@@ -812,47 +735,6 @@ Result<ResultSet> Database::ExecDelete(const DeleteStmt& stmt,
     ++result.affected_rows;
   }
   return result;
-}
-
-Status Database::FilterByScan(Table* table, const Expr* where,
-                              std::vector<int64_t>* row_ids) {
-  if (exec_options_.vectorized) {
-    // DML callers hold the exclusive table latch; the parallel workers
-    // only read the heap, so sharing the scan inside the latch is safe.
-    ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
-    sopts.threads = exec_options_.scan_threads;
-    sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
-    std::vector<ScanMatch> matches;
-    ScanStats sstats;
-    HEDC_RETURN_IF_ERROR(ScanFilter(*table, where, sopts, &matches, &sstats));
-    row_ids->reserve(row_ids->size() + matches.size());
-    for (const ScanMatch& m : matches) row_ids->push_back(m.row_id);
-    stats_.rows_examined.fetch_add(sstats.rows_scanned,
-                                   std::memory_order_relaxed);
-    stats_.morsels_pruned.fetch_add(sstats.morsels_pruned,
-                                    std::memory_order_relaxed);
-    RowsScannedCounter()->Add(sstats.rows_scanned);
-    return Status::Ok();
-  }
-  Status eval_error;
-  int64_t examined = 0;
-  table->Scan([&](int64_t row_id, const Row& row) {
-    ++examined;
-    if (where != nullptr) {
-      Result<Value> keep = EvalExpr(*where, row);
-      if (!keep.ok()) {
-        eval_error = keep.status();
-        return false;
-      }
-      if (!keep.value().AsBool()) return true;
-    }
-    row_ids->push_back(row_id);
-    return true;
-  });
-  stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
-  RowsScannedCounter()->Add(examined);
-  return eval_error;
 }
 
 Result<ResultSet> Database::ExecCreateTable(const CreateTableStmt& stmt) {

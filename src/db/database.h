@@ -32,11 +32,11 @@
 #include "db/table.h"
 #include "db/wal.h"
 
-namespace hedc {
-class Config;
-}
-
 namespace hedc::db {
+
+struct ScanMatch;    // db/vectorized.h
+struct ScanOptions;
+struct ScanStats;
 
 // Tabular statement result. DML statements report affected row count.
 struct ResultSet {
@@ -73,11 +73,10 @@ struct DbStats {
 // tables created after the change; the other fields take effect on the
 // next statement.
 struct ExecOptions {
-  bool vectorized = true;   // batched scan-filter path (db/vectorized.h)
   bool zone_maps = true;    // morsel min/max pruning
   int64_t morsel_rows = Table::kDefaultRowsPerMorsel;
   int scan_threads = 4;     // max parallelism of one full scan
-  int join_partitions = 8;  // hash-join build partitions (vectorized mode)
+  int join_partitions = 8;  // hash-join build partitions
   // Cost-based join order (largest estimated input drives, smallest
   // builds first); off = FROM order.
   bool join_planner = true;
@@ -125,10 +124,6 @@ class Database {
   const Table* GetTable(const std::string& name) const;
   std::vector<std::string> TableNames() const;
 
-  // Reads db.vectorized, db.zone_maps, db.morsel_rows, db.scan_threads,
-  // db.join_partitions and db.join_planner; unset keys keep their
-  // current value.
-  void Configure(const Config& config);
   void set_exec_options(const ExecOptions& opts) { exec_options_ = opts; }
   const ExecOptions& exec_options() const { return exec_options_; }
 
@@ -161,7 +156,7 @@ class Database {
   Result<ResultSet> ExecSelect(const SelectStmt& stmt,
                                const std::vector<Value>& params);
   // Multi-table SELECT (src/db/join.cc): plans an equi-join pipeline
-  // and runs it vectorized or row-at-a-time per exec_options_.
+  // and runs it on the morsel engine.
   Result<ResultSet> ExecJoinedSelect(const SelectStmt& stmt,
                                      const std::vector<Value>& params);
   Result<ResultSet> ExecInsert(const InsertStmt& stmt,
@@ -178,20 +173,29 @@ class Database {
   TableEntry* FindEntry(const std::string& name);
 
   // If an index serves a sargable conjunct of `where`, fills `row_ids`
-  // with candidates (residual predicate still required) and sets
-  // *used_index. Otherwise only bumps the full-scan counter: callers
-  // stream the heap scan themselves with the predicate pushed down, so
-  // non-matching rows are never copied.
-  Status CollectIndexCandidates(Table* table, const Expr* where,
-                                std::vector<int64_t>* row_ids,
-                                bool* used_index);
+  // with candidates (residual predicate still required) and returns
+  // true. Otherwise only bumps the full-scan counter and returns false.
+  bool CollectIndexCandidates(Table* table, const Expr* where,
+                              std::vector<int64_t>* row_ids);
 
-  // Full-scan candidate collection with `where` pushed down, appending
-  // surviving row ids. Uses the vectorized batched path when enabled,
-  // else streams the heap scan row-at-a-time; either way rows are
-  // evaluated in place and only ids are collected.
-  Status FilterByScan(Table* table, const Expr* where,
-                      std::vector<int64_t>* row_ids);
+  // Appends the rows of `table` that satisfy `where` to `matches` as
+  // borrowed pointers, valid until the table's next mutation (the caller
+  // holds its latch). When an index serves `where`, its candidates are
+  // filtered with the whole predicate and dangling ids counted as stale;
+  // otherwise, if `scan_heap`, the morsel engine scans the heap with
+  // `where` pushed down (without it, the caller scans the heap itself).
+  // Ticks stats_ and the process-wide counters once. Returns whether an
+  // index served.
+  Result<bool> FilterRows(Table* table, const Expr* where, bool scan_heap,
+                          std::vector<ScanMatch>* matches);
+
+  // Accounts one heap scan: rows run through the predicate, survivors
+  // and pruned morsels, in stats_ and in the process-wide counters.
+  void CountHeapScan(const ScanStats& scan);
+
+  // Scan options from exec_options_, with the shared pool when the
+  // statement may fan out.
+  ScanOptions HeapScanOptions();
 
   // Lazily constructed worker pool shared by all parallel scans of this
   // database (sized to the host, capped; per-statement parallelism is

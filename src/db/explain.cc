@@ -22,17 +22,13 @@ std::string QueryPlan::ToString() const {
     return s;
   }
   switch (access) {
-    case Access::kFullScan: {
-      std::string s = StrFormat("FULL SCAN %s%s", table.c_str(),
-                                has_residual ? " WHERE <predicate>" : "");
-      if (vectorized) {
-        s += StrFormat(
-            " [vectorized, %lld morsels, %lld pruned, %d threads]",
-            static_cast<long long>(morsel_count),
-            static_cast<long long>(morsels_pruned), parallelism);
-      }
-      return s;
-    }
+    case Access::kFullScan:
+      return StrFormat(
+          "FULL SCAN %s%s [vectorized, %lld morsels, %lld pruned, "
+          "%d threads]",
+          table.c_str(), has_residual ? " WHERE <predicate>" : "",
+          static_cast<long long>(morsel_count),
+          static_cast<long long>(morsels_pruned), parallelism);
     case Access::kIndexPoint:
       return StrFormat("INDEX POINT %s.%s (%s)%s", table.c_str(),
                        column.c_str(), index_name.c_str(),
@@ -78,9 +74,7 @@ Result<QueryPlan> ExplainSelect(Database* db, std::string_view sql,
       [&](const std::unordered_map<int, ColumnBounds>& bounds) {
         plan.access = QueryPlan::Access::kFullScan;
         const ExecOptions& eopts = db->exec_options();
-        plan.vectorized = eopts.vectorized;
         plan.morsel_count = static_cast<int64_t>(table->num_morsels());
-        if (!eopts.vectorized) return;
         ScanOptions sopts;
         sopts.zone_maps = eopts.zone_maps;
         sopts.threads = eopts.scan_threads;

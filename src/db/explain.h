@@ -22,7 +22,6 @@ struct QueryPlan {
   bool has_residual = false;  // predicate re-checked after the index
 
   // Full-scan strategy (meaningful when access == kFullScan).
-  bool vectorized = false;    // batched scan-filter path would run
   int64_t morsel_count = 0;   // morsels in the table at plan time
   int64_t morsels_pruned = 0;  // morsels the zone maps would skip
   int parallelism = 1;        // threads the executor would use

@@ -1,7 +1,6 @@
 // Joined-SELECT execution: name resolution over the FROM list, the
-// cost-based equi-join planner, partitioned hash tables, and the two
-// executors — the vectorized morsel pipeline and the row-at-a-time
-// interpreter used for differential testing (DESIGN.md §4h).
+// cost-based equi-join planner, partitioned hash tables, and the morsel
+// pipeline that probes them (DESIGN.md §4h).
 #include "db/join.h"
 
 #include <algorithm>
@@ -247,7 +246,7 @@ struct JoinStepPlan {
   size_t build_col = 0;   // flat key column inside the build table
   size_t probe_col = 0;   // flat key column in an earlier-available table
   bool coerce_numeric = false;
-  const Expr* edge = nullptr;  // the active equality (row mode re-verifies)
+  const Expr* edge = nullptr;  // the active equality
   std::vector<const Expr*> residuals;
   int64_t est_rows = 0;
 };
@@ -681,89 +680,27 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
 
   const size_t nsteps = plan.steps.size();
   const size_t total_cols = js.total_columns();
-  const bool vectorized = exec_options_.vectorized;
 
-  // --- Gather one table's surviving rows under its local predicate.
-  // Index candidates when usable (residual re-checked row-at-a-time),
-  // else the vectorized batched scan, else the legacy row scan.
-  auto gather = [&](size_t t_idx,
-                    std::vector<ScanMatch>* matches) -> Status {
-    Table* table = &entries[t_idx]->table;
-    const Expr* lw = plan.local[t_idx].get();
-    bool used_index = false;
-    std::vector<int64_t> candidates;
-    HEDC_RETURN_IF_ERROR(
-        CollectIndexCandidates(table, lw, &candidates, &used_index));
-    if (used_index) {
-      int64_t stale = 0;
-      for (int64_t row_id : candidates) {
-        const Row* row = table->Find(row_id);
-        if (row == nullptr) {
-          ++stale;
-          continue;
-        }
-        stats_.rows_examined.fetch_add(1, std::memory_order_relaxed);
-        if (lw != nullptr) {
-          HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*lw, *row));
-          if (!keep.AsBool()) continue;
-        }
-        matches->push_back(ScanMatch{row_id, row});
-      }
-      if (stale > 0) {
-        stats_.stale_index_entries.fetch_add(stale,
-                                             std::memory_order_relaxed);
-      }
-      return Status::Ok();
-    }
-    if (vectorized) {
-      ScanOptions sopts;
-      sopts.zone_maps = exec_options_.zone_maps;
-      sopts.threads = exec_options_.scan_threads;
-      sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
-      ScanStats sstats;
-      HEDC_RETURN_IF_ERROR(ScanFilter(*table, lw, sopts, matches, &sstats));
-      stats_.rows_examined.fetch_add(sstats.rows_scanned,
-                                     std::memory_order_relaxed);
-      stats_.morsels_pruned.fetch_add(sstats.morsels_pruned,
-                                      std::memory_order_relaxed);
-      return Status::Ok();
-    }
-    Status eval_error;
-    int64_t examined = 0;
-    table->Scan([&](int64_t row_id, const Row& row) {
-      ++examined;
-      if (lw != nullptr) {
-        Result<Value> keep = EvalExpr(*lw, row);
-        if (!keep.ok()) {
-          eval_error = keep.status();
-          return false;
-        }
-        if (!keep.value().AsBool()) return true;
-      }
-      matches->push_back(ScanMatch{row_id, &row});
-      return true;
-    });
-    stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
-    return eval_error;
-  };
-
-  // --- Build phase: hash tables over every non-driver table.
+  // --- Build phase: hash tables over every non-driver table, each built
+  // from its table's survivors under the pushed-down local predicate.
   const size_t partitions = static_cast<size_t>(
       std::clamp(exec_options_.join_partitions, 1, 64));
   std::vector<BuiltSide> built(nsteps);
   for (size_t s = 0; s < nsteps; ++s) {
     const JoinStepPlan& step = plan.steps[s];
-    HEDC_RETURN_IF_ERROR(gather(step.table_idx, &built[s].matches));
+    HEDC_RETURN_IF_ERROR(FilterRows(&entries[step.table_idx]->table,
+                                    plan.local[step.table_idx].get(),
+                                    /*scan_heap=*/true, &built[s].matches)
+                             .status());
     built[s].ht = std::make_unique<JoinHashTable>(
-        js.LocalColumn(step.build_col), step.coerce_numeric,
-        vectorized ? partitions : 1);
+        js.LocalColumn(step.build_col), step.coerce_numeric, partitions);
     built[s].ht->Build(
         built[s].matches,
         exec_options_.scan_threads > 1 ? ScanPool() : nullptr,
-        vectorized ? exec_options_.scan_threads : 1);
+        exec_options_.scan_threads);
   }
 
-  // --- Probe-side tuple machinery shared by both modes. A tuple is a
+  // --- Probe-side tuple machinery shared by both drivers. A tuple is a
   // driver row plus one matched build row per completed step; tuples
   // are flat arrays (`pos` into the driver batch, `rows` with stride
   // nsteps) so the per-morsel pipeline allocates nothing after warmup.
@@ -875,68 +812,21 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
       if (keyed_sort) r.push_back(value_at(drow, cur, k, *out.order_col));
       rows_out->push_back(std::move(r));
     }
-    stats_.rows_matched.fetch_add(static_cast<int64_t>(ntuples),
-                                  std::memory_order_relaxed);
   };
 
   GroupedAggregator agg_total = agg_proto.Fork();
   std::vector<Row> plain_rows;
 
   const Expr* driver_where = plan.local[plan.driver].get();
-  bool driver_used_index = false;
-  std::vector<int64_t> driver_candidates;
-  HEDC_RETURN_IF_ERROR(CollectIndexCandidates(
-      &entries[plan.driver]->table, driver_where, &driver_candidates,
-      &driver_used_index));
+  std::vector<ScanMatch> driver_matches;
+  HEDC_ASSIGN_OR_RETURN(
+      bool driver_used_index,
+      FilterRows(&entries[plan.driver]->table, driver_where,
+                 /*scan_heap=*/false, &driver_matches));
 
-  if (driver_used_index || !vectorized) {
-    // Serial probe: index candidates (both modes) or the row-at-a-time
-    // fallback. Driver rows stream in row-id order through the same
-    // step pipeline, one batch of one row... batching still pays for
-    // the tuple buffers, so batch up to the morsel size.
-    std::vector<ScanMatch> driver_matches;
-    if (driver_used_index) {
-      int64_t stale = 0;
-      Table* table = &entries[plan.driver]->table;
-      for (int64_t row_id : driver_candidates) {
-        const Row* row = table->Find(row_id);
-        if (row == nullptr) {
-          ++stale;
-          continue;
-        }
-        stats_.rows_examined.fetch_add(1, std::memory_order_relaxed);
-        if (driver_where != nullptr) {
-          HEDC_ASSIGN_OR_RETURN(Value keep, EvalExpr(*driver_where, *row));
-          if (!keep.AsBool()) continue;
-        }
-        driver_matches.push_back(ScanMatch{row_id, row});
-      }
-      if (stale > 0) {
-        stats_.stale_index_entries.fetch_add(stale,
-                                             std::memory_order_relaxed);
-      }
-    } else {
-      // Row mode, no index: legacy heap scan (the driver's
-      // CollectIndexCandidates above already counted the full scan).
-      Table* table = &entries[plan.driver]->table;
-      Status eval_error;
-      int64_t examined = 0;
-      table->Scan([&](int64_t row_id, const Row& row) {
-        ++examined;
-        if (driver_where != nullptr) {
-          Result<Value> keep = EvalExpr(*driver_where, row);
-          if (!keep.ok()) {
-            eval_error = keep.status();
-            return false;
-          }
-          if (!keep.value().AsBool()) return true;
-        }
-        driver_matches.push_back(ScanMatch{row_id, &row});
-        return true;
-      });
-      stats_.rows_examined.fetch_add(examined, std::memory_order_relaxed);
-      HEDC_RETURN_IF_ERROR(eval_error);
-    }
+  if (driver_used_index) {
+    // Index-driven probe: the candidates stream serially, in index
+    // order, through the step pipeline as one batch.
     TupleBuf cur, next;
     Row scratch(total_cols);
     auto driver_row = [&](uint32_t i) -> const Row& {
@@ -951,7 +841,7 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
     emit_tuples(driver_row, driver_id, cur, &agg_total, &scratch,
                 &plain_rows);
   } else {
-    // Vectorized probe: morsel-driven over the driver table, the local
+    // Morsel-driven probe over the driver table's heap: the local
     // predicate compiled to filter kernels, join steps probed per
     // chunk.
     const FilterPlan fplan = CompileFilter(driver_where);
@@ -959,9 +849,9 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
     if (exec_options_.zone_maps && driver_where != nullptr) {
       const auto bounds = ExtractColumnBounds(driver_where);
       if (!bounds.empty()) {
-        int64_t pruned = 0;
-        PruneMorsels(driver_table, bounds, &morsels, &pruned);
-        stats_.morsels_pruned.fetch_add(pruned, std::memory_order_relaxed);
+        ScanStats pruning;
+        PruneMorsels(driver_table, bounds, &morsels, &pruning.morsels_pruned);
+        CountHeapScan(pruning);
       } else {
         driver_table.ListMorsels(&morsels);
       }
@@ -980,8 +870,10 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
       sel->resize(chunk->size());
       std::iota(sel->begin(), sel->end(), 0);
       HEDC_RETURN_IF_ERROR(ApplyFilter(fplan, chunk, sel));
-      stats_.rows_examined.fetch_add(static_cast<int64_t>(chunk->size()),
-                                     std::memory_order_relaxed);
+      ScanStats scan;
+      scan.rows_scanned = static_cast<int64_t>(chunk->size());
+      scan.rows_matched = static_cast<int64_t>(sel->size());
+      CountHeapScan(scan);
       cur->pos = *sel;
       auto driver_row = [&](uint32_t i) -> const Row& {
         return chunk->row(i);
@@ -994,10 +886,7 @@ Result<ResultSet> Database::ExecJoinedSelect(const SelectStmt& stmt,
       return Status::Ok();
     };
 
-    ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
-    sopts.threads = exec_options_.scan_threads;
-    sopts.pool = exec_options_.scan_threads > 1 ? ScanPool() : nullptr;
+    const ScanOptions sopts = HeapScanOptions();
     const int threads =
         sopts.pool != nullptr ? PlannedScanThreads(driver_table, sopts) : 1;
 
@@ -1147,11 +1036,9 @@ Result<std::vector<std::string>> Database::ExplainJoinedSelect(
   head += js.table(plan.driver).name;
   head += StrFormat(" (est %lld rows)",
                     static_cast<long long>(plan.est[plan.driver]));
-  if (exec_options_.vectorized && !driver_indexed) {
+  if (!driver_indexed) {
     ScanOptions sopts;
-    sopts.zone_maps = exec_options_.zone_maps;
     sopts.threads = exec_options_.scan_threads;
-    sopts.pool = scan_pool_.get();  // sizing only
     const int threads =
         PlannedScanThreads(*js.table(plan.driver).table, sopts);
     head += StrFormat(" [vectorized x%d]", threads);

@@ -13,9 +13,9 @@
 // down to their table's scan, column=column equalities become join
 // edges, and everything else is a residual interpreted at the earliest
 // step where all referenced tables are available. Zone-map row estimates
-// pick the probe (driver) side and the build order; the vectorized mode
-// probes partitioned hash tables morsel-at-a-time on the scan pool, the
-// row mode (db.vectorized=off) interprets the same plan tuple-at-a-time.
+// pick the probe (driver) side and the build order; the driver's heap
+// is probed against partitioned hash tables morsel-at-a-time on the scan
+// pool (an index-driven driver streams its candidates serially).
 #ifndef HEDC_DB_JOIN_H_
 #define HEDC_DB_JOIN_H_
 

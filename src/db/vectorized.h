@@ -1,8 +1,8 @@
 // Vectorized scan-filter execution (DESIGN.md §4e).
 //
-// The row-at-a-time path re-interprets the WHERE tree per row on boxed
-// Values (Status machinery + Value copies at every node). This module
-// replaces it for the common shapes: the bound predicate is compiled
+// Interpreting the WHERE tree per row on boxed Values costs Status
+// machinery and Value copies at every node. This module avoids that for
+// the common shapes: the bound predicate is compiled
 // once per statement into per-conjunct *filter kernels* that run over a
 // DataChunk's flattened column vectors, compacting a selection vector.
 // Conjuncts the compiler does not recognize fall back to the
@@ -126,14 +126,13 @@ Status ScanFilter(const Table& table, const Expr* where,
 
 // ---- Vectorized grouped aggregation (DESIGN.md §4h) ----
 //
-// One hash-grouped accumulator shared by every aggregation path: the
-// row interpreter feeds it boxed rows, the vectorized paths run typed
-// kernels over a chunk's flattened columns, and parallel scans fork one
-// aggregator per worker and merge the partials. Group identity is the
-// rendered text of the key columns joined with 0x1f (single-column keys
-// therefore match the historical row path exactly, including NULL
-// rendering as "NULL"), so Int(1) and Real(1.0) share a group just as
-// Value::Compare equates them.
+// One hash-grouped accumulator shared by every aggregation path:
+// materialized matches (index scans, ORDER BY, joins) feed it boxed
+// rows, streamed heap scans run typed kernels over a chunk's flattened
+// columns, and parallel scans fork one aggregator per worker and merge
+// the partials. Group identity is the rendered text of the key columns
+// joined with 0x1f (NULL renders as "NULL"), so Int(1) and Real(1.0)
+// share a group just as Value::Compare equates them.
 
 struct AggSpec {
   AggFunc func = AggFunc::kCountStar;

@@ -500,6 +500,30 @@ Result<std::vector<int64_t>> SemanticLayer::ListCatalogHles(
   return out;
 }
 
+Result<int64_t> SemanticLayer::CountVisibleCatalogEntries(
+    const Session& session, int64_t hle_id) {
+  QuerySpec spec("catalog_members");
+  spec.Select("catalog_id").Where("hle_id", CondOp::kEq,
+                                  db::Value::Int(hle_id));
+  HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
+  int64_t visible = 0;
+  for (const db::Row& member : rs.rows) {
+    // One primary-key probe per entry, reading just the catalog's
+    // visibility columns; an entry whose catalog is gone is not counted.
+    QuerySpec probe("catalogs");
+    probe.Select("owner_id")
+        .Select("is_public")
+        .Where("catalog_id", CondOp::kEq, member[0]);
+    HEDC_ASSIGN_OR_RETURN(db::ResultSet catalog, io_->Query(probe));
+    if (!catalog.rows.empty() &&
+        Visible(session, catalog.rows[0][0].AsInt(),
+                catalog.rows[0][1].AsBool())) {
+      ++visible;
+    }
+  }
+  return visible;
+}
+
 Status SemanticLayer::RecordLineage(int64_t item_id, int64_t source_item_id,
                                     const std::string& operation,
                                     int calibration_version,

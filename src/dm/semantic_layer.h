@@ -128,6 +128,10 @@ class SemanticLayer {
                       int64_t hle_id);
   Result<std::vector<int64_t>> ListCatalogHles(const Session& session,
                                                int64_t catalog_id);
+  // Catalog entries of `hle_id` whose catalog is visible to the session
+  // (public, its own, or super), by the rule GetCatalogByName applies.
+  Result<int64_t> CountVisibleCatalogEntries(const Session& session,
+                                             int64_t hle_id);
 
   // Lineage helper used by processes and the PL commit phase.
   Status RecordLineage(int64_t item_id, int64_t source_item_id,

@@ -39,8 +39,7 @@ struct Entry {
   double value;
 };
 
-// Haar transform + threshold/quantization survivors, shared by both
-// encoders (they differ only in coefficient order and header).
+// Haar transform + threshold/quantization survivors.
 std::vector<Entry> RetainedCoefficients(const std::vector<double>& signal,
                                         const CodecOptions& options,
                                         size_t* original_len,
@@ -68,31 +67,6 @@ std::vector<Entry> RetainedCoefficients(const std::vector<double>& signal,
 }
 
 }  // namespace
-
-std::vector<uint8_t> EncodeSignal(const std::vector<double>& signal,
-                                  const CodecOptions& options) {
-  size_t original_len = 0, padded_len = 0;
-  double dropped_energy = 0;
-  std::vector<Entry> entries = RetainedCoefficients(
-      signal, options, &original_len, &padded_len, &dropped_energy);
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              return std::fabs(a.value) > std::fabs(b.value);
-            });
-
-  ByteBuffer out;
-  out.PutU32(kCodecMagic);
-  out.PutVarint(original_len);
-  out.PutVarint(padded_len);
-  out.PutF64(options.quant_step);
-  out.PutVarint(entries.size());
-  for (const Entry& e : entries) {
-    out.PutVarint(e.index);
-    out.PutSignedVarint(
-        static_cast<int64_t>(std::llround(e.value / options.quant_step)));
-  }
-  return std::move(out).TakeData();
-}
 
 std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
                                              const CodecOptions& options) {

@@ -2,17 +2,19 @@
 //
 // Two stream formats share the Haar transform and varint coefficient
 // records:
-//  - HWV1 (EncodeSignal): coefficients in decreasing-magnitude order, so
-//    any *coefficient-count* prefix reconstructs the best approximation
-//    for that budget ("the client works on approximated and aggregated
-//    versions of the original data", §6.3).
-//  - HWV3 (EncodeSignalProgressive): coefficients ordered by resolution
-//    level, then by decreasing magnitude within each level, with a
-//    per-level byte-offset table in the header. Any *byte* prefix of the
-//    stream is decodable on its own, so one stored stream serves every
-//    resolution: a server slices the first K bytes and the client
-//    reconstructs the best K-byte approximation plus a deterministic
-//    error bound from the energy accounting carried in the header.
+//  - HWV3 (EncodeSignalProgressive), the only format written:
+//    coefficients ordered by resolution level, then by decreasing
+//    magnitude within each level, with a per-level byte-offset table in
+//    the header. Any *byte* prefix of the stream is decodable on its own,
+//    so one stored stream serves every resolution: a server slices the
+//    first K bytes and the client reconstructs the best K-byte
+//    approximation plus a deterministic error bound from the energy
+//    accounting carried in the header ("the client works on approximated
+//    and aggregated versions of the original data", §6.3).
+//  - HWV1, read-only: the legacy format, coefficients in
+//    decreasing-magnitude order, so a *coefficient-count* prefix
+//    reconstructs the best approximation for that budget. Streams stored
+//    before HWV3 still decode; nothing writes new ones.
 //
 // Decoding with fraction = 1.0 (or the full HWV3 stream) is lossless up
 // to quantization, and the reconstructed samples are bit-identical
@@ -36,11 +38,6 @@ struct CodecOptions {
   // Coefficients with |c| < threshold are dropped entirely.
   double threshold = 0.0;
 };
-
-// Encodes `signal` (any length; padded internally): Haar transform,
-// threshold, quantize, magnitude-order.
-std::vector<uint8_t> EncodeSignal(const std::vector<double>& signal,
-                                  const CodecOptions& options = {});
 
 // Decodes using roughly the first `fraction` (0..1] of the coefficient
 // stream. fraction >= 1 uses everything. Accepts both HWV1 and HWV3

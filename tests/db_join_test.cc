@@ -1,8 +1,8 @@
 // Hash-join executor tests: two- and three-table equi-joins, NULL key
 // semantics, duplicate-key fan-out, empty build sides, WHERE pushdown,
 // residual ON conjuncts, joined grouped aggregation, planner knobs,
-// EXPLAIN pipeline rendering, vectorized-vs-row equivalence, and a
-// join-vs-DML concurrency stress lane.
+// EXPLAIN pipeline rendering, knob-combination equivalence, scan
+// accounting on /metrics, and a join-vs-DML concurrency stress lane.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/config.h"
+#include "core/metrics.h"
 #include "db/database.h"
 #include "db/explain.h"
 
@@ -332,6 +332,51 @@ TEST_F(JoinTest, JoinsCounterIncrements) {
   EXPECT_EQ(db_.stats().joins.load(), before + 1);
 }
 
+// A joined SELECT's table accesses reach /metrics like a single-table
+// SELECT's: heap-scanned rows tick db.rows_scanned in step with
+// stats().rows_examined, index candidates tick only the latter, and each
+// table's predicate survivors tick db.rows_matched.
+TEST_F(JoinTest, TableAccessesTickScanCounters) {
+  Counter* scanned = MetricsRegistry::Default()->GetCounter("db.rows_scanned");
+  Counter* matched = MetricsRegistry::Default()->GetCounter("db.rows_matched");
+  struct Deltas {
+    int64_t scanned, matched, examined, stats_matched;
+  };
+  auto run = [&](const std::string& sql) {
+    const Deltas before{scanned->Value(), matched->Value(),
+                        db_.stats().rows_examined.load(),
+                        db_.stats().rows_matched.load()};
+    auto r = db_.Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+    return Deltas{scanned->Value() - before.scanned,
+                  matched->Value() - before.matched,
+                  db_.stats().rows_examined.load() - before.examined,
+                  db_.stats().rows_matched.load() - before.stats_matched};
+  };
+
+  // entries (200 rows) drives; archives is built from a full scan whose
+  // local predicate keeps archives 2..4.
+  Deltas scans = run(
+      "SELECT entries.entry_id, archives.prefix FROM entries JOIN archives "
+      "ON entries.archive_id = archives.archive_id "
+      "WHERE archives.archive_id > 1");
+  EXPECT_EQ(scans.examined, kEntries + 4);
+  EXPECT_EQ(scans.scanned, scans.examined);
+  EXPECT_EQ(scans.stats_matched, kEntries + 3);
+  EXPECT_EQ(scans.matched, scans.stats_matched);
+
+  // entry 12 comes from the primary-key index (estimated 1 row, so the
+  // 4-row archives heap drives): only the heap rows count as scanned.
+  Deltas indexed = run(
+      "SELECT entries.entry_id, archives.prefix FROM entries JOIN archives "
+      "ON entries.archive_id = archives.archive_id "
+      "WHERE entries.entry_id = 12");
+  EXPECT_EQ(indexed.scanned, 4);
+  EXPECT_EQ(indexed.examined, 4 + 1);
+  EXPECT_EQ(indexed.matched, 4 + 1);
+  EXPECT_EQ(indexed.stats_matched, indexed.matched);
+}
+
 // Every interesting query, executed under each knob combination, must
 // produce identical rows (joins and grouped aggregation are
 // deterministic: driver order x build insertion order).
@@ -352,25 +397,21 @@ TEST_F(JoinTest, RowAndVectorizedModesAgree) {
       "LIMIT 20",
   };
   struct Knobs {
-    const char* vectorized;
-    const char* planner;
-    const char* partitions;
+    bool planner;
+    int partitions;
   };
   const std::vector<Knobs> combos = {
-      {"true", "true", "8"},
-      {"true", "true", "1"},
-      {"true", "false", "8"},
-      {"false", "true", "8"},
-      {"false", "false", "8"},
+      {true, 8},
+      {true, 1},
+      {false, 8},
   };
   for (const std::string& sql : queries) {
     std::vector<std::vector<Row>> results;
     for (const Knobs& k : combos) {
-      Config config;
-      config.Set("db.vectorized", k.vectorized);
-      config.Set("db.join_planner", k.planner);
-      config.Set("db.join_partitions", k.partitions);
-      db_.Configure(config);
+      ExecOptions opts = db_.exec_options();
+      opts.join_planner = k.planner;
+      opts.join_partitions = k.partitions;
+      db_.set_exec_options(opts);
       auto r = db_.Execute(sql);
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
       results.push_back(r.value().rows);
@@ -417,9 +458,9 @@ TEST_F(JoinTest, ExplainRendersGroupAggregateStage) {
 TEST_F(JoinTest, PlannerOffDrivesFromFirstTable) {
   // With the cost-based planner off, FROM order wins: archives (4 rows)
   // drives and the 200-row entries side is built.
-  Config config;
-  config.Set("db.join_planner", "false");
-  db_.Configure(config);
+  ExecOptions opts = db_.exec_options();
+  opts.join_planner = false;
+  db_.set_exec_options(opts);
   auto plan = ExplainSelect(
       &db_,
       "SELECT entries.entry_id FROM archives JOIN entries ON "
@@ -428,9 +469,8 @@ TEST_F(JoinTest, PlannerOffDrivesFromFirstTable) {
   EXPECT_NE(plan.value().ToString().find("HASH JOIN build entries"),
             std::string::npos)
       << plan.value().ToString();
-  Config back;  // Configure folds onto current options; flip it back
-  back.Set("db.join_planner", "true");
-  db_.Configure(back);
+  opts.join_planner = true;
+  db_.set_exec_options(opts);
   // Planner on flips the build side back to archives.
   auto plan2 = ExplainSelect(
       &db_,

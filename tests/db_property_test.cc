@@ -1,7 +1,8 @@
-// Property test: the SQL engine against a plain in-memory reference
-// model, under randomized inserts, updates, deletes and range/point/
-// compound queries. Any divergence between the executor's index-assisted
-// paths and the model's brute-force filtering fails the test.
+// Property tests: the SQL engine under randomized inserts, updates,
+// deletes and range/point/compound/joined queries, against reference
+// models that share none of its access paths — a plain in-memory model,
+// a std::set of live keys, and the nested-loop reference evaluator
+// (sql_reference.h). Any divergence fails the test.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include "core/rng.h"
 #include "core/strings.h"
 #include "db/database.h"
+#include "sql_reference.h"
 
 namespace hedc::db {
 namespace {
@@ -144,56 +146,80 @@ TEST_P(SqlPropertyTest, EngineMatchesReferenceModel) {
   }
 }
 
-// Differential test: the same random workload against two engines that
-// differ only in execution strategy — vectorized + morsel-parallel +
-// zone maps versus the row-at-a-time interpreter. Every query must
-// return the same result set (order-insensitive; the queries avoid
-// ORDER BY so the comparison covers the executors' native emit order
-// too). The corpus deliberately includes NULLs and IN-list predicates.
-TEST_P(SqlPropertyTest, VectorizedMatchesRowAtATime) {
-  Rng rng(GetParam() * 7919 + 3);
-  Database vec_db;
-  Database row_db;
-  {
-    ExecOptions on;
-    on.vectorized = true;
-    on.zone_maps = true;
-    on.morsel_rows = 32;  // small morsels: exercise pruning + many chunks
-    on.scan_threads = 4;
-    vec_db.set_exec_options(on);
-    ExecOptions off;
-    off.vectorized = false;
-    row_db.set_exec_options(off);
-  }
-  for (Database* db : {&vec_db, &row_db}) {
-    ASSERT_TRUE(db->Execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, "
-                            "b REAL, c TEXT)")
-                    .ok());
+// Checks every statement of a random workload against the nested-loop
+// reference evaluator (tests/sql_reference.h), on the same heap: each
+// SELECT must return the reference's rows (order-insensitive, types
+// included), and each UPDATE or DELETE must affect the rows the
+// reference predicts from a heap scan before it runs and leave exactly
+// the heap the reference predicts. The engine runs small morsels,
+// parallel scans, zone maps and a partitioned hash join, so its
+// kernels, pruning, planner and aggregator all face the reference.
+class ReferenceChecker {
+ public:
+  explicit ReferenceChecker(Database* db) : db_(db) {
+    ExecOptions opts;
+    opts.zone_maps = true;
+    opts.morsel_rows = 32;  // small morsels: exercise pruning + many chunks
+    opts.scan_threads = 4;
+    opts.join_partitions = 4;
+    db_->set_exec_options(opts);
   }
 
-  const char* kTags[] = {"flare", "grb", "quiet", "flare_x", "other"};
-  auto both = [&](const std::string& sql, const std::vector<Value>& params) {
-    auto want = row_db.Execute(sql, params);
-    auto got = vec_db.Execute(sql, params);
+  void Insert(const std::string& sql, const std::vector<Value>& params) {
+    auto r = db_->Execute(sql, params);
+    ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
+  }
+
+  void Select(const std::string& sql, const std::vector<Value>& params) {
+    auto want = reference::Select(db_, sql, params);
+    auto got = db_->Execute(sql, params);
     ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
     ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
-    ASSERT_EQ(got.value().affected_rows, want.value().affected_rows) << sql;
-    std::vector<std::string> ws, gs;
-    for (const Row& row : want.value().rows) {
-      std::string s;
-      for (const Value& v : row) s += v.AsText() + "|";
-      ws.push_back(std::move(s));
-    }
-    for (const Row& row : got.value().rows) {
-      std::string s;
-      for (const Value& v : row) s += v.AsText() + "|";
-      gs.push_back(std::move(s));
-    }
-    std::sort(ws.begin(), ws.end());
-    std::sort(gs.begin(), gs.end());
-    ASSERT_EQ(gs, ws) << sql;
-  };
+    ASSERT_EQ(Sorted(got.value().rows), Sorted(want.value())) << sql;
+  }
 
+  void Dml(const std::string& sql, const std::vector<Value>& params) {
+    auto want = reference::PredictDml(db_, sql, params);
+    ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
+    auto got = db_->Execute(sql, params);
+    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
+    ASSERT_EQ(got.value().affected_rows, want.value().affected_rows) << sql;
+    ASSERT_EQ(Rendered(reference::Heap(db_, want.value().table)),
+              Rendered(want.value().heap))
+        << sql;
+  }
+
+ private:
+  static std::vector<std::string> Sorted(const std::vector<Row>& rows) {
+    std::vector<std::string> out;
+    for (const Row& row : rows) out.push_back(reference::RenderRow(row));
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+  static std::map<int64_t, std::string> Rendered(
+      const std::map<int64_t, Row>& heap) {
+    std::map<int64_t, std::string> out;
+    for (const auto& [row_id, row] : heap) {
+      out[row_id] = reference::RenderRow(row);
+    }
+    return out;
+  }
+
+  Database* db_;
+};
+
+// Single-table statements; the corpus includes NULLs, IN lists and
+// predicates the kernel compiler cannot type. The queries avoid ORDER BY
+// so the comparison covers the engine's native emit order too.
+TEST_P(SqlPropertyTest, SelectsMatchNestedLoopReference) {
+  Rng rng(GetParam() * 7919 + 3);
+  Database db;
+  ReferenceChecker check(&db);
+  ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT PRIMARY KEY, a INT, "
+                         "b REAL, c TEXT)")
+                  .ok());
+
+  const char* kTags[] = {"flare", "grb", "quiet", "flare_x", "other"};
   int64_t next_id = 1;
   for (int step = 0; step < 800; ++step) {
     double action = rng.NextDouble();
@@ -206,100 +232,64 @@ TEST_P(SqlPropertyTest, VectorizedMatchesRowAtATime) {
           Value::Real(rng.Uniform(0, 10)),
           rng.Bernoulli(0.1) ? Value::Null()
                              : Value::Text(kTags[rng.UniformInt(0, 4)])};
-      both("INSERT INTO t VALUES (?, ?, ?, ?)", params);
+      check.Insert("INSERT INTO t VALUES (?, ?, ?, ?)", params);
     } else if (action < 0.5) {
-      both("DELETE FROM t WHERE id = ?",
-           {Value::Int(rng.UniformInt(1, next_id))});
+      check.Dml("DELETE FROM t WHERE id = ?",
+                {Value::Int(rng.UniformInt(1, next_id))});
     } else if (action < 0.6) {
-      both("UPDATE t SET b = ?, a = ? WHERE a >= ? AND a < ?",
-           {Value::Real(rng.Uniform(0, 10)),
-            rng.Bernoulli(0.2) ? Value::Null()
-                               : Value::Int(rng.UniformInt(0, 100)),
-            Value::Int(rng.UniformInt(0, 90)),
-            Value::Int(rng.UniformInt(0, 110))});
+      check.Dml("UPDATE t SET b = ?, a = ? WHERE a >= ? AND a < ?",
+                {Value::Real(rng.Uniform(0, 10)),
+                 rng.Bernoulli(0.2) ? Value::Null()
+                                    : Value::Int(rng.UniformInt(0, 100)),
+                 Value::Int(rng.UniformInt(0, 90)),
+                 Value::Int(rng.UniformInt(0, 110))});
     } else if (action < 0.7) {
       // IN-list over the tag column (text, nullable).
-      both("SELECT id, c FROM t WHERE c IN (?, ?, ?)",
-           {Value::Text(kTags[rng.UniformInt(0, 4)]),
-            Value::Text(kTags[rng.UniformInt(0, 4)]),
-            rng.Bernoulli(0.3) ? Value::Null()
-                               : Value::Text(kTags[rng.UniformInt(0, 4)])});
+      check.Select("SELECT id, c FROM t WHERE c IN (?, ?, ?)",
+                   {Value::Text(kTags[rng.UniformInt(0, 4)]),
+                    Value::Text(kTags[rng.UniformInt(0, 4)]),
+                    rng.Bernoulli(0.3)
+                        ? Value::Null()
+                        : Value::Text(kTags[rng.UniformInt(0, 4)])});
     } else if (action < 0.8) {
       if (rng.Bernoulli(0.5)) {
-        both("SELECT id, a FROM t WHERE a IS NULL", {});
+        check.Select("SELECT id, a FROM t WHERE a IS NULL", {});
       } else {
-        both("SELECT id, a FROM t WHERE a IS NOT NULL AND a >= ?",
-             {Value::Int(rng.UniformInt(0, 100))});
+        check.Select("SELECT id, a FROM t WHERE a IS NOT NULL AND a >= ?",
+                     {Value::Int(rng.UniformInt(0, 100))});
       }
     } else if (action < 0.9) {
       // Range over a clustered-ish column (zone maps active) plus a
       // residual the kernel compiler cannot type.
-      both("SELECT id FROM t WHERE id >= ? AND id <= ? AND b * ? < ?",
-           {Value::Int(rng.UniformInt(1, next_id)),
-            Value::Int(rng.UniformInt(1, next_id + 50)),
-            Value::Real(rng.Uniform(0.5, 2.0)),
-            Value::Real(rng.Uniform(0, 15))});
+      check.Select("SELECT id FROM t WHERE id >= ? AND id <= ? AND b * ? < ?",
+                   {Value::Int(rng.UniformInt(1, next_id)),
+                    Value::Int(rng.UniformInt(1, next_id + 50)),
+                    Value::Real(rng.Uniform(0.5, 2.0)),
+                    Value::Real(rng.Uniform(0, 15))});
     } else {
-      both("SELECT id, c FROM t WHERE c LIKE ? OR a = ?",
-           {Value::Text(std::string(kTags[rng.UniformInt(0, 4)]).substr(0, 2) +
-                        "%"),
-            Value::Int(rng.UniformInt(0, 100))});
+      check.Select(
+          "SELECT id, c FROM t WHERE c LIKE ? OR a = ?",
+          {Value::Text(std::string(kTags[rng.UniformInt(0, 4)]).substr(0, 2) +
+                       "%"),
+           Value::Int(rng.UniformInt(0, 100))});
     }
   }
-  both("SELECT COUNT(*), MIN(a), MAX(a) FROM t", {});
+  check.Select("SELECT COUNT(*), MIN(a), MAX(a) FROM t", {});
 }
 
-// Differential join/aggregation test: randomized 2- and 3-table
-// equi-joins and grouped aggregates against the row-at-a-time fallback,
-// under concurrent-shape data (NULL join keys, dangling keys, duplicate
-// build keys, empty build sides). Aggregated columns are
-// integer-valued so SUM/AVG are exact under any morsel/partition
-// association and the comparison can stay bit-exact.
-TEST_P(SqlPropertyTest, JoinedQueriesMatchRowAtATime) {
+// Randomized 2- and 3-table equi-joins and grouped aggregates with NULL
+// join keys, dangling keys, duplicate build keys and empty build sides.
+// Aggregated columns are integer-valued so SUM/AVG are exact under any
+// morsel/partition association and the comparison can stay bit-exact.
+TEST_P(SqlPropertyTest, JoinedQueriesMatchNestedLoopReference) {
   Rng rng(GetParam() * 104729 + 17);
-  Database vec_db;
-  Database row_db;
-  {
-    ExecOptions on;
-    on.vectorized = true;
-    on.zone_maps = true;
-    on.morsel_rows = 32;
-    on.scan_threads = 4;
-    on.join_partitions = 4;
-    vec_db.set_exec_options(on);
-    ExecOptions off;
-    off.vectorized = false;
-    row_db.set_exec_options(off);
-  }
-  for (Database* db : {&vec_db, &row_db}) {
-    ASSERT_TRUE(db->Execute("CREATE TABLE f (id INT PRIMARY KEY, k INT, "
-                            "v INT, tag TEXT)")
-                    .ok());
-    ASSERT_TRUE(db->Execute("CREATE TABLE d (k INT, name TEXT)").ok());
-    ASSERT_TRUE(db->Execute("CREATE TABLE g (name TEXT, r INT)").ok());
-  }
-
-  auto both = [&](const std::string& sql, const std::vector<Value>& params) {
-    auto want = row_db.Execute(sql, params);
-    auto got = vec_db.Execute(sql, params);
-    ASSERT_TRUE(want.ok()) << sql << ": " << want.status().ToString();
-    ASSERT_TRUE(got.ok()) << sql << ": " << got.status().ToString();
-    ASSERT_EQ(got.value().affected_rows, want.value().affected_rows) << sql;
-    std::vector<std::string> ws, gs;
-    for (const Row& row : want.value().rows) {
-      std::string s;
-      for (const Value& v : row) s += v.AsText() + "|";
-      ws.push_back(std::move(s));
-    }
-    for (const Row& row : got.value().rows) {
-      std::string s;
-      for (const Value& v : row) s += v.AsText() + "|";
-      gs.push_back(std::move(s));
-    }
-    std::sort(ws.begin(), ws.end());
-    std::sort(gs.begin(), gs.end());
-    ASSERT_EQ(gs, ws) << sql;
-  };
+  Database db;
+  ReferenceChecker check(&db);
+  ASSERT_TRUE(db.Execute("CREATE TABLE f (id INT PRIMARY KEY, k INT, "
+                         "v INT, tag TEXT)")
+                  .ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE d (k INT, name TEXT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE g (name TEXT, r INT)").ok());
 
   const char* kNames[] = {"mica", "phoenix", "soho", "rhessi"};
   // Dimension rows: keys 0..9, ~60% of keys present, some twice
@@ -308,60 +298,61 @@ TEST_P(SqlPropertyTest, JoinedQueriesMatchRowAtATime) {
     if (rng.Bernoulli(0.4)) continue;
     const int copies = rng.Bernoulli(0.3) ? 2 : 1;
     for (int c = 0; c < copies; ++c) {
-      both("INSERT INTO d VALUES (?, ?)",
-           {Value::Int(k), Value::Text(kNames[(k + c) % 4])});
+      check.Insert("INSERT INTO d VALUES (?, ?)",
+                   {Value::Int(k), Value::Text(kNames[(k + c) % 4])});
     }
   }
   for (int i = 0; i < 4; ++i) {
-    both("INSERT INTO g VALUES (?, ?)",
-         {Value::Text(kNames[i]), Value::Int(i * 100)});
+    check.Insert("INSERT INTO g VALUES (?, ?)",
+                 {Value::Text(kNames[i]), Value::Int(i * 100)});
   }
 
   int64_t next_id = 1;
   for (int step = 0; step < 400; ++step) {
     double action = rng.NextDouble();
     if (action < 0.4) {
-      both("INSERT INTO f VALUES (?, ?, ?, ?)",
-           {Value::Int(next_id++),
-            rng.Bernoulli(0.15) ? Value::Null()
-                                : Value::Int(rng.UniformInt(0, 14)),
-            Value::Int(rng.UniformInt(0, 1000)),
-            Value::Text(kNames[rng.UniformInt(0, 3)])});
+      check.Insert("INSERT INTO f VALUES (?, ?, ?, ?)",
+                   {Value::Int(next_id++),
+                    rng.Bernoulli(0.15) ? Value::Null()
+                                        : Value::Int(rng.UniformInt(0, 14)),
+                    Value::Int(rng.UniformInt(0, 1000)),
+                    Value::Text(kNames[rng.UniformInt(0, 3)])});
     } else if (action < 0.48) {
-      both("DELETE FROM f WHERE id = ?",
-           {Value::Int(rng.UniformInt(1, next_id))});
+      check.Dml("DELETE FROM f WHERE id = ?",
+                {Value::Int(rng.UniformInt(1, next_id))});
     } else if (action < 0.56) {
-      both("UPDATE f SET k = ? WHERE id = ?",
-           {rng.Bernoulli(0.2) ? Value::Null()
-                               : Value::Int(rng.UniformInt(0, 14)),
-            Value::Int(rng.UniformInt(1, next_id))});
+      check.Dml("UPDATE f SET k = ? WHERE id = ?",
+                {rng.Bernoulli(0.2) ? Value::Null()
+                                    : Value::Int(rng.UniformInt(0, 14)),
+                 Value::Int(rng.UniformInt(1, next_id))});
     } else if (action < 0.68) {
-      both("SELECT f.id, d.name FROM f JOIN d ON f.k = d.k "
-           "WHERE f.v >= ?",
-           {Value::Int(rng.UniformInt(0, 1000))});
+      check.Select("SELECT f.id, d.name FROM f JOIN d ON f.k = d.k "
+                   "WHERE f.v >= ?",
+                   {Value::Int(rng.UniformInt(0, 1000))});
     } else if (action < 0.78) {
-      both("SELECT f.id, d.name, g.r FROM f JOIN d ON f.k = d.k "
-           "JOIN g ON g.name = d.name WHERE f.tag = ?",
-           {Value::Text(kNames[rng.UniformInt(0, 3)])});
+      check.Select("SELECT f.id, d.name, g.r FROM f JOIN d ON f.k = d.k "
+                   "JOIN g ON g.name = d.name WHERE f.tag = ?",
+                   {Value::Text(kNames[rng.UniformInt(0, 3)])});
     } else if (action < 0.88) {
-      both("SELECT d.name, COUNT(*), SUM(f.v), AVG(f.v), MIN(f.v) FROM f "
-           "JOIN d ON f.k = d.k GROUP BY d.name",
-           {});
+      check.Select("SELECT d.name, COUNT(*), SUM(f.v), AVG(f.v), MIN(f.v) "
+                   "FROM f JOIN d ON f.k = d.k GROUP BY d.name",
+                   {});
     } else if (action < 0.94) {
       // Empty or near-empty build side (name not in d / rare key).
-      both("SELECT COUNT(*), SUM(f.v) FROM f JOIN d ON f.k = d.k "
-           "WHERE d.name = ?",
-           {rng.Bernoulli(0.5) ? Value::Text("nonesuch")
-                               : Value::Text(kNames[rng.UniformInt(0, 3)])});
+      check.Select("SELECT COUNT(*), SUM(f.v) FROM f JOIN d ON f.k = d.k "
+                   "WHERE d.name = ?",
+                   {rng.Bernoulli(0.5)
+                        ? Value::Text("nonesuch")
+                        : Value::Text(kNames[rng.UniformInt(0, 3)])});
     } else {
-      both("SELECT f.tag, d.k, COUNT(*), SUM(f.v) FROM f JOIN d ON "
-           "f.k = d.k GROUP BY f.tag, d.k",
-           {});
+      check.Select("SELECT f.tag, d.k, COUNT(*), SUM(f.v) FROM f JOIN d ON "
+                   "f.k = d.k GROUP BY f.tag, d.k",
+                   {});
     }
   }
-  both("SELECT f.id, d.name, g.r FROM f JOIN d ON f.k = d.k "
-       "JOIN g ON g.name = d.name",
-       {});
+  check.Select("SELECT f.id, d.name, g.r FROM f JOIN d ON f.k = d.k "
+               "JOIN g ON g.name = d.name",
+               {});
 }
 
 // PRIMARY KEY enforcement on a table with no explicit index (only the

@@ -7,7 +7,6 @@
 #include <set>
 #include <vector>
 
-#include "core/config.h"
 #include "core/thread_pool.h"
 #include "db/data_chunk.h"
 #include "db/database.h"
@@ -366,13 +365,11 @@ TEST(ParallelScanTest, SmallTablesStaySerial) {
 }
 
 TEST(DatabaseExecTest, ConfigureControlsVectorizedExecution) {
-  Config config;
-  config.Set("db.vectorized", "false");
-  config.Set("db.morsel_rows", "32");
-
   Database db;
-  db.Configure(config);
-  EXPECT_FALSE(db.exec_options().vectorized);
+  ExecOptions opts = db.exec_options();
+  opts.morsel_rows = 32;
+  opts.scan_threads = 1;
+  db.set_exec_options(opts);
   EXPECT_EQ(db.exec_options().morsel_rows, 32);
 
   ASSERT_TRUE(db.Execute("CREATE TABLE t (id INT PRIMARY KEY, v INT)").ok());
@@ -384,19 +381,20 @@ TEST(DatabaseExecTest, ConfigureControlsVectorizedExecution) {
   EXPECT_EQ(db.GetTable("t")->rows_per_morsel(), 32);
   EXPECT_EQ(db.GetTable("t")->num_morsels(), 7u);
 
-  auto off = db.Execute("SELECT id FROM t WHERE v = 3");
-  ASSERT_TRUE(off.ok());
+  auto serial = db.Execute("SELECT id FROM t WHERE v = 3");
+  ASSERT_TRUE(serial.ok());
 
-  Config on;
-  on.Set("db.vectorized", "true");
-  db.Configure(on);
-  EXPECT_TRUE(db.exec_options().vectorized);
-  EXPECT_EQ(db.exec_options().morsel_rows, 32);  // unset keys keep values
-  auto vec = db.Execute("SELECT id FROM t WHERE v = 3");
-  ASSERT_TRUE(vec.ok());
-  ASSERT_EQ(vec.value().num_rows(), off.value().num_rows());
-  for (size_t i = 0; i < vec.value().num_rows(); ++i) {
-    EXPECT_EQ(vec.value().rows[i][0].AsInt(), off.value().rows[i][0].AsInt());
+  // The other knobs apply to the next statement; existing tables keep
+  // their morsel width.
+  opts.scan_threads = 4;
+  opts.morsel_rows = 64;
+  db.set_exec_options(opts);
+  EXPECT_EQ(db.GetTable("t")->rows_per_morsel(), 32);
+  auto parallel = db.Execute("SELECT id FROM t WHERE v = 3");
+  ASSERT_TRUE(parallel.ok());
+  ASSERT_EQ(parallel.value().num_rows(), serial.value().num_rows());
+  for (size_t i = 0; i < parallel.value().num_rows(); ++i) {
+    EXPECT_EQ(parallel.value().rows[i][0].AsInt(), serial.value().rows[i][0].AsInt());
   }
 }
 

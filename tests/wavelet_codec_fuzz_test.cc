@@ -11,6 +11,7 @@
 #include "core/rng.h"
 #include "core/status.h"
 #include "core/bytes.h"
+#include "hwv1_streams.h"
 #include "wavelet/codec.h"
 
 namespace hedc::wavelet {
@@ -48,7 +49,8 @@ TEST(CodecFuzzTest, TruncationAtEveryByte) {
   Rng rng(101);
   std::vector<double> signal = RandomSignal(&rng, 300);
   for (const std::vector<uint8_t>& stream :
-       {EncodeSignal(signal), EncodeSignalProgressive(signal)}) {
+       {LegacyStream(1), EncodeSignalProgressive(signal)}) {
+    ASSERT_FALSE(stream.empty());
     for (size_t size = 0; size < stream.size(); ++size) {
       std::vector<uint8_t> truncated(stream.begin(),
                                      stream.begin() + size);
@@ -61,8 +63,8 @@ TEST(CodecFuzzTest, TruncationAtEveryByte) {
 // byte-prefix contract, so the decoder must refuse rather than return a
 // silently short signal.
 TEST(CodecFuzzTest, TruncatedLegacyStreamIsCorruption) {
-  Rng rng(102);
-  std::vector<uint8_t> stream = EncodeSignal(RandomSignal(&rng, 256));
+  std::vector<uint8_t> stream = LegacyStream(7);
+  ASSERT_FALSE(stream.empty());
   for (size_t cut = 1; cut + 1 < stream.size(); cut += 7) {
     std::vector<uint8_t> truncated(stream.begin(), stream.end() - cut);
     auto decoded = DecodeSignal(truncated, 1.0);
@@ -75,8 +77,9 @@ TEST(CodecFuzzTest, BitFlipsNeverCrash) {
   Rng rng(103);
   std::vector<double> signal = RandomSignal(&rng, 400);
   std::vector<std::vector<uint8_t>> streams = {
-      EncodeSignal(signal), EncodeSignalProgressive(signal)};
+      LegacyStream(42), EncodeSignalProgressive(signal)};
   for (const auto& stream : streams) {
+    ASSERT_FALSE(stream.empty());
     for (int round = 0; round < 400; ++round) {
       std::vector<uint8_t> mutated = stream;
       int flips = static_cast<int>(rng.UniformInt(1, 8));
@@ -193,12 +196,19 @@ TEST(CodecFuzzTest, InconsistentLevelTablesRejected) {
 // the long-haul lane for the sanitizer builds.
 TEST(CodecFuzzStress, MutationSoak) {
   Rng rng(107);
+  std::vector<std::vector<uint8_t>> legacy;
+  for (uint64_t seed : kLegacySeeds) {
+    legacy.push_back(LegacyStream(seed));
+    ASSERT_FALSE(legacy.back().empty());
+  }
   for (int round = 0; round < 3000; ++round) {
     size_t n = static_cast<size_t>(rng.UniformInt(1, 700));
     std::vector<double> signal = RandomSignal(&rng, n);
-    std::vector<uint8_t> stream = (round % 2 == 0)
-                                      ? EncodeSignalProgressive(signal)
-                                      : EncodeSignal(signal);
+    // Even rounds mutate a fresh HWV3 stream, odd rounds a stored HWV1
+    // one.
+    std::vector<uint8_t> stream =
+        (round % 2 == 0) ? EncodeSignalProgressive(signal)
+                         : legacy[static_cast<size_t>(round / 2) % 3];
     // Mutate: truncate, flip, or splice.
     switch (rng.UniformInt(0, 2)) {
       case 0:

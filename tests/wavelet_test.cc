@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/rng.h"
+#include "hwv1_streams.h"
 #include "wavelet/codec.h"
 #include "wavelet/haar.h"
 #include "wavelet/views.h"
@@ -85,7 +86,7 @@ TEST(CodecTest, LosslessAtFullFraction) {
   Rng rng(5);
   std::vector<double> signal(300);  // non-power-of-two
   for (auto& v : signal) v = rng.Uniform(0, 100);
-  std::vector<uint8_t> stream = EncodeSignal(signal);
+  std::vector<uint8_t> stream = EncodeSignalProgressive(signal);
   auto decoded = DecodeSignal(stream, 1.0);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded.value().size(), signal.size());
@@ -101,7 +102,7 @@ TEST(CodecTest, ProgressiveErrorDecreasesWithFraction) {
     signal[i] = 50 * std::sin(static_cast<double>(i) * 0.02) +
                 rng.Normal(0, 1);
   }
-  std::vector<uint8_t> stream = EncodeSignal(signal);
+  std::vector<uint8_t> stream = EncodeSignalProgressive(signal);
   double prev_err = 1e18;
   for (double fraction : {0.02, 0.1, 0.3, 1.0}) {
     auto decoded = DecodeSignal(stream, fraction);
@@ -118,7 +119,7 @@ TEST(CodecTest, BlockySignalIsSparse) {
   for (size_t i = 0; i < signal.size(); ++i) {
     signal[i] = (i / 512) % 2 == 0 ? 100.0 : 0.0;  // blocky
   }
-  std::vector<uint8_t> stream = EncodeSignal(signal);
+  std::vector<uint8_t> stream = EncodeSignalProgressive(signal);
   // Piecewise-constant signals aligned to dyadic boundaries have only a
   // handful of nonzero Haar coefficients.
   auto n = CoefficientCount(stream);
@@ -135,8 +136,8 @@ TEST(CodecTest, ThresholdDropsCoefficients) {
   for (auto& v : signal) v = rng.Normal(0, 1);
   CodecOptions lossy;
   lossy.threshold = 2.0;
-  std::vector<uint8_t> full = EncodeSignal(signal);
-  std::vector<uint8_t> thresholded = EncodeSignal(signal, lossy);
+  std::vector<uint8_t> full = EncodeSignalProgressive(signal);
+  std::vector<uint8_t> thresholded = EncodeSignalProgressive(signal, lossy);
   auto n_full = CoefficientCount(full);
   auto n_thresh = CoefficientCount(thresholded);
   ASSERT_TRUE(n_full.ok());
@@ -147,7 +148,7 @@ TEST(CodecTest, ThresholdDropsCoefficients) {
 
 TEST(CodecTest, EmptySignal) {
   std::vector<double> signal;
-  auto decoded = DecodeSignal(EncodeSignal(signal));
+  auto decoded = DecodeSignal(EncodeSignalProgressive(signal));
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(decoded.value().empty());
 }
@@ -240,17 +241,21 @@ double L2Residual(const std::vector<double>& a,
 }
 
 // The differential guarantee: a full-fidelity decode of the progressive
-// stream is bit-identical to the legacy magnitude-ordered stream —
-// reordering coefficients never changes the reconstructed samples.
+// stream is bit-identical to the checked-in legacy magnitude-ordered
+// stream of the same signal — reordering coefficients never changes the
+// reconstructed samples, and stored HWV1 streams keep decoding.
 TEST(ProgressiveCodecTest, FullDecodeBitIdenticalToLegacyFormat) {
-  for (uint64_t seed : {1u, 7u, 42u}) {
+  for (uint64_t seed : kLegacySeeds) {
     std::vector<double> signal = FlareLikeSignal(300, seed);
     CodecOptions options;
     options.quant_step = 1e-4;
-    auto legacy = DecodeSignal(EncodeSignal(signal, options), 1.0);
+    std::vector<uint8_t> stored = LegacyStream(seed);
+    ASSERT_FALSE(stored.empty()) << "missing HWV1 stream for seed " << seed;
+    ASSERT_FALSE(IsProgressiveStream(stored));
+    auto legacy = DecodeSignal(stored, 1.0);
     auto progressive =
         DecodeSignal(EncodeSignalProgressive(signal, options), 1.0);
-    ASSERT_TRUE(legacy.ok());
+    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
     ASSERT_TRUE(progressive.ok());
     ASSERT_EQ(legacy.value().size(), progressive.value().size());
     for (size_t i = 0; i < legacy.value().size(); ++i) {

@@ -523,6 +523,47 @@ TEST_F(WebStackTest, HlePageCountsOnlyVisibleAnalyses) {
   }
 }
 
+// The page's catalog-entry count is scoped like catalog listings: an
+// entry in another user's private catalog is indistinguishable from
+// absent (§5.3).
+TEST_F(WebStackTest, HlePageCountsOnlyVisibleCatalogEntries) {
+  dm::UserProfile super_user;
+  super_user.is_super = true;
+  ASSERT_TRUE(
+      stack_.data_manager->users().CreateUser("root", "pw-r", super_user)
+          .ok());
+  dm::Session alice = stack_.Login("alice", "pw-a", "10.0.0.1");
+  dm::SemanticLayer& semantics = stack_.data_manager->semantics();
+  dm::HleRecord hle;
+  hle.event_type = "flare";
+  hle.is_public = true;
+  int64_t hle_id = semantics.CreateHle(alice, hle).value();
+  for (bool is_public : {true, false}) {
+    Result<int64_t> catalog = semantics.CreateCatalog(
+        alice, is_public ? "alice-shared" : "alice-private", "", is_public);
+    ASSERT_TRUE(catalog.ok()) << catalog.status().ToString();
+    ASSERT_TRUE(semantics.AddToCatalog(alice, catalog.value(), hle_id).ok());
+  }
+
+  std::string url = "/hle?id=" + std::to_string(hle_id);
+  auto page_as = [&](const std::string& user, const std::string& password) {
+    return stack_.web_server->Dispatch(
+        MakeRequest(url, "10.0.1.1", LoginCookie(user, password)));
+  };
+  HttpResponse bob = page_as("bob", "pw-b");
+  ASSERT_EQ(bob.status_code, 200);
+  EXPECT_NE(bob.body.find(", 1 catalog entries</p>"), std::string::npos)
+      << bob.body;
+  for (const auto& [user, password] :
+       {std::pair<std::string, std::string>{"alice", "pw-a"},
+        {"root", "pw-r"}}) {
+    HttpResponse page = page_as(user, password);
+    ASSERT_EQ(page.status_code, 200) << user;
+    EXPECT_NE(page.body.find(", 2 catalog entries</p>"), std::string::npos)
+        << user << ": " << page.body;
+  }
+}
+
 TEST_F(WebStackTest, MissingPagesAre404) {
   EXPECT_EQ(stack_.web_server->Dispatch(MakeRequest("/hle?id=99999"))
                 .status_code,
