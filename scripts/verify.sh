@@ -10,7 +10,8 @@
 # concurrency hammers, networked chaos/failover, the cluster kill/restart
 # stress and the reactor net-stress lane (`ctest -L net-stress` runs just
 # that lane; the stress label regex picks it up here) — under
-# ThreadSanitizer. Run from the repo root:
+# ThreadSanitizer, and last the codec fuzz suites (`ctest -L fuzz`) under
+# AddressSanitizer. Run from the repo root:
 #   scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -53,5 +54,12 @@ cmake --build build-tsan -j
 
 echo "=== stress suite under TSan (includes cluster kill/restart) ==="
 (cd build-tsan && ctest -L stress --output-on-failure)
+
+echo "=== build (HEDC_SANITIZE=address) ==="
+cmake -B build-asan -S . -DHEDC_SANITIZE=address >/dev/null
+cmake --build build-asan -j
+
+echo "=== codec fuzz suites under ASan (raw unit, wavelet, dm-remote) ==="
+(cd build-asan && ctest -L fuzz --output-on-failure)
 
 echo "verify: OK"

@@ -74,6 +74,13 @@ class RoutineRegistry {
   std::map<std::string, std::unique_ptr<AnalysisRoutine>> routines_;
 };
 
+// The photons of a time-sorted list inside the window t_start <= t < t_end
+// that every standard routine selects from `params`, found by two binary
+// searches. Running a standard routine on the cut list gives the same
+// product as running it on the whole list.
+rhessi::PhotonList CutToTimeWindow(const rhessi::PhotonList& sorted,
+                                   const AnalysisParams& params);
+
 // Registry pre-loaded with the standard catalog: imaging, lightcurve,
 // spectrogram, histogram.
 std::unique_ptr<RoutineRegistry> CreateStandardRegistry();

@@ -67,11 +67,19 @@ std::vector<std::string> RoutineRegistry::Names() const {
 
 namespace {
 
+double WindowStart(const AnalysisParams& params) {
+  return params.GetDouble("t_start", 0);
+}
+
+double WindowEnd(const AnalysisParams& params) {
+  return params.GetDouble("t_end", 1e18);
+}
+
 // Selects photons inside the requested time/energy window.
 rhessi::PhotonList Window(const rhessi::PhotonList& photons,
                           const AnalysisParams& params) {
-  double t0 = params.GetDouble("t_start", 0);
-  double t1 = params.GetDouble("t_end", 1e18);
+  double t0 = WindowStart(params);
+  double t1 = WindowEnd(params);
   double e0 = params.GetDouble("e_min", rhessi::kMinEnergyKev);
   double e1 = params.GetDouble("e_max", rhessi::kMaxEnergyKev);
   rhessi::PhotonList out;
@@ -302,6 +310,18 @@ class ImagingRoutine : public AnalysisRoutine {
 };
 
 }  // namespace
+
+rhessi::PhotonList CutToTimeWindow(const rhessi::PhotonList& sorted,
+                                   const AnalysisParams& params) {
+  auto before = [](const rhessi::PhotonEvent& p, double t) {
+    return p.time_sec < t;
+  };
+  auto first = std::lower_bound(sorted.begin(), sorted.end(),
+                                WindowStart(params), before);
+  auto last =
+      std::lower_bound(first, sorted.end(), WindowEnd(params), before);
+  return rhessi::PhotonList(first, last);
+}
 
 std::unique_ptr<RoutineRegistry> CreateStandardRegistry() {
   auto registry = std::make_unique<RoutineRegistry>();

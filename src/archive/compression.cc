@@ -103,8 +103,11 @@ Result<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input) {
   }
   uint64_t original_size = 0;
   HEDC_RETURN_IF_ERROR(reader.GetVarint(&original_size));
+  // The declared size is only trusted as a limit on the tokens below: the
+  // reservation stays proportional to the input, and a stream that really
+  // expands further grows the buffer token by token.
   std::vector<uint8_t> out;
-  out.reserve(original_size);
+  out.reserve(std::min<uint64_t>(original_size, 4 * input.size()));
   while (!reader.AtEnd()) {
     uint8_t tag = 0;
     HEDC_RETURN_IF_ERROR(reader.GetU8(&tag));
@@ -113,6 +116,9 @@ Result<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input) {
       HEDC_RETURN_IF_ERROR(reader.GetVarint(&n));
       if (n > reader.remaining()) {
         return Status::Corruption("hzip literal run past end");
+      }
+      if (n > original_size - out.size()) {
+        return Status::Corruption("hzip output exceeds declared size");
       }
       size_t old = out.size();
       out.resize(old + n);
@@ -124,9 +130,14 @@ Result<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input) {
       if (dist == 0 || dist > out.size()) {
         return Status::Corruption("hzip back-reference out of window");
       }
+      if (len > kMaxMatch || len > original_size - out.size()) {
+        return Status::Corruption("hzip back-reference too long");
+      }
       size_t src = out.size() - dist;
+      size_t dst = out.size();
+      out.resize(dst + len);
       for (uint64_t k = 0; k < len; ++k) {
-        out.push_back(out[src + k]);  // may overlap (run-length style)
+        out[dst + k] = out[src + k];  // may overlap (run-length style)
       }
     } else {
       return Status::Corruption("hzip bad token tag");

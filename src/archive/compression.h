@@ -1,10 +1,10 @@
-// "hzip": the gnu-zip stand-in used on raw data units (§2.1).
+// "hzip": the gnu-zip stand-in of §2.1.
 //
 // LZSS-style codec: greedy longest-match against a 64 KiB sliding window,
 // emitting literal runs and (distance, length) back-references with varint
-// coding. Not deflate-compatible, but exercises the identical code path
-// (decompress-on-load, compress-on-archive) with real ratio/speed
-// trade-offs on the photon-list payloads.
+// coding. Not deflate-compatible. It is the entropy stage of rendered
+// images; raw data units are no longer written with it (it grows the
+// delta-coded photon payload), but units stored in hzip form still load.
 #ifndef HEDC_ARCHIVE_COMPRESSION_H_
 #define HEDC_ARCHIVE_COMPRESSION_H_
 
@@ -19,6 +19,8 @@ namespace hedc::archive {
 // decodable by Decompress (worst case ~ input + small overhead).
 std::vector<uint8_t> Compress(const std::vector<uint8_t>& input);
 
+// Returns kCorruption for any malformed stream, including one whose
+// declared size or back-references exceed what its tokens can produce.
 Result<std::vector<uint8_t>> Decompress(const std::vector<uint8_t>& input);
 
 // True if `bytes` begins with the hzip magic.

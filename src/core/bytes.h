@@ -14,6 +14,11 @@
 
 namespace hedc {
 
+// Inverse of the ZigZag mapping PutSignedVarint applies.
+inline int64_t ZigZagDecode(uint64_t raw) {
+  return static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
+}
+
 class ByteBuffer {
  public:
   ByteBuffer() = default;
@@ -116,7 +121,7 @@ class ByteReader {
   Status GetSignedVarint(int64_t* out) {
     uint64_t raw;
     HEDC_RETURN_IF_ERROR(GetVarint(&raw));
-    *out = static_cast<int64_t>((raw >> 1) ^ (~(raw & 1) + 1));
+    *out = ZigZagDecode(raw);
     return Status::Ok();
   }
 

@@ -30,8 +30,12 @@ struct PhotonEvent {
 using PhotonList = std::vector<PhotonEvent>;
 
 // Compact binary codec (delta-coded times, quantized to microseconds).
+// Decode returns kCorruption for truncated, overflowing or over-counted
+// input. If `time_sorted` is given, it reports whether every time delta
+// was >= 0, i.e. the decoded times never decrease.
 std::vector<uint8_t> EncodePhotons(const PhotonList& photons);
-Result<PhotonList> DecodePhotons(const std::vector<uint8_t>& bytes);
+Result<PhotonList> DecodePhotons(const std::vector<uint8_t>& bytes,
+                                 bool* time_sorted = nullptr);
 
 // Counts photons whose time lies in [t0, t1) and energy in [e0, e1).
 int64_t CountInWindow(const PhotonList& photons, double t0, double t1,

@@ -41,7 +41,8 @@ Result<RawDataUnit> RawDataUnit::FromFits(const archive::FitsFile& fits) {
   if (data == nullptr) {
     return Status::Corruption("raw unit FITS missing PHOTONS HDU");
   }
-  HEDC_ASSIGN_OR_RETURN(unit.photons, DecodePhotons(data->data));
+  HEDC_ASSIGN_OR_RETURN(unit.photons,
+                        DecodePhotons(data->data, &unit.time_sorted));
   int64_t declared = primary.GetIntCard("NPHOTONS", -1);
   if (declared >= 0 &&
       declared != static_cast<int64_t>(unit.photons.size())) {
@@ -53,13 +54,20 @@ Result<RawDataUnit> RawDataUnit::FromFits(const archive::FitsFile& fits) {
 }
 
 std::vector<uint8_t> RawDataUnit::Pack() const {
-  return archive::Compress(ToFits().Serialize());
+  return ToFits().Serialize();
 }
 
 Result<RawDataUnit> RawDataUnit::Unpack(const std::vector<uint8_t>& bytes) {
-  HEDC_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                        archive::Decompress(bytes));
-  HEDC_ASSIGN_OR_RETURN(archive::FitsFile fits, archive::FitsFile::Parse(raw));
+  // Units stored before Pack wrote plain FITS-lite are hzip streams.
+  if (archive::IsCompressed(bytes)) {
+    HEDC_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
+                          archive::Decompress(bytes));
+    HEDC_ASSIGN_OR_RETURN(archive::FitsFile fits,
+                          archive::FitsFile::Parse(raw));
+    return FromFits(fits);
+  }
+  HEDC_ASSIGN_OR_RETURN(archive::FitsFile fits,
+                        archive::FitsFile::Parse(bytes));
   return FromFits(fits);
 }
 

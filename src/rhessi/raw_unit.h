@@ -1,6 +1,9 @@
 // Raw data units: telemetry segmented along the time axis and packaged
-// into FITS files, compressed with hzip (§2.1's "units of roughly 40 MB
-// ... formatted as FITS and compressed using gnu-zip", scaled down).
+// into FITS files (§2.1's "units of roughly 40 MB ... formatted as FITS
+// and compressed using gnu-zip", scaled down). New units are stored as
+// plain FITS-lite: hzip makes the delta-coded photon payload 2-3% larger
+// (bench/abl_compression). Units stored in the older hzip form still
+// unpack.
 #ifndef HEDC_RHESSI_RAW_UNIT_H_
 #define HEDC_RHESSI_RAW_UNIT_H_
 
@@ -20,13 +23,17 @@ struct RawDataUnit {
   double t_stop = 0;
   int calibration_version = 1;
   PhotonList photons;
+  // Set by FromFits: the decoded photon times never decrease (every
+  // encoded delta is >= 0), so a time window is a contiguous range.
+  bool time_sorted = false;
 
   // Packages into a FITS-lite container (header cards: UNIT_ID, TSTART,
   // TSTOP, NPHOTONS, CALVER; "PHOTONS" HDU holds the encoded list).
   archive::FitsFile ToFits() const;
   static Result<RawDataUnit> FromFits(const archive::FitsFile& fits);
 
-  // Serialize-and-compress / decompress-and-parse round trip.
+  // Serialize / parse round trip. Unpack also reads units in the hzip
+  // form older versions of Pack wrote.
   std::vector<uint8_t> Pack() const;
   static Result<RawDataUnit> Unpack(const std::vector<uint8_t>& bytes);
 };

@@ -5,6 +5,7 @@
 
 #include "analysis/approx.h"
 #include "analysis/product.h"
+#include "analysis/routine.h"
 #include "archive/fits.h"
 #include "core/metrics.h"
 #include "core/strings.h"
@@ -329,7 +330,14 @@ class AnalyzeServlet : public Servlet {
     // at its current calibration version.
     processing.input_units = {
         {hle.value().unit_id, unit.value().calibration_version}};
-    processing.photons = std::move(unit.value().photons);
+    // Pass only the HLE's window. The routines select the same window
+    // from `params`, so cutting a time-sorted list changes no product.
+    if (unit.value().time_sorted) {
+      processing.photons =
+          analysis::CutToTimeWindow(unit.value().photons, params);
+    } else {
+      processing.photons = std::move(unit.value().photons);
+    }
     Result<int64_t> id = server->frontend()->Submit(std::move(processing));
     if (!id.ok()) return HttpResponse::NotFound(id.status().ToString());
     pl::RequestOutcome outcome = server->frontend()->Wait(id.value());

@@ -142,6 +142,76 @@ TEST(SpectrogramTest, ProducesImageWithAllCounts) {
   EXPECT_DOUBLE_EQ(img.TotalFlux(), 2000.0);
 }
 
+// Every field of a product, compared exactly (doubles by value).
+void ExpectSameProduct(const AnalysisProduct& a, const AnalysisProduct& b) {
+  EXPECT_EQ(a.routine, b.routine);
+  EXPECT_EQ(a.metadata, b.metadata);
+  EXPECT_EQ(a.log, b.log);
+  EXPECT_EQ(a.rendered, b.rendered);
+  ASSERT_EQ(a.series.has_value(), b.series.has_value());
+  if (a.series) {
+    EXPECT_EQ(a.series->x, b.series->x);
+    EXPECT_EQ(a.series->y, b.series->y);
+  }
+  ASSERT_EQ(a.image.has_value(), b.image.has_value());
+  if (a.image) {
+    EXPECT_EQ(a.image->width, b.image->width);
+    EXPECT_EQ(a.image->height, b.image->height);
+    EXPECT_EQ(a.image->pixels, b.image->pixels);
+  }
+}
+
+TEST(TimeWindowTest, CutListGivesByteIdenticalProducts) {
+  rhessi::TelemetryOptions options;
+  options.duration_sec = 300;
+  options.flares_per_hour = 40;
+  options.seed = 21;
+  // Photons as a raw unit stores them: times quantized to microseconds.
+  bool time_sorted = false;
+  Result<rhessi::PhotonList> decoded = rhessi::DecodePhotons(
+      rhessi::EncodePhotons(rhessi::GenerateTelemetry(options).photons),
+      &time_sorted);
+  ASSERT_TRUE(decoded.ok());
+  ASSERT_TRUE(time_sorted);
+  const rhessi::PhotonList& photons = decoded.value();
+  ASSERT_GT(photons.size(), 1000u);
+  const double first = photons.front().time_sec;
+  const double last = photons.back().time_sec;
+  const double mid = photons[photons.size() / 2].time_sec;
+  // Windows inside, at photon times, around, before, after and inverted.
+  const std::pair<double, double> windows[] = {
+      {first + 20.25, first + 95.5}, {mid, mid + 17.0},
+      {first, last},                 {first - 10, last + 10},
+      {first - 10, first - 1},       {last + 1, last + 10},
+      {mid + 5, mid - 5},            {mid, mid}};
+  auto registry = CreateStandardRegistry();
+  for (const char* routine : {"lightcurve", "spectrogram", "histogram"}) {
+    for (const auto& [t0, t1] : windows) {
+      SCOPED_TRACE(std::string(routine) + " window " + std::to_string(t0) +
+                   ".." + std::to_string(t1));
+      AnalysisParams params;
+      params.SetDouble("t_start", t0);
+      params.SetDouble("t_end", t1);
+      rhessi::PhotonList cut = CutToTimeWindow(photons, params);
+      EXPECT_LE(cut.size(), photons.size());
+      auto whole = registry->Get(routine)->Run(photons, params);
+      auto windowed = registry->Get(routine)->Run(cut, params);
+      ASSERT_TRUE(whole.ok());
+      ASSERT_TRUE(windowed.ok());
+      ExpectSameProduct(whole.value(), windowed.value());
+    }
+  }
+  // The cut holds exactly the window's photons.
+  AnalysisParams params;
+  params.SetDouble("t_start", first + 20.25);
+  params.SetDouble("t_end", first + 95.5);
+  rhessi::PhotonList cut = CutToTimeWindow(photons, params);
+  ASSERT_FALSE(cut.empty());
+  EXPECT_EQ(static_cast<int64_t>(cut.size()),
+            rhessi::CountInWindow(photons, params.GetDouble("t_start", 0),
+                                  params.GetDouble("t_end", 0), 0, 1e9));
+}
+
 TEST(ImagingTest, PointSourceReconstruction) {
   // Photons whose arrival phases modulate consistently with a single
   // source; back-projection should produce a peaked image.

@@ -2,6 +2,7 @@
 // clocks, thread pool.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
@@ -218,6 +219,67 @@ TEST(Crc32Test, DetectsChange) {
   uint32_t base = Crc32(data);
   data[50] ^= 1;
   EXPECT_NE(Crc32(data), base);
+}
+
+// Bitwise CRC-32 (reflected IEEE polynomial), one byte at a time: the
+// definition the table-driven Crc32 must reproduce.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t n, uint32_t seed) {
+  uint32_t c = seed ^ 0xffffffffu;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= data[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::vector<uint8_t> RandomBytes(Rng* rng, size_t n) {
+  std::vector<uint8_t> bytes(n);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng->Next());
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesReferenceAtEveryLengthAndAlignment) {
+  Rng rng(0xc4c32);
+  std::vector<uint8_t> buffer = RandomBytes(&rng, 256 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 256; ++n) {
+      uint32_t seed = static_cast<uint32_t>(rng.Next());
+      const uint8_t* p = buffer.data() + offset;
+      ASSERT_EQ(Crc32(p, n, seed), ReferenceCrc32(p, n, seed))
+          << "offset " << offset << " length " << n;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesReferenceOnOneMegabyte) {
+  Rng rng(77);
+  std::vector<uint8_t> buffer = RandomBytes(&rng, 1 << 20);
+  EXPECT_EQ(Crc32(buffer), ReferenceCrc32(buffer.data(), buffer.size(), 0));
+  EXPECT_EQ(Crc32(buffer.data() + 3, buffer.size() - 5, 0x1234567u),
+            ReferenceCrc32(buffer.data() + 3, buffer.size() - 5, 0x1234567u));
+}
+
+TEST(Crc32Test, ChainedCallsEqualOneCall) {
+  Rng rng(5);
+  std::vector<uint8_t> buffer = RandomBytes(&rng, 4096);
+  const uint32_t whole = Crc32(buffer);
+  for (int trial = 0; trial < 200; ++trial) {
+    // Split at up to three random points; each call seeds the next.
+    size_t cuts[3];
+    for (size_t& cut : cuts) {
+      cut = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(buffer.size())));
+    }
+    std::sort(std::begin(cuts), std::end(cuts));
+    uint32_t crc = 0;
+    size_t start = 0;
+    for (size_t cut : cuts) {
+      crc = Crc32(buffer.data() + start, cut - start, crc);
+      start = cut;
+    }
+    crc = Crc32(buffer.data() + start, buffer.size() - start, crc);
+    ASSERT_EQ(crc, whole) << "trial " << trial;
+  }
 }
 
 TEST(RngTest, DeterministicFromSeed) {

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "archive/compression.h"
+#include "archive/fits.h"
 #include "rhessi/calibration.h"
 #include "rhessi/event_detect.h"
 #include "rhessi/photon.h"
@@ -153,7 +155,7 @@ TEST(RawUnitTest, FitsRoundTrip) {
   EXPECT_EQ(restored.value().photons.size(), unit.photons.size());
 }
 
-TEST(RawUnitTest, PackUnpackCompresses) {
+TEST(RawUnitTest, PackWritesPlainFitsLite) {
   TelemetryOptions options;
   options.duration_sec = 120;
   options.seed = 4;
@@ -162,9 +164,14 @@ TEST(RawUnitTest, PackUnpackCompresses) {
   unit.unit_id = 1;
   unit.photons = t.photons;
   std::vector<uint8_t> packed = unit.Pack();
+  // Stored as the FITS-lite bytes themselves, with no hzip layer.
+  EXPECT_FALSE(archive::IsCompressed(packed));
+  EXPECT_EQ(packed, unit.ToFits().Serialize());
+  EXPECT_TRUE(archive::FitsFile::Parse(packed).ok());
   auto restored = RawDataUnit::Unpack(packed);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().photons.size(), unit.photons.size());
+  EXPECT_TRUE(restored.value().time_sorted);
 }
 
 TEST(RawUnitTest, PhotonCountMismatchIsCorruption) {
