@@ -29,6 +29,7 @@ using hedc::Config;
 using hedc::archive::NameMapper;
 using hedc::archive::NameType;
 using hedc::bench::BenchRow;
+using hedc::bench::Source;
 using hedc::bench::PercentileUs;
 using hedc::db::Database;
 using hedc::db::Value;
@@ -166,7 +167,7 @@ BenchRow MeasureResolve(const std::string& label, NameMapper* mapper,
   double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  return BenchRow{label,
+  return BenchRow{label, Source::kMeasured,
                   {{"throughput_per_sec", samples / seconds},
                    {"p50_us", PercentileUs(lat_us, 0.50)},
                    {"p99_us", PercentileUs(lat_us, 0.99)}}};

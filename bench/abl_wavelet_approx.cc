@@ -26,6 +26,8 @@
 namespace {
 
 using hedc::bench::BenchRow;
+
+using hedc::bench::Source;
 using hedc::bench::PercentileUs;
 using hedc::rhessi::GenerateTelemetry;
 using hedc::rhessi::PhotonList;
@@ -72,7 +74,9 @@ BenchRow MakeRow(const std::string& label, std::vector<double> samples,
   for (double s : samples) mean += s;
   mean /= static_cast<double>(samples.size());
   double transfer_us = bytes / kLinkBytesPerSec * 1e6;
-  return BenchRow{label,
+  // transfer_us and holistic_us come from the link formula, so the whole
+  // row is modeled.
+  return BenchRow{label, Source::kModeled,
                   {{"throughput_per_sec", mean > 0 ? 1e6 / mean : 0},
                    {"p50_us", p50},
                    {"p99_us", p99},

@@ -1,9 +1,12 @@
 // Machine-readable bench output. Every perf harness writes a
 // BENCH_<name>.json next to its stdout report so successive PRs have a
 // perf trajectory to compare against:
-//   {"bench": "<name>", "results": [{"label": "...", "<metric>": n, ...}]}
-// Rows carry at least throughput_per_sec, p50_us and p99_us (enforced by
-// bench/validate_bench_json.py, run under the `bench-smoke` ctest label).
+//   {"bench": "<name>",
+//    "results": [{"label": "...", "source": "measured"|"modeled",
+//                 "<metric>": n, ...}]}
+// Rows carry at least throughput_per_sec, p50_us and p99_us, and say
+// where their numbers come from (enforced by bench/validate_bench_json.py,
+// run under the `bench-smoke` ctest label).
 #ifndef HEDC_BENCH_BENCH_JSON_H_
 #define HEDC_BENCH_BENCH_JSON_H_
 
@@ -15,10 +18,21 @@
 
 namespace hedc::bench {
 
-// One result row: a label plus ordered numeric metrics. Labels and metric
-// names must not contain characters needing JSON escapes.
+// Where a row's numbers come from. A row is kModeled if any of its
+// numbers comes from the DES, a formula or an injected sleep; kMeasured
+// rows time the code they run and nothing else.
+enum class Source { kMeasured, kModeled };
+
+// One result row: a label, its source, plus ordered numeric metrics.
+// Labels and metric names must not contain characters needing JSON
+// escapes.
 struct BenchRow {
+  BenchRow(std::string label, Source source,
+           std::vector<std::pair<std::string, double>> metrics = {})
+      : label(std::move(label)), source(source), metrics(std::move(metrics)) {}
+
   std::string label;
+  Source source;
   std::vector<std::pair<std::string, double>> metrics;
 };
 
@@ -29,7 +43,9 @@ inline bool WriteBenchJson(const std::string& path, const std::string& bench,
   std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"results\": [\n",
                bench.c_str());
   for (size_t i = 0; i < rows.size(); ++i) {
-    std::fprintf(f, "    {\"label\": \"%s\"", rows[i].label.c_str());
+    std::fprintf(f, "    {\"label\": \"%s\", \"source\": \"%s\"",
+                 rows[i].label.c_str(),
+                 rows[i].source == Source::kModeled ? "modeled" : "measured");
     for (const auto& [key, value] : rows[i].metrics) {
       std::fprintf(f, ", \"%s\": %.6g", key.c_str(), value);
     }

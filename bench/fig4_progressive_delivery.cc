@@ -26,6 +26,8 @@
 namespace {
 
 using hedc::bench::BenchRow;
+
+using hedc::bench::Source;
 using hedc::bench::PercentileUs;
 using hedc::rhessi::GenerateTelemetry;
 using hedc::rhessi::TelemetryOptions;
@@ -90,7 +92,7 @@ BenchRow DeliveryRow(const std::string& label,
   // paints per second at that latency.
   double p50 = transfer_us + decode_p50;
   double p99 = transfer_us + decode_p99;
-  return BenchRow{label,
+  return BenchRow{label, Source::kModeled,
                   {{"throughput_per_sec", p50 > 0 ? 1e6 / p50 : 0},
                    {"p50_us", p50},
                    {"p99_us", p99},
@@ -126,7 +128,7 @@ BenchRow ApproxRow(const std::string& label,
   for (double s : samples) mean += s;
   mean /= static_cast<double>(samples.size());
   return BenchRow{
-      label,
+      label, Source::kMeasured,
       {{"throughput_per_sec", mean > 0 ? 1e6 / mean : 0},
        {"p50_us", p50},
        {"p99_us", PercentileUs(samples, 0.99)},

@@ -28,6 +28,7 @@ namespace {
 
 using namespace hedc;
 using bench::BenchRow;
+using bench::Source;
 using bench::PercentileUs;
 
 // One full DM node (own database + schema) behind a TcpRmiServer.
@@ -106,7 +107,7 @@ dm::ResilientChannel::Options RetryOptions() {
 
 BenchRow Row(const std::string& label, const Measured& m,
              std::vector<std::pair<std::string, double>> extra = {}) {
-  BenchRow row{label,
+  BenchRow row{label, Source::kMeasured,
                {{"throughput_per_sec", m.throughput_per_sec()},
                 {"p50_us", PercentileUs(m.latencies_us, 0.50)},
                 {"p99_us", PercentileUs(m.latencies_us, 0.99)},
@@ -220,6 +221,7 @@ int main(int argc, char** argv) {
                 r.throughput_rps, 100 * r.db_utilization);
     rows.push_back(BenchRow{
         "model_redirect_nodes_" + std::to_string(nodes),
+        Source::kModeled,
         {{"nodes", static_cast<double>(nodes)},
          {"throughput_per_sec", r.throughput_rps},
          {"db_utilization", r.db_utilization},

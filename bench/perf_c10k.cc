@@ -240,8 +240,8 @@ int Main(int argc, char** argv) {
     std::printf("%12d %10" PRId64 " %14.0f %10.0f %10.0f\n", m.connections,
                 m.calls, throughput, m.p50_us, m.p99_us);
     if (base_p99 == 0) base_p99 = m.p99_us;
-    bench::BenchRow row;
-    row.label = "c10k_conns_" + std::to_string(scale);
+    bench::BenchRow row("c10k_conns_" + std::to_string(scale),
+                        bench::Source::kMeasured);
     row.metrics = {{"connections", static_cast<double>(m.connections)},
                    {"calls", static_cast<double>(m.calls)},
                    {"throughput_per_sec", throughput},

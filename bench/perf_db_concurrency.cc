@@ -30,6 +30,7 @@ namespace {
 
 using hedc::MetricsRegistry;
 using hedc::bench::BenchRow;
+using hedc::bench::Source;
 using hedc::bench::PercentileUs;
 using hedc::db::Database;
 using hedc::db::Value;
@@ -162,6 +163,7 @@ int main(int argc, char** argv) {
                   r.mean_group);
       rows.push_back(BenchRow{
           std::string(mode) + "_t" + std::to_string(threads),
+          Source::kMeasured,
           {{"threads", static_cast<double>(threads)},
            {"throughput_per_sec", r.throughput},
            {"p50_us", r.p50_us},

@@ -29,6 +29,7 @@ namespace {
 
 using hedc::Config;
 using hedc::bench::BenchRow;
+using hedc::bench::Source;
 using hedc::bench::PercentileUs;
 using hedc::db::Database;
 using hedc::db::ExecOptions;
@@ -173,7 +174,7 @@ int main(int argc, char** argv) {
       std::printf("%-26s %14.0f %12.1f %12.1f %12lld\n", label.c_str(),
                   qr.per_sec, qr.p50_us, qr.p99_us,
                   static_cast<long long>(qr.check));
-      rows.push_back(BenchRow{label,
+      rows.push_back(BenchRow{label, Source::kMeasured,
                               {{"throughput_per_sec", qr.per_sec},
                                {"p50_us", qr.p50_us},
                                {"p99_us", qr.p99_us},
@@ -197,7 +198,7 @@ int main(int argc, char** argv) {
       std::string label = std::string(ac.name) + "_" + mode.name;
       std::printf("%-26s %14.0f %12.1f %12.1f\n", label.c_str(), qr.per_sec,
                   qr.p50_us, qr.p99_us);
-      rows.push_back(BenchRow{label,
+      rows.push_back(BenchRow{label, Source::kMeasured,
                               {{"throughput_per_sec", qr.per_sec},
                                {"p50_us", qr.p50_us},
                                {"p99_us", qr.p99_us}}});
@@ -254,7 +255,7 @@ int main(int argc, char** argv) {
                 label.c_str(), per_sec, PercentileUs(lat_us, 0.5),
                 PercentileUs(lat_us, 0.99), queries_per_resolution);
     rows.push_back(
-        BenchRow{label,
+        BenchRow{label, Source::kMeasured,
                  {{"throughput_per_sec", per_sec},
                   {"p50_us", PercentileUs(lat_us, 0.5)},
                   {"p99_us", PercentileUs(lat_us, 0.99)},

@@ -38,6 +38,7 @@ using hedc::Result;
 using hedc::Status;
 using hedc::VirtualClock;
 using hedc::bench::BenchRow;
+using hedc::bench::Source;
 using hedc::bench::PercentileUs;
 namespace analysis = hedc::analysis;
 namespace pl = hedc::pl;
@@ -174,8 +175,7 @@ Measured RunSequential(Stack& stack, const std::vector<int64_t>& units,
 }
 
 BenchRow Row(const std::string& label, const Measured& measured) {
-  BenchRow row;
-  row.label = label;
+  BenchRow row(label, Source::kMeasured);
   double n = static_cast<double>(measured.latencies_us.size());
   row.metrics.emplace_back("throughput_per_sec",
                            measured.seconds > 0 ? n / measured.seconds : 0);

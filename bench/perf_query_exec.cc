@@ -30,6 +30,8 @@
 namespace {
 
 using hedc::bench::BenchRow;
+
+using hedc::bench::Source;
 using hedc::bench::PercentileUs;
 using hedc::db::Database;
 using hedc::db::ExecOptions;
@@ -154,7 +156,7 @@ int main(int argc, char** argv) {
                   qr.rows_per_sec, qr.p50_us, qr.p99_us,
                   static_cast<long long>(qr.matches));
       rows.push_back(BenchRow{
-          label,
+          label, Source::kMeasured,
           {{"throughput_per_sec", qr.rows_per_sec},
            {"p50_us", qr.p50_us},
            {"p99_us", qr.p99_us},
@@ -190,7 +192,7 @@ int main(int argc, char** argv) {
                 label.c_str(), qr.rows_per_sec, qr.p50_us, qr.p99_us,
                 static_cast<long long>(qr.matches), pruned_fraction * 100);
     rows.push_back(BenchRow{
-        label,
+        label, Source::kMeasured,
         {{"throughput_per_sec", qr.rows_per_sec},
          {"p50_us", qr.p50_us},
          {"p99_us", qr.p99_us},

@@ -5,8 +5,10 @@
 # own unit tests (perfbench/run.py --test) and its response checks on
 # every workload (perfbench/run.py --all, which exits non-zero when a
 # /hle page, image or /approx bound is wrong), the schema check of every
-# checked-in BENCH_*.json, the measured-vs-model scale-out and c10k
-# p99-flatness crosschecks, then the stress suite —
+# checked-in BENCH_*.json (each row must say whether it is "measured" or
+# "modeled"), the side-by-side print of the measured cluster curve and
+# the modeled fig5 curve (a WARN there reports the gap; it does not
+# fail), the c10k p99-flatness crosscheck, then the stress suite —
 # concurrency hammers, networked chaos/failover, the cluster kill/restart
 # stress and the reactor net-stress lane (`ctest -L net-stress` runs just
 # that lane; the stress label regex picks it up here) — under
@@ -37,7 +39,7 @@ for bench_json in BENCH_*.json; do
   python3 bench/validate_bench_json.py "$bench_json"
 done
 
-echo "=== scale-out crosscheck (measured vs modeled fig5 curve) ==="
+echo "=== scale-out side by side (measured one-host cluster vs modeled fig5 curve; WARN = gap, not failure) ==="
 python3 bench/validate_bench_json.py BENCH_cluster_scaleout.json \
     BENCH_remote_redirection.json
 

@@ -12,15 +12,7 @@ ClusterOptions ClusterOptions::FromConfig(const Config& config) {
   if (policy.ok()) out.routing = policy.value();
   out.virtual_points = static_cast<int>(
       config.GetInt("cluster.virtual_points", out.virtual_points));
-  out.node.executor_slots = static_cast<int>(
-      config.GetInt("cluster.node_slots", out.node.executor_slots));
-  out.node.service_floor =
-      config.GetInt("cluster.service_floor_us", out.node.service_floor);
   out.node.wal_dir = config.GetString("cluster.wal_dir", out.node.wal_dir);
-  out.shared_db_slots = static_cast<int>(
-      config.GetInt("cluster.shared_db_slots", out.shared_db_slots));
-  out.shared_db_floor =
-      config.GetInt("cluster.shared_db_floor_us", out.shared_db_floor);
   out.node.rmi = dm::TcpRmiServer::Options::FromConfig(config);
   return out;
 }
@@ -31,30 +23,14 @@ ClusterRunner::ClusterRunner(ClusterOptions options, Clock* clock,
       clock_(clock),
       metrics_(metrics != nullptr ? metrics : MetricsRegistry::Default()),
       membership_(metrics_) {
-  if (options_.shared_db_slots > 0) {
-    shared_db_ = std::make_unique<SharedGate>(options_.shared_db_slots,
-                                              options_.shared_db_floor,
-                                              clock_);
-    options_.node.shared_db = shared_db_.get();
-  }
   // All nodes' RMI listeners share this loop: O(workers) threads for the
   // whole cluster, however many nodes and channels exist.
   net::Reactor::Options reactor_options = options_.node.rmi.reactor;
   if (reactor_options.metrics == nullptr) reactor_options.metrics = metrics_;
   shared_reactor_ = std::make_unique<net::Reactor>(reactor_options);
   options_.node.rmi.shared_reactor = shared_reactor_.get();
-  // The load probe reads the node gate's in-flight count, giving the
-  // least_loaded policy live load on top of sticky-assignment counts.
-  router_ = std::make_unique<SessionRouter>(
-      &membership_, options_.routing, options_.virtual_points,
-      [this](int node_id) -> int64_t {
-        std::lock_guard<std::mutex> lock(mu_);
-        if (node_id < 0 || node_id >= static_cast<int>(nodes_.size())) {
-          return 0;
-        }
-        NodeGate* gate = nodes_[node_id]->gate();
-        return gate != nullptr ? gate->inflight() : 0;
-      });
+  router_ = std::make_unique<SessionRouter>(&membership_, options_.routing,
+                                            options_.virtual_points);
 }
 
 ClusterRunner::~ClusterRunner() {
@@ -103,11 +79,7 @@ void ClusterRunner::WireInvalidationBroadcast(ClusterNode* node) {
     std::vector<pl::ProductCache*> caches;
     std::lock_guard<std::mutex> lock(mu_);
     caches.reserve(nodes_.size());
-    for (auto& n : nodes_) {
-      if (n != nullptr && n->product_cache() != nullptr) {
-        caches.push_back(n->product_cache());
-      }
-    }
+    for (auto& n : nodes_) caches.push_back(n->product_cache());
     return caches;
   };
   node->process()->SetDerivedProductInvalidator(

@@ -6,7 +6,9 @@
 // does exactly that: it boots N ClusterNodes (each a full DM stack behind
 // a TcpRmiServer on an ephemeral loopback port), registers them in a
 // MembershipRegistry, and routes session keys to nodes through a
-// SessionRouter (least_loaded or consistent_hash; see routing.h).
+// SessionRouter (least_loaded or consistent_hash; see routing.h). Every
+// node is served by the runner's one reactor, so N nodes in one process
+// share that reactor's workers and the host's cores.
 //
 // Two dispatch paths ride on top:
 //  * RouteInProcess — the web tier picks the DataManager a servlet runs
@@ -47,20 +49,12 @@ struct ClusterOptions {
   int nodes = 2;
   RoutingPolicy routing = RoutingPolicy::kLeastLoaded;
   int virtual_points = 64;
-  // Shared DBMS tier all nodes execute through (0 slots = none): at most
-  // `shared_db_slots` statements run concurrently cluster-wide, each
-  // charged at least `shared_db_floor`. The scale-out bench saturates
-  // this to reproduce the fig5 knee.
-  int shared_db_slots = 0;
-  Micros shared_db_floor = 0;
   NodeOptions node;
 
-  // Reads cluster.nodes, cluster.routing, cluster.virtual_points,
-  // cluster.node_slots, cluster.service_floor_us, cluster.wal_dir,
-  // cluster.shared_db_slots, cluster.shared_db_floor_us, plus the node
-  // RMI transport knobs (net.workers and friends; see
-  // dm::TcpRmiServer::Options::FromConfig). Unknown routing names fall
-  // back to least_loaded.
+  // Reads cluster.nodes, cluster.routing, cluster.virtual_points and
+  // cluster.wal_dir, plus the node RMI transport knobs (net.workers and
+  // friends; see dm::TcpRmiServer::Options::FromConfig). Unknown routing
+  // names fall back to least_loaded.
   static ClusterOptions FromConfig(const Config& config);
 };
 
@@ -94,8 +88,6 @@ class ClusterRunner {
   SessionRouter& router() { return *router_; }
   Clock* clock() { return clock_; }
   const ClusterOptions& options() const { return options_; }
-  // Shared DBMS tier (nullptr unless shared_db_slots > 0).
-  SharedGate* shared_db() { return shared_db_.get(); }
 
   // In-process dispatch for the web tier: the DataManager that owns
   // `session_key`. Bumps cluster.routed.<node> in the runner's registry.
@@ -108,7 +100,6 @@ class ClusterRunner {
   ClusterOptions options_;
   Clock* clock_;
   MetricsRegistry* metrics_;
-  std::unique_ptr<SharedGate> shared_db_;
   // One event loop serving every node's RMI port. Declared before nodes_
   // so it outlives them (each node's Stop drains its listener from this
   // reactor).

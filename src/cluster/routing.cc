@@ -39,12 +39,10 @@ const char* RoutingPolicyName(RoutingPolicy policy) {
 }
 
 SessionRouter::SessionRouter(MembershipRegistry* membership,
-                             RoutingPolicy policy, int virtual_points,
-                             std::function<int64_t(int node_id)> load_probe)
+                             RoutingPolicy policy, int virtual_points)
     : membership_(membership),
       policy_(policy),
-      virtual_points_(virtual_points < 1 ? 1 : virtual_points),
-      load_probe_(std::move(load_probe)) {}
+      virtual_points_(virtual_points < 1 ? 1 : virtual_points) {}
 
 void SessionRouter::ReconcileLocked() {
   int64_t epoch = membership_->epoch();
@@ -105,10 +103,9 @@ Result<NodeInfo> SessionRouter::RouteLeastLoadedLocked(
   int64_t best_load = 0;
   for (const auto& [id, info] : members_) {
     if (!info.healthy) continue;
-    int64_t l = load[id] + (load_probe_ ? load_probe_(id) : 0);
-    if (best == nullptr || l < best_load) {
+    if (best == nullptr || load[id] < best_load) {
       best = &info;
-      best_load = l;
+      best_load = load[id];
     }
   }
   if (best == nullptr) {

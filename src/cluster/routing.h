@@ -7,16 +7,14 @@
 //    construction: a key moves only when the members between its hash
 //    and its owner change, i.e. exactly on membership changes.
 //  * least_loaded — a session key is assigned on first sight to the node
-//    with the fewest (sticky assignments + live in-flight calls, via the
-//    optional load probe) and sticks to that assignment until the node
-//    leaves or goes unhealthy.
+//    with the fewest sticky assignments and sticks to that assignment
+//    until the node leaves or goes unhealthy.
 //
 // Both policies reconcile lazily against the MembershipRegistry epoch, so
 // routers never need explicit notification of joins/leaves/health flips.
 #ifndef HEDC_CLUSTER_ROUTING_H_
 #define HEDC_CLUSTER_ROUTING_H_
 
-#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -35,12 +33,8 @@ const char* RoutingPolicyName(RoutingPolicy policy);
 
 class SessionRouter {
  public:
-  // `load_probe` (nullable) reports a node's live load (in-flight RMI
-  // calls); least_loaded adds it to the sticky-assignment count when
-  // placing a new session.
   SessionRouter(MembershipRegistry* membership, RoutingPolicy policy,
-                int virtual_points = 64,
-                std::function<int64_t(int node_id)> load_probe = nullptr);
+                int virtual_points = 64);
 
   // The healthy node that owns `session_key`; kUnavailable when the
   // cluster has no healthy member.
@@ -64,7 +58,6 @@ class SessionRouter {
   MembershipRegistry* membership_;
   RoutingPolicy policy_;
   int virtual_points_;
-  std::function<int64_t(int node_id)> load_probe_;
 
   mutable std::mutex mu_;
   int64_t seen_epoch_ = -1;

@@ -52,19 +52,13 @@ TEST(ClusterConfigTest, OptionsParseFromConfigKnobs) {
   auto config = Config::Parse("cluster.nodes = 4\n"
                               "cluster.routing = consistent_hash\n"
                               "cluster.virtual_points = 17\n"
-                              "cluster.node_slots = 2\n"
-                              "cluster.service_floor_us = 1500\n"
-                              "cluster.shared_db_slots = 1\n"
-                              "cluster.shared_db_floor_us = 350\n");
+                              "cluster.wal_dir = data/cluster-wal\n");
   ASSERT_TRUE(config.ok());
   ClusterOptions options = ClusterOptions::FromConfig(config.value());
   EXPECT_EQ(options.nodes, 4);
   EXPECT_EQ(options.routing, RoutingPolicy::kConsistentHash);
   EXPECT_EQ(options.virtual_points, 17);
-  EXPECT_EQ(options.node.executor_slots, 2);
-  EXPECT_EQ(options.node.service_floor, 1500);
-  EXPECT_EQ(options.shared_db_slots, 1);
-  EXPECT_EQ(options.shared_db_floor, 350);
+  EXPECT_EQ(options.node.wal_dir, "data/cluster-wal");
 
   // Unknown routing name falls back to the default, not a crash.
   Config bad;
