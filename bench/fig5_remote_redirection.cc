@@ -40,11 +40,9 @@ struct Node {
     mapper = std::make_unique<archive::NameMapper>(&db, Config());
     ok = ok && mapper->Init().ok() &&
          mapper->RegisterArchive(1, "disk", "raid1").ok();
-    dm::DataManager::Options options;
-    options.pool.connection_setup_cost = 0;
-    options.sessions.session_setup_cost = 0;
     manager = std::make_unique<dm::DataManager>(
-        name, &db, &archives, mapper.get(), RealClock::Instance(), options);
+        name, &db, &archives, mapper.get(), RealClock::Instance(),
+        dm::DataManager::Options{});
     rmi = std::make_unique<dm::RmiServer>(manager.get(), &metrics);
     tcp = std::make_unique<dm::TcpRmiServer>(rmi.get(), &metrics);
     ok = ok && tcp->Start().ok() &&

@@ -36,6 +36,11 @@ times faster than the full-fidelity delivery, and every row reporting a
 measured_error must sit within its reported error_bound. Both hold at any
 scale — the speedup is dominated by the modeled link transfer and the
 bound is deterministic, so smoke runs are not exempt.
+
+When a file carries raw_exact next to view_fraction_2 (the wavelet
+approximate-analysis ablation), the paper's claim is a hard gate: the 2%
+view prefix's holistic_us (download + decode + analysis) must be at least
+WAVELET_HOLISTIC_SPEEDUP_MIN times shorter than raw_exact's.
 """
 import json
 import os
@@ -57,6 +62,10 @@ C10K_FULL_SCALE = 10000
 # Progressive delivery acceptance: coarsest first paint must be at least
 # this many times faster than the full-fidelity delivery (hard FAIL).
 PROGRESSIVE_SPEEDUP_MIN = 5.0
+
+# Wavelet approximate analysis (§3.4/§6.3): "shortens the holistic response
+# time by at least an order of magnitude" (hard FAIL).
+WAVELET_HOLISTIC_SPEEDUP_MIN = 10.0
 
 
 def speedup_curve(results, prefix):
@@ -180,6 +189,34 @@ def crosscheck_progressive(path, results):
     return None
 
 
+def crosscheck_wavelet_approx(path, results):
+    """Checks the view_fraction_2 holistic speedup over raw_exact; returns
+    an error string or None."""
+    rows = {row.get("label", ""): row for row in results}
+    raw = rows.get("raw_exact")
+    view = rows.get("view_fraction_2")
+    if not raw or not view:
+        return None
+    raw_us = raw.get("holistic_us")
+    view_us = view.get("holistic_us")
+    if not isinstance(raw_us, (int, float)) or not isinstance(
+            view_us, (int, float)):
+        return "raw_exact and view_fraction_2 need numeric holistic_us"
+    if view_us <= 0:
+        return "view_fraction_2 holistic_us is not positive"
+    speedup = float(raw_us) / float(view_us)
+    verdict = ("ok" if speedup >= WAVELET_HOLISTIC_SPEEDUP_MIN
+               else "SPEEDUP-VIOLATION")
+    print(f"crosscheck {path}: view_fraction_2 holistic {view_us:.0f}us vs "
+          f"raw_exact {raw_us:.0f}us  speedup {speedup:.0f}x "
+          f"(gate {WAVELET_HOLISTIC_SPEEDUP_MIN:.0f}x)  {verdict}")
+    if speedup < WAVELET_HOLISTIC_SPEEDUP_MIN:
+        return (f"view_fraction_2 is only {speedup:.2f}x faster "
+                f"holistically than raw_exact "
+                f"(gate {WAVELET_HOLISTIC_SPEEDUP_MIN:.0f}x)")
+    return None
+
+
 def validate(path):
     with open(path) as fh:
         doc = json.load(fh)
@@ -222,7 +259,10 @@ def validate(path):
     error = crosscheck_c10k(path, results)
     if error:
         return error
-    return crosscheck_progressive(path, results)
+    error = crosscheck_progressive(path, results)
+    if error:
+        return error
+    return crosscheck_wavelet_approx(path, results)
 
 
 def main(argv):

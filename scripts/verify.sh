@@ -46,7 +46,7 @@ python3 bench/validate_bench_json.py BENCH_cluster_scaleout.json \
 echo "=== c10k crosscheck (p99 flatness at 10k keep-alive connections) ==="
 python3 bench/validate_bench_json.py BENCH_c10k.json
 
-echo "=== progressive-delivery crosscheck (first-paint >= 5x, approx error <= bound) ==="
+echo "=== wavelet crosschecks (first-paint >= 5x, approx error <= bound, 2% view prefix >= 10x holistic) ==="
 python3 bench/validate_bench_json.py BENCH_wavelet_progressive.json \
     BENCH_wavelet_approx.json
 

@@ -29,10 +29,14 @@ struct ApproxAnswer {
   size_t bytes_read = 0;   // encoded bytes consumed (prefix estimators)
 };
 
-// Sum of the binned signal over the half-open domain fraction
-// [range_lo_frac, range_hi_frac) of [0, 1), reconstructed from the first
-// `size` bytes of a progressive (HWV3) wavelet stream. Fractions are
-// clamped to [0, 1]; an inverted pair is InvalidArgument.
+// Sum of the binned signal over the domain fraction [range_lo_frac,
+// range_hi_frac) of [0, 1), reconstructed from the first `size` bytes of
+// a progressive (HWV3) wavelet stream. The sum covers every bin the range
+// touches, bins floor(lo * n) up to ceil(hi * n) exclusive, so a
+// zero-width range strictly inside a bin counts that bin; /approx point
+// queries at a bin centre rely on this. Fractions are clamped to [0, 1]
+// (a range beyond the domain sums no bins); an inverted pair is
+// InvalidArgument.
 Result<ApproxAnswer> ApproxSumFromPrefix(const uint8_t* data, size_t size,
                                          double range_lo_frac,
                                          double range_hi_frac);

@@ -27,13 +27,9 @@ StreamCorder::StreamCorder(dm::DataManager* server,
                                                         mapper_config);
   local_mapper_->Init();
   local_mapper_->RegisterArchive(1, "disk", "cache");
-  dm::DataManager::Options dm_options;
-  dm_options.pool.connection_setup_cost = 0;
-  dm_options.sessions.session_setup_cost = 0;
-  dm_options.async_workers = 1;
   local_dm_ = std::make_unique<dm::DataManager>(
       "streamcorder-local", local_db_.get(), local_archives_.get(),
-      local_mapper_.get(), server->clock(), dm_options);
+      local_mapper_.get(), server->clock(), dm::DataManager::Options{});
   dm::UserProfile local_user;
   local_user.user_id = server_session_.profile.user_id;
   local_user.name = server_session_.profile.name;

@@ -1,7 +1,7 @@
 // Fixed-size worker pool and a bounded MPMC queue.
 //
-// The DM uses pools of worker threads for asynchronous call execution
-// (§5.4); the PL front end schedules requests onto IDL server managers.
+// IDL server managers invoke analyses on a worker pool (§8), and the
+// database runs morsel-parallel scans on one.
 #ifndef HEDC_CORE_THREAD_POOL_H_
 #define HEDC_CORE_THREAD_POOL_H_
 

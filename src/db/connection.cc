@@ -58,13 +58,10 @@ void PooledConnection::Release() {
 
 ConnectionPool::ConnectionPool(Database* db, Clock* clock, Options options)
     : db_(db), clock_(clock), options_(options) {
-  if (options_.pooling_enabled) {
-    size_t sizes[3] = {options_.query_pool_size, options_.update_pool_size,
-                       options_.auth_pool_size};
-    for (int k = 0; k < 3; ++k) {
-      for (size_t i = 0; i < sizes[k]; ++i) {
-        free_[k].push_back(NewConnection());
-      }
+  size_t sizes[2] = {options_.query_pool_size, options_.update_pool_size};
+  for (int k = 0; k < 2; ++k) {
+    for (size_t i = 0; i < sizes[k]; ++i) {
+      free_[k].push_back(NewConnection());
     }
   }
 }
@@ -77,24 +74,11 @@ std::shared_ptr<Connection> ConnectionPool::NewConnection() {
 
 PooledConnection ConnectionPool::Acquire(PoolKind kind) {
   int k = static_cast<int>(kind);
-  if (!options_.pooling_enabled) {
-    // No pooling: every acquisition pays the full setup cost and the
-    // connection is dropped on release.
-    std::shared_ptr<Connection> conn;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++connections_created_;
-    }
-    conn = std::make_shared<Connection>(db_, clock_,
-                                        options_.connection_setup_cost);
-    return PooledConnection(nullptr, kind, std::move(conn));
-  }
   ScopedTimer wait_timer(PoolWaitLatency());
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [this, k] { return !free_[k].empty(); });
   std::shared_ptr<Connection> conn = std::move(free_[k].front());
   free_[k].pop_front();
-  ++outstanding_[k];
   PoolInUse()->Add(1);
   return PooledConnection(this, kind, std::move(conn));
 }
@@ -104,7 +88,6 @@ void ConnectionPool::ReturnConnection(PoolKind kind,
   std::lock_guard<std::mutex> lock(mu_);
   int k = static_cast<int>(kind);
   free_[k].push_back(std::move(conn));
-  --outstanding_[k];
   PoolInUse()->Add(-1);
   cv_.notify_all();
 }

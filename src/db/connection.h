@@ -6,8 +6,11 @@
 // authentication. Connections are immediately released by sessions after
 // the result set has been copied."
 //
-// Connection creation charges a configurable setup cost against the given
-// Clock so the pooling benefit is measurable (abl_session_pooling bench).
+// There is no authentication pool: dm::UserManager checks credentials
+// against the Database directly.
+//
+// Connection creation can charge a setup cost against the given Clock
+// (default 0), so tests can check that pooled acquisitions never pay it.
 #ifndef HEDC_DB_CONNECTION_H_
 #define HEDC_DB_CONNECTION_H_
 
@@ -41,7 +44,7 @@ class Connection {
   int64_t id_;
 };
 
-enum class PoolKind { kQuery = 0, kUpdate = 1, kAuth = 2 };
+enum class PoolKind { kQuery = 0, kUpdate = 1 };
 
 // A pooled connection handle; returns the connection on destruction.
 class ConnectionPool;
@@ -77,9 +80,7 @@ class ConnectionPool {
   struct Options {
     size_t query_pool_size = 8;
     size_t update_pool_size = 4;
-    size_t auth_pool_size = 2;
-    Micros connection_setup_cost = 50 * kMicrosPerMilli;
-    bool pooling_enabled = true;  // false = open a fresh connection per use
+    Micros connection_setup_cost = 0;
   };
 
   ConnectionPool(Database* db, Clock* clock, Options options);
@@ -102,8 +103,7 @@ class ConnectionPool {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::shared_ptr<Connection>> free_[3];
-  size_t outstanding_[3] = {0, 0, 0};
+  std::deque<std::shared_ptr<Connection>> free_[2];
   int64_t connections_created_ = 0;
 };
 

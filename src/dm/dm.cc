@@ -6,35 +6,24 @@ DataManager::DataManager(std::string name, db::Database* db,
                          archive::ArchiveManager* archives,
                          archive::NameMapper* mapper, Clock* clock,
                          Options options)
-    : name_(std::move(name)), db_(db), clock_(clock), options_(options) {
-  pool_ = std::make_unique<db::ConnectionPool>(db_, clock_, options_.pool);
+    : name_(std::move(name)), db_(db), clock_(clock) {
+  pool_ = std::make_unique<db::ConnectionPool>(db_, clock_, options.pool);
   io_ = std::make_unique<IoLayer>(db_, pool_.get(), archives, mapper);
   semantics_ = std::make_unique<SemanticLayer>(io_.get(), clock_);
-  sessions_ = std::make_unique<SessionManager>(clock_, options_.sessions);
+  sessions_ = std::make_unique<SessionManager>(clock_, options.sessions);
   users_ = std::make_unique<UserManager>(db_);
-  async_pool_ = std::make_unique<ThreadPool>(options_.async_workers);
 }
-
-DataManager::~DataManager() { async_pool_->Shutdown(); }
 
 void DataManager::AddPeer(DataManager* peer) {
   if (peer != this) peers_.push_back(peer);
 }
 
 DataManager* DataManager::Route(bool force_local) {
-  if (force_local || !options_.redirect_enabled || peers_.empty()) {
-    return this;
-  }
+  if (force_local || peers_.empty()) return this;
   size_t n = peers_.size() + 1;
   size_t pick = route_counter_.fetch_add(1, std::memory_order_relaxed) % n;
   return pick == 0 ? this : peers_[pick - 1];
 }
-
-bool DataManager::SubmitAsync(std::function<void()> work) {
-  return async_pool_->Submit(std::move(work));
-}
-
-void DataManager::DrainAsync() { async_pool_->Wait(); }
 
 Status DataManager::LogOperational(const std::string& component,
                                    const std::string& message) {

@@ -17,7 +17,6 @@
 #include "archive/name_mapper.h"
 #include "core/clock.h"
 #include "core/metrics.h"
-#include "core/thread_pool.h"
 #include "db/connection.h"
 #include "db/database.h"
 #include "dm/io_layer.h"
@@ -32,8 +31,6 @@ class DataManager {
   struct Options {
     db::ConnectionPool::Options pool;
     SessionManager::Options sessions;
-    size_t async_workers = 2;
-    bool redirect_enabled = true;
   };
 
   // All borrowed pointers must outlive the DataManager. `db` is the
@@ -41,7 +38,6 @@ class DataManager {
   DataManager(std::string name, db::Database* db,
               archive::ArchiveManager* archives,
               archive::NameMapper* mapper, Clock* clock, Options options);
-  ~DataManager();
 
   DataManager(const DataManager&) = delete;
   DataManager& operator=(const DataManager&) = delete;
@@ -60,16 +56,8 @@ class DataManager {
   void AddPeer(DataManager* peer);
   size_t num_peers() const { return peers_.size(); }
   // Picks the execution node for the next call: round-robin over self and
-  // peers when redirection is enabled, else self. `force_local` is the
-  // per-call overwrite.
+  // peers. `force_local` is the per-call overwrite.
   DataManager* Route(bool force_local = false);
-
-  // --- asynchronous execution -------------------------------------------
-  // "a DM might decide to place a request in an execution queue, send the
-  // request to a pool of worker threads for asynchronous execution or
-  // execute the call directly."
-  bool SubmitAsync(std::function<void()> work);
-  void DrainAsync();
 
   // Operational logging into the op_logs table.
   Status LogOperational(const std::string& component,
@@ -91,14 +79,12 @@ class DataManager {
   std::string name_;
   db::Database* db_;
   Clock* clock_;
-  Options options_;
 
   std::unique_ptr<db::ConnectionPool> pool_;
   std::unique_ptr<IoLayer> io_;
   std::unique_ptr<SemanticLayer> semantics_;
   std::unique_ptr<SessionManager> sessions_;
   std::unique_ptr<UserManager> users_;
-  std::unique_ptr<ThreadPool> async_pool_;
 
   std::vector<DataManager*> peers_;
   std::atomic<size_t> route_counter_{0};

@@ -20,7 +20,6 @@
 #include "rhessi/phoenix.h"
 #include "rhessi/event_detect.h"
 #include "rhessi/raw_unit.h"
-#include "wavelet/views.h"
 
 namespace hedc::dm {
 

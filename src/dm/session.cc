@@ -55,21 +55,19 @@ Result<Session> SessionManager::GetOrCreate(const UserProfile& profile,
   ScopedTimer timer(Metrics().get_us);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (options_.caching_enabled) {
-      auto it = cache_.find(key);
-      if (it != cache_.end()) {
-        ++cache_hits_;
-        Metrics().hits->Add();
-        it->second.last_used = clock_->Now();
-        lru_.remove(key);
-        lru_.push_front(key);
-        return it->second;
-      }
+    auto it = cache_.find(key);
+    if (it != cache_.end()) {
+      ++cache_hits_;
+      Metrics().hits->Add();
+      it->second.last_used = clock_->Now();
+      lru_.remove(key);
+      lru_.push_front(key);
+      return it->second;
     }
   }
 
-  // Creation pays the setup cost (outside the lock: it is the dominant
-  // cost and must not serialize unrelated lookups).
+  // Creation pays the configured setup cost (outside the lock, so a
+  // costly creation does not serialize unrelated lookups).
   clock_->SleepFor(options_.session_setup_cost);
   Session session;
   session.session_id = ids_.Next();
@@ -92,12 +90,10 @@ Result<Session> SessionManager::GetOrCreate(const UserProfile& profile,
   std::lock_guard<std::mutex> lock(mu_);
   ++sessions_created_;
   Metrics().creates->Add();
-  if (options_.caching_enabled) {
-    cache_[key] = session;
-    lru_.push_front(key);
-    EvictIfNeeded();
-    Metrics().cache_size->Set(static_cast<int64_t>(cache_.size()));
-  }
+  cache_[key] = session;
+  lru_.push_front(key);
+  EvictIfNeeded();
+  Metrics().cache_size->Set(static_cast<int64_t>(cache_.size()));
   return session;
 }
 

@@ -45,9 +45,8 @@ struct Session {
 class SessionManager {
  public:
   struct Options {
-    Micros session_setup_cost = 30 * kMicrosPerMilli;
+    Micros session_setup_cost = 0;
     size_t max_sessions = 1024;  // global LRU bound
-    bool caching_enabled = true;
   };
 
   SessionManager(Clock* clock, Options options)

@@ -1,187 +1,9 @@
 #include "wavelet/views.h"
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
 
-#include "core/strings.h"
-
 namespace hedc::wavelet {
-
-Result<PartitionedView> PartitionedView::Build(
-    const std::vector<std::pair<double, double>>& samples,
-    const Options& options) {
-  if (options.domain_hi <= options.domain_lo) {
-    return Status::InvalidArgument("empty view domain");
-  }
-  if (options.num_partitions == 0 || options.bins_per_partition == 0) {
-    return Status::InvalidArgument("view needs partitions and bins");
-  }
-  PartitionedView view;
-  view.options_ = options;
-  size_t total_bins = options.num_partitions * options.bins_per_partition;
-  view.bin_width_ =
-      (options.domain_hi - options.domain_lo) / static_cast<double>(total_bins);
-
-  // Bin all samples over the full domain.
-  std::vector<double> bins(total_bins, 0.0);
-  for (const auto& [pos, value] : samples) {
-    if (pos < options.domain_lo || pos >= options.domain_hi) continue;
-    size_t b = static_cast<size_t>((pos - options.domain_lo) /
-                                   view.bin_width_);
-    if (b >= total_bins) b = total_bins - 1;
-    bins[b] += value;
-  }
-
-  // Encode each partition independently as a prefix-decodable stream.
-  view.partitions_.reserve(options.num_partitions);
-  for (size_t p = 0; p < options.num_partitions; ++p) {
-    std::vector<double> part(
-        bins.begin() + p * options.bins_per_partition,
-        bins.begin() + (p + 1) * options.bins_per_partition);
-    view.partitions_.push_back(EncodeSignalProgressive(part, options.codec));
-  }
-  return view;
-}
-
-bool PartitionedView::PartitionSpan(double lo, double hi, size_t* first,
-                                    size_t* last) const {
-  if (hi < options_.domain_lo || lo > options_.domain_hi) return false;
-  lo = std::max(lo, options_.domain_lo);
-  hi = std::min(hi, options_.domain_hi);
-  double part_width =
-      bin_width_ * static_cast<double>(options_.bins_per_partition);
-  *first = static_cast<size_t>(
-      std::floor((lo - options_.domain_lo) / part_width));
-  *last = static_cast<size_t>(
-      std::floor((hi - options_.domain_lo) / part_width));
-  if (*first >= partitions_.size()) *first = partitions_.size() - 1;
-  if (*last >= partitions_.size()) *last = partitions_.size() - 1;
-  return true;
-}
-
-Result<std::vector<double>> PartitionedView::Query(double lo, double hi,
-                                                   double fraction,
-                                                   double* start_pos) const {
-  if (hi < lo) return Status::InvalidArgument("inverted query range");
-  // Clamp the coefficient budget to (0, 1]: non-positive (or NaN)
-  // degrades to the single coarsest coefficient, anything above 1 is a
-  // full decode.
-  if (!(fraction > 0)) fraction = 1e-300;
-  if (fraction > 1.0) fraction = 1.0;
-  size_t first = 0, last = 0;
-  if (!PartitionSpan(lo, hi, &first, &last)) {
-    if (start_pos != nullptr) {
-      *start_pos = std::clamp(lo, options_.domain_lo, options_.domain_hi);
-    }
-    return std::vector<double>{};
-  }
-
-  std::vector<double> out;
-  for (size_t p = first; p <= last; ++p) {
-    HEDC_ASSIGN_OR_RETURN(std::vector<double> part,
-                          DecodeSignal(partitions_[p], fraction));
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  if (start_pos != nullptr) {
-    double part_width =
-        bin_width_ * static_cast<double>(options_.bins_per_partition);
-    *start_pos = options_.domain_lo + static_cast<double>(first) * part_width;
-  }
-  return out;
-}
-
-Result<std::vector<double>> PartitionedView::QueryResolution(
-    double lo, double hi, size_t level, double* start_pos) const {
-  if (hi < lo) return Status::InvalidArgument("inverted query range");
-  size_t first = 0, last = 0;
-  if (!PartitionSpan(lo, hi, &first, &last)) {
-    if (start_pos != nullptr) {
-      *start_pos = std::clamp(lo, options_.domain_lo, options_.domain_hi);
-    }
-    return std::vector<double>{};
-  }
-  std::vector<double> out;
-  for (size_t p = first; p <= last; ++p) {
-    HEDC_ASSIGN_OR_RETURN(size_t bytes,
-                          PrefixBytesForLevel(partitions_[p], level));
-    HEDC_ASSIGN_OR_RETURN(
-        std::vector<double> part,
-        DecodeSignalPrefix(partitions_[p].data(), bytes, nullptr));
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  if (start_pos != nullptr) {
-    double part_width =
-        bin_width_ * static_cast<double>(options_.bins_per_partition);
-    *start_pos = options_.domain_lo + static_cast<double>(first) * part_width;
-  }
-  return out;
-}
-
-Result<PartitionedView::RangeAggregate> PartitionedView::AggregateRange(
-    double lo, double hi, size_t level) const {
-  if (hi < lo) return Status::InvalidArgument("inverted aggregate range");
-  RangeAggregate agg;
-  size_t first = 0, last = 0;
-  if (!PartitionSpan(lo, hi, &first, &last)) return agg;
-  for (size_t p = first; p <= last; ++p) {
-    HEDC_ASSIGN_OR_RETURN(size_t bytes,
-                          PrefixBytesForLevel(partitions_[p], level));
-    PrefixInfo info;
-    HEDC_ASSIGN_OR_RETURN(
-        std::vector<double> part,
-        DecodeSignalPrefix(partitions_[p].data(), bytes, &info));
-    size_t base = p * options_.bins_per_partition;
-    size_t in_range = 0;
-    for (size_t b = 0; b < part.size(); ++b) {
-      double bin_lo =
-          options_.domain_lo + static_cast<double>(base + b) * bin_width_;
-      double bin_hi = bin_lo + bin_width_;
-      // Half-open bins: include every bin overlapping [lo, hi).
-      if (bin_lo >= hi || bin_hi <= lo) continue;
-      agg.sum += part[b];
-      ++in_range;
-    }
-    agg.bins += in_range;
-    agg.bytes_read += bytes;
-    agg.error_bound += info.SumErrorBound(in_range);
-  }
-  return agg;
-}
-
-size_t PartitionedView::ResolutionLevelCount() const {
-  if (partitions_.empty()) return 0;
-  auto levels = ResolutionLevels(partitions_.front());
-  return levels.ok() ? levels.value() : 0;
-}
-
-size_t PartitionedView::BytesForRange(double lo, double hi) const {
-  if (hi < lo) return 0;
-  size_t first = 0, last = 0;
-  if (!PartitionSpan(lo, hi, &first, &last)) return 0;
-  size_t bytes = 0;
-  for (size_t p = first; p <= last; ++p) bytes += partitions_[p].size();
-  return bytes;
-}
-
-size_t PartitionedView::PrefixBytesForRange(double lo, double hi,
-                                            size_t level) const {
-  if (hi < lo) return 0;
-  size_t first = 0, last = 0;
-  if (!PartitionSpan(lo, hi, &first, &last)) return 0;
-  size_t bytes = 0;
-  for (size_t p = first; p <= last; ++p) {
-    auto prefix = PrefixBytesForLevel(partitions_[p], level);
-    if (prefix.ok()) bytes += prefix.value();
-  }
-  return bytes;
-}
-
-size_t PartitionedView::TotalBytes() const {
-  size_t bytes = 0;
-  for (const auto& p : partitions_) bytes += p.size();
-  return bytes;
-}
 
 double DensityPlot::MaxCount() const {
   double best = 0;

@@ -1,96 +1,17 @@
-// Range-partitioned wavelet-encoded materialized views and the density /
-// extent plots built from them (§3.4, §6.3).
+// Density and extent plots (§6.3).
 //
-// A PartitionedView covers a 1-D domain (e.g. observation time) split into
-// fixed-width partitions; each partition's signal is wavelet-encoded
-// independently, so a range query decodes only overlapping partitions and
-// can trade fidelity for speed via a coefficient budget.
+// The range-partitioned wavelet views of §3.4/§6.3 are stored per raw
+// unit: each unit is one time partition and carries one progressive
+// (HWV3) view stream (see codec.h and dm::ProcessLayer::WriteViewFile).
 #ifndef HEDC_WAVELET_VIEWS_H_
 #define HEDC_WAVELET_VIEWS_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <utility>
 #include <vector>
 
-#include "core/status.h"
-#include "wavelet/codec.h"
-
 namespace hedc::wavelet {
-
-class PartitionedView {
- public:
-  struct Options {
-    double domain_lo = 0;
-    double domain_hi = 1;
-    size_t num_partitions = 16;
-    size_t bins_per_partition = 256;
-    CodecOptions codec;
-  };
-
-  // Error-bounded approximate aggregate over a domain range, computed
-  // from coarse coefficient prefixes (see PrefixInfo in codec.h for the
-  // bound derivation; per-partition bounds add).
-  struct RangeAggregate {
-    double sum = 0;          // approximate sum of bin values in range
-    double error_bound = 0;  // |true sum - sum| <= error_bound
-    size_t bins = 0;         // bins contributing to the sum
-    size_t bytes_read = 0;   // encoded bytes the prefixes required
-  };
-
-  // Builds the view from (position, value) samples: samples are binned
-  // (summed) over the domain, then each partition is encoded as a
-  // prefix-decodable progressive (HWV3) stream.
-  static Result<PartitionedView> Build(
-      const std::vector<std::pair<double, double>>& samples,
-      const Options& options);
-
-  // Reconstructs bin values covering [lo, hi] using `fraction` of each
-  // overlapping partition's coefficients. Returns the bin values and
-  // writes the domain position of the first returned bin to *start_pos.
-  // Semantics at the edges: hi < lo is InvalidArgument; a range that
-  // does not intersect the domain yields an empty result; fraction is
-  // clamped to (0, 1] (<= 0 decodes the single coarsest coefficient,
-  // > 1 decodes everything); single-partition views behave like any
-  // other size.
-  Result<std::vector<double>> Query(double lo, double hi, double fraction,
-                                    double* start_pos) const;
-
-  // Query at a resolution level: decodes only the per-partition prefix
-  // covering levels 0..level (level 0 = per-partition mean). Levels
-  // beyond the finest clamp to a full decode.
-  Result<std::vector<double>> QueryResolution(double lo, double hi,
-                                              size_t level,
-                                              double* start_pos) const;
-
-  // Approximate sum of bin values over [lo, hi) from level-`level`
-  // prefixes, with a deterministic error bound.
-  Result<RangeAggregate> AggregateRange(double lo, double hi,
-                                        size_t level) const;
-
-  // Resolution levels per partition (log2 of padded bins + 1).
-  size_t ResolutionLevelCount() const;
-
-  // Serialized size of the partitions overlapping [lo, hi] — the bytes a
-  // client must download for such a query.
-  size_t BytesForRange(double lo, double hi) const;
-  // Same, but only the prefix bytes needed for resolution `level`.
-  size_t PrefixBytesForRange(double lo, double hi, size_t level) const;
-  size_t TotalBytes() const;
-
-  const Options& options() const { return options_; }
-  size_t num_partitions() const { return partitions_.size(); }
-  double bin_width() const { return bin_width_; }
-
- private:
-  // Partitions overlapping the clamped [lo, hi]; false when the range
-  // misses the domain entirely.
-  bool PartitionSpan(double lo, double hi, size_t* first,
-                     size_t* last) const;
-
-  Options options_;
-  double bin_width_ = 0;
-  std::vector<std::vector<uint8_t>> partitions_;  // encoded streams
-};
 
 // Density plot: tuples per (x, y) bin over user-specified ranges —
 // "density (number of tuples per bin) ... plots" (§6.3).

@@ -338,6 +338,12 @@ TEST(ApproxTest, ApproxSumFromPrefixWithinBound) {
       ApproxSumFromPrefix(stream.data(), stream.size(), -5.0, 9.0).ok());
   EXPECT_FALSE(
       ApproxSumFromPrefix(stream.data(), stream.size(), 0.8, 0.2).ok());
+  // A range beyond the domain clamps to [1, 1] and sums nothing.
+  auto beyond = ApproxSumFromPrefix(stream.data(), stream.size(), 1.5, 2.0);
+  ASSERT_TRUE(beyond.ok());
+  EXPECT_EQ(beyond.value().bins, 0u);
+  EXPECT_EQ(beyond.value().estimate, 0.0);
+  EXPECT_EQ(beyond.value().error_bound, 0.0);
   // Garbage bytes are a clean error.
   std::vector<uint8_t> garbage = {1, 2, 3};
   EXPECT_FALSE(ApproxSumFromPrefix(garbage.data(), garbage.size(), 0, 1).ok());

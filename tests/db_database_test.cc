@@ -351,34 +351,18 @@ TEST(ConnectionPoolTest, PoolingAvoidsSetupCost) {
   ConnectionPool::Options opts;
   opts.query_pool_size = 2;
   opts.update_pool_size = 1;
-  opts.auth_pool_size = 1;
   opts.connection_setup_cost = 1000;
   ConnectionPool pool(&db, &clock, opts);
   Micros after_warmup = clock.Now();
-  EXPECT_EQ(pool.connections_created(), 4);
+  EXPECT_EQ(after_warmup, 3000);  // the pools are filled up front
+  EXPECT_EQ(pool.connections_created(), 3);
   for (int i = 0; i < 10; ++i) {
     PooledConnection conn = pool.Acquire(PoolKind::kQuery);
     ASSERT_TRUE(conn.valid());
     ASSERT_TRUE(conn->Execute("SELECT COUNT(*) FROM t").ok());
   }
   EXPECT_EQ(clock.Now(), after_warmup);  // no additional setup cost
-  EXPECT_EQ(pool.connections_created(), 4);
-}
-
-TEST(ConnectionPoolTest, NoPoolingPaysSetupEveryTime) {
-  Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT)").ok());
-  VirtualClock clock;
-  ConnectionPool::Options opts;
-  opts.pooling_enabled = false;
-  opts.connection_setup_cost = 1000;
-  ConnectionPool pool(&db, &clock, opts);
-  for (int i = 0; i < 5; ++i) {
-    PooledConnection conn = pool.Acquire(PoolKind::kQuery);
-    ASSERT_TRUE(conn.valid());
-  }
-  EXPECT_EQ(clock.Now(), 5000);
-  EXPECT_EQ(pool.connections_created(), 5);
+  EXPECT_EQ(pool.connections_created(), 3);
 }
 
 TEST(ConnectionPoolTest, SeparatePoolsDoNotInterfere) {
@@ -387,8 +371,6 @@ TEST(ConnectionPoolTest, SeparatePoolsDoNotInterfere) {
   ConnectionPool::Options opts;
   opts.query_pool_size = 1;
   opts.update_pool_size = 1;
-  opts.auth_pool_size = 1;
-  opts.connection_setup_cost = 0;
   ConnectionPool pool(&db, &clock, opts);
   PooledConnection q = pool.Acquire(PoolKind::kQuery);
   // The update pool must still be available while the query pool is

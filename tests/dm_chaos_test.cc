@@ -399,11 +399,9 @@ class ChaosDmTest : public ::testing::Test {
     mapper_ = std::make_unique<archive::NameMapper>(&db_, Config());
     ASSERT_TRUE(mapper_->Init().ok());
     ASSERT_TRUE(mapper_->RegisterArchive(1, "disk", "raid1").ok());
-    DataManager::Options options;
-    options.pool.connection_setup_cost = 0;
-    options.sessions.session_setup_cost = 0;
     dm_ = std::make_unique<DataManager>("chaos-node", &db_, &archives_,
-                                        mapper_.get(), &clock_, options);
+                                        mapper_.get(), &clock_,
+                                        DataManager::Options{});
     server_ = std::make_unique<RmiServer>(dm_.get(), &metrics_);
     inner_ = std::make_unique<InProcessChannel>(server_.get());
     ASSERT_TRUE(db_.Execute("INSERT INTO users VALUES (1, 'a', 'h', TRUE, "

@@ -17,11 +17,9 @@ class RemoteDmTest : public ::testing::Test {
     mapper_ = std::make_unique<archive::NameMapper>(&db_, Config());
     ASSERT_TRUE(mapper_->Init().ok());
     ASSERT_TRUE(mapper_->RegisterArchive(1, "disk", "raid1").ok());
-    DataManager::Options options;
-    options.pool.connection_setup_cost = 0;
-    options.sessions.session_setup_cost = 0;
     dm_ = std::make_unique<DataManager>("remote-node", &db_, &archives_,
-                                        mapper_.get(), &clock_, options);
+                                        mapper_.get(), &clock_,
+                                        DataManager::Options{});
     server_ = std::make_unique<RmiServer>(dm_.get());
     channel_ = std::make_unique<InProcessChannel>(server_.get(), &clock_,
                                                   /*latency=*/1000,

@@ -27,11 +27,9 @@ struct Node {
     mapper = std::make_unique<archive::NameMapper>(&db, Config());
     EXPECT_TRUE(mapper->Init().ok());
     EXPECT_TRUE(mapper->RegisterArchive(1, "disk", "raid1").ok());
-    DataManager::Options options;
-    options.pool.connection_setup_cost = 0;
-    options.sessions.session_setup_cost = 0;
     dm = std::make_unique<DataManager>(name, &db, &archives, mapper.get(),
-                                       RealClock::Instance(), options);
+                                       RealClock::Instance(),
+                                       DataManager::Options{});
     rmi = std::make_unique<RmiServer>(dm.get(), &metrics);
     tcp = std::make_unique<TcpRmiServer>(rmi.get(), &metrics);
     EXPECT_TRUE(tcp->Start().ok());

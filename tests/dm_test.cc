@@ -30,11 +30,9 @@ class DmTest : public ::testing::Test {
     ASSERT_TRUE(mapper_->RegisterArchive(1, "disk", "raid1").ok());
     ASSERT_TRUE(mapper_->RegisterArchive(2, "tape", "tape0").ok());
 
-    DataManager::Options options;
-    options.pool.connection_setup_cost = 0;
-    options.sessions.session_setup_cost = 0;
     dm_ = std::make_unique<DataManager>("dm0", &db_, &archives_,
-                                        mapper_.get(), &clock_, options);
+                                        mapper_.get(), &clock_,
+                                        DataManager::Options{});
 
     // Users: alice (analyst), bob (browser), root (super).
     UserProfile analyst;
@@ -126,6 +124,18 @@ TEST_F(DmTest, SessionCreationPaysSetupCost) {
   ASSERT_TRUE(sessions.GetOrCreate(profile, "ip", "c", SessionKind::kHle)
                   .ok());
   EXPECT_EQ(clock_.Now() - t0, 777);
+}
+
+TEST_F(DmTest, DefaultOptionsChargeNoSetupCost) {
+  VirtualClock clock;
+  DataManager dm("dm-default", &db_, &archives_, mapper_.get(), &clock,
+                 DataManager::Options{});
+  EXPECT_EQ(clock.Now(), 0);
+  ASSERT_TRUE(dm.sessions()
+                  .GetOrCreate(AnonymousUser(), "ip", "c", SessionKind::kHle)
+                  .ok());
+  EXPECT_EQ(clock.Now(), 0);
+  EXPECT_EQ(dm.sessions().sessions_created(), 1);
 }
 
 TEST_F(DmTest, QuerySpecRendersSql) {
@@ -587,10 +597,8 @@ TEST_F(DmTest, IoLayerRoutesTables) {
 }
 
 TEST_F(DmTest, RedirectionRoundRobins) {
-  DataManager::Options options;
-  options.pool.connection_setup_cost = 0;
-  options.sessions.session_setup_cost = 0;
-  DataManager peer("dm1", &db_, &archives_, mapper_.get(), &clock_, options);
+  DataManager peer("dm1", &db_, &archives_, mapper_.get(), &clock_,
+                   DataManager::Options{});
   dm_->AddPeer(&peer);
   std::map<DataManager*, int> counts;
   for (int i = 0; i < 10; ++i) ++counts[dm_->Route()];
@@ -600,15 +608,6 @@ TEST_F(DmTest, RedirectionRoundRobins) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(dm_->Route(/*force_local=*/true), dm_.get());
   }
-}
-
-TEST_F(DmTest, AsyncExecutionRuns) {
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(dm_->SubmitAsync([&ran] { ran.fetch_add(1); }));
-  }
-  dm_->DrainAsync();
-  EXPECT_EQ(ran.load(), 8);
 }
 
 TEST_F(DmTest, OperationalLogPersisted) {

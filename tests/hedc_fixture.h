@@ -31,11 +31,9 @@ class HedcStack {
     mapper->Init();
     mapper->RegisterArchive(1, "disk", "raid1");
 
-    dm::DataManager::Options dm_options;
-    dm_options.pool.connection_setup_cost = 0;
-    dm_options.sessions.session_setup_cost = 0;
     data_manager = std::make_unique<dm::DataManager>(
-        "dm0", &db, &archives, mapper.get(), &clock, dm_options);
+        "dm0", &db, &archives, mapper.get(), &clock,
+        dm::DataManager::Options{});
     process = std::make_unique<dm::ProcessLayer>(data_manager.get(), 1);
 
     // Users.

@@ -247,11 +247,9 @@ TEST_P(TransportConformanceTest, TraceIdPropagatesThroughFullDmNode) {
   auto mapper = std::make_unique<archive::NameMapper>(&db, Config());
   ASSERT_TRUE(mapper->Init().ok());
   ASSERT_TRUE(mapper->RegisterArchive(1, "disk", "raid1").ok());
-  dm::DataManager::Options dm_options;
-  dm_options.pool.connection_setup_cost = 0;
-  dm_options.sessions.session_setup_cost = 0;
   dm::DataManager data_manager("conf", &db, &archives, mapper.get(),
-                               RealClock::Instance(), dm_options);
+                               RealClock::Instance(),
+                               dm::DataManager::Options{});
   MetricsRegistry metrics;
   dm::RmiServer rmi(&data_manager, &metrics);
   dm::TcpRmiServer server(&rmi, &metrics);

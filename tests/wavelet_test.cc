@@ -1,4 +1,4 @@
-// Haar transforms, progressive codec, partitioned views, plots.
+// Haar transforms, progressive codec, density and extent plots.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -157,64 +157,6 @@ TEST(CodecTest, BadStreamRejected) {
   EXPECT_FALSE(DecodeSignal({1, 2, 3, 4, 5}).ok());
 }
 
-TEST(PartitionedViewTest, QueryDecodesOnlyOverlappingPartitions) {
-  std::vector<std::pair<double, double>> samples;
-  for (int i = 0; i < 10000; ++i) {
-    samples.emplace_back(static_cast<double>(i) / 10.0, 1.0);
-  }
-  PartitionedView::Options options;
-  options.domain_lo = 0;
-  options.domain_hi = 1000;
-  options.num_partitions = 10;
-  options.bins_per_partition = 64;
-  auto view = PartitionedView::Build(samples, options);
-  ASSERT_TRUE(view.ok()) << view.status().ToString();
-
-  // A query covering 1/10 of the domain needs ~1/10 of the bytes.
-  size_t total = view.value().TotalBytes();
-  size_t range_bytes = view.value().BytesForRange(100, 199);
-  EXPECT_LT(range_bytes, total / 5);
-
-  double start = -1;
-  auto bins = view.value().Query(100, 199, 1.0, &start);
-  ASSERT_TRUE(bins.ok());
-  EXPECT_DOUBLE_EQ(start, 100.0);
-  EXPECT_EQ(bins.value().size(), 64u);  // one partition
-  // Each bin covers 1000/640 s and samples arrive at 10/s with value 1
-  // => ~15.6 per bin.
-  double sum = 0;
-  for (double b : bins.value()) sum += b;
-  EXPECT_NEAR(sum / bins.value().size(), 15.6, 1.0);
-}
-
-TEST(PartitionedViewTest, ApproximateQueryIsClose) {
-  Rng rng(8);
-  std::vector<std::pair<double, double>> samples;
-  for (int i = 0; i < 50000; ++i) {
-    samples.emplace_back(rng.Uniform(0, 100), 1.0);
-  }
-  PartitionedView::Options options;
-  options.domain_lo = 0;
-  options.domain_hi = 100;
-  options.num_partitions = 4;
-  options.bins_per_partition = 128;
-  auto view = PartitionedView::Build(samples, options);
-  ASSERT_TRUE(view.ok());
-  auto exact = view.value().Query(0, 100, 1.0, nullptr);
-  auto approx = view.value().Query(0, 100, 0.25, nullptr);
-  ASSERT_TRUE(exact.ok());
-  ASSERT_TRUE(approx.ok());
-  EXPECT_LT(RelativeL2Error(exact.value(), approx.value()), 0.2);
-}
-
-TEST(PartitionedViewTest, InvalidOptionsRejected) {
-  std::vector<std::pair<double, double>> samples;
-  PartitionedView::Options options;
-  options.domain_lo = 5;
-  options.domain_hi = 5;
-  EXPECT_FALSE(PartitionedView::Build(samples, options).ok());
-}
-
 // --- HWV3 progressive streams ------------------------------------------
 
 std::vector<double> FlareLikeSignal(size_t n, uint64_t seed) {
@@ -344,150 +286,6 @@ TEST(ProgressiveCodecTest, SumErrorBoundCoversRangeSums) {
           << "level " << level << " range [" << lo << "," << hi << "]";
     }
   }
-}
-
-PartitionedView MakeTestView(size_t num_partitions) {
-  Rng rng(23);
-  std::vector<std::pair<double, double>> samples;
-  for (int i = 0; i < 20000; ++i) {
-    samples.emplace_back(rng.Uniform(0, 100), rng.Uniform(0.5, 1.5));
-  }
-  PartitionedView::Options options;
-  options.domain_lo = 0;
-  options.domain_hi = 100;
-  options.num_partitions = num_partitions;
-  options.bins_per_partition = 64;
-  auto view = PartitionedView::Build(samples, options);
-  EXPECT_TRUE(view.ok());
-  return std::move(view).value();
-}
-
-TEST(PartitionedViewTest, QueryEdgeCases) {
-  PartitionedView view = MakeTestView(4);
-  double start = -1;
-
-  // Inverted range: an error, not a silent empty result.
-  EXPECT_FALSE(view.Query(50, 10, 1.0, &start).ok());
-
-  // Ranges entirely outside the domain: empty, not an error.
-  auto below = view.Query(-100, -50, 1.0, &start);
-  ASSERT_TRUE(below.ok());
-  EXPECT_TRUE(below.value().empty());
-  auto above = view.Query(200, 300, 1.0, &start);
-  ASSERT_TRUE(above.ok());
-  EXPECT_TRUE(above.value().empty());
-
-  // fraction <= 0 clamps to the coarsest usable budget instead of
-  // decoding nothing; > 1 clamps to a full decode.
-  auto zero = view.Query(0, 100, 0.0, &start);
-  ASSERT_TRUE(zero.ok());
-  EXPECT_EQ(zero.value().size(), 256u);
-  auto full = view.Query(0, 100, 1.0, &start);
-  auto over = view.Query(0, 100, 7.5, &start);
-  ASSERT_TRUE(full.ok());
-  ASSERT_TRUE(over.ok());
-  ASSERT_EQ(full.value().size(), over.value().size());
-  for (size_t i = 0; i < full.value().size(); ++i) {
-    EXPECT_EQ(full.value()[i], over.value()[i]);
-  }
-
-  // A range partially overlapping the domain clamps to the edge.
-  auto edge = view.Query(-50, 10, 1.0, &start);
-  ASSERT_TRUE(edge.ok());
-  EXPECT_DOUBLE_EQ(start, 0.0);
-  EXPECT_FALSE(edge.value().empty());
-}
-
-TEST(PartitionedViewTest, SinglePartitionViewWorks) {
-  PartitionedView view = MakeTestView(1);
-  EXPECT_EQ(view.num_partitions(), 1u);
-  double start = -1;
-  auto bins = view.Query(0, 100, 1.0, &start);
-  ASSERT_TRUE(bins.ok());
-  EXPECT_EQ(bins.value().size(), 64u);
-  EXPECT_DOUBLE_EQ(start, 0.0);
-  // Sub-range and resolution queries behave like the multi-partition
-  // case.
-  auto sub = view.Query(25, 75, 0.5, &start);
-  ASSERT_TRUE(sub.ok());
-  EXPECT_FALSE(sub.value().empty());
-  auto coarse = view.QueryResolution(0, 100, 0, &start);
-  ASSERT_TRUE(coarse.ok());
-  EXPECT_EQ(coarse.value().size(), 64u);
-}
-
-TEST(PartitionedViewTest, ResolutionPrefixesRefine) {
-  PartitionedView view = MakeTestView(4);
-  double start = 0;
-  auto exact = view.Query(0, 100, 1.0, &start);
-  ASSERT_TRUE(exact.ok());
-  size_t levels = view.ResolutionLevelCount();
-  ASSERT_EQ(levels, 7u);  // 64 bins per partition
-  double prev_error = 1e300;
-  size_t prev_bytes = 0;
-  for (size_t level = 0; level < levels; ++level) {
-    auto bins = view.QueryResolution(0, 100, level, &start);
-    ASSERT_TRUE(bins.ok());
-    double error = RelativeL2Error(exact.value(), bins.value());
-    EXPECT_LE(error, prev_error + 1e-12);
-    prev_error = error;
-    size_t bytes = view.PrefixBytesForRange(0, 100, level);
-    EXPECT_GE(bytes, prev_bytes);
-    prev_bytes = bytes;
-  }
-  // The finest level reproduces the full-fidelity query; the coarsest
-  // costs a small fraction of the full download.
-  EXPECT_LT(prev_error, 1e-6);
-  EXPECT_LT(view.PrefixBytesForRange(0, 100, 0) * 5,
-            view.BytesForRange(0, 100));
-}
-
-TEST(PartitionedViewTest, AggregateRangeWithinBound) {
-  Rng rng(31);
-  std::vector<std::pair<double, double>> samples;
-  for (int i = 0; i < 30000; ++i) {
-    samples.emplace_back(rng.Uniform(0, 100), rng.Uniform(0, 2));
-  }
-  PartitionedView::Options options;
-  options.domain_lo = 0;
-  options.domain_hi = 100;
-  options.num_partitions = 8;
-  options.bins_per_partition = 128;
-  auto built = PartitionedView::Build(samples, options);
-  ASSERT_TRUE(built.ok());
-  const PartitionedView& view = built.value();
-
-  for (size_t level : {0u, 2u, 5u}) {
-    for (auto [lo, hi] : std::initializer_list<std::pair<double, double>>{
-             {0, 100}, {10, 35}, {60.5, 61.5}}) {
-      // True sum of samples in [lo, hi) up to binning at the edges:
-      // compare against the exact bin sums instead.
-      double start = 0;
-      auto exact_bins = view.Query(0, 100, 1.0, &start);
-      ASSERT_TRUE(exact_bins.ok());
-      double bin_width = view.bin_width();
-      double exact = 0;
-      for (size_t i = 0; i < exact_bins.value().size(); ++i) {
-        double b_lo = start + static_cast<double>(i) * bin_width;
-        if (b_lo >= hi || b_lo + bin_width <= lo) continue;
-        exact += exact_bins.value()[i];
-      }
-      auto agg = view.AggregateRange(lo, hi, level);
-      ASSERT_TRUE(agg.ok());
-      EXPECT_LE(std::abs(agg.value().sum - exact),
-                agg.value().error_bound + 1e-6)
-          << "level " << level << " [" << lo << "," << hi << ")";
-      EXPECT_GT(agg.value().bins, 0u);
-      EXPECT_GT(agg.value().bytes_read, 0u);
-    }
-  }
-
-  // Disjoint range: zero everything.
-  auto miss = view.AggregateRange(500, 600, 0);
-  ASSERT_TRUE(miss.ok());
-  EXPECT_EQ(miss.value().sum, 0.0);
-  EXPECT_EQ(miss.value().bins, 0u);
-  EXPECT_EQ(miss.value().error_bound, 0.0);
 }
 
 TEST(DensityPlotTest, CountsPerBin) {

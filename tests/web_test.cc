@@ -743,11 +743,8 @@ TEST(WebUsageStatsTest, UsageRowsAccumulateAcrossRestarts) {
     mapper_config.Set("root.filename", "/hedc");
     archive::NameMapper mapper(&db, mapper_config);
     EXPECT_TRUE(mapper.Init().ok());
-    dm::DataManager::Options options;
-    options.pool.connection_setup_cost = 0;
-    options.sessions.session_setup_cost = 0;
     dm::DataManager data_manager("dm0", &db, &archives, &mapper, &clock,
-                                 options);
+                                 dm::DataManager::Options{});
     WebServer web(&data_manager, nullptr);
     web.RegisterStandardServlets();
     for (int i = 0; i < requests; ++i) {
@@ -767,11 +764,9 @@ TEST(WebUsageStatsTest, UsageRowsAccumulateAcrossRestarts) {
 
 TEST_F(WebStackTest, RedirectionSpreadsAcrossPeers) {
   // A peer DM node sharing the same DBMS/archives.
-  dm::DataManager::Options options;
-  options.pool.connection_setup_cost = 0;
-  options.sessions.session_setup_cost = 0;
   dm::DataManager peer("dm1", &stack_.db, &stack_.archives,
-                       stack_.mapper.get(), &stack_.clock, options);
+                       stack_.mapper.get(), &stack_.clock,
+                       dm::DataManager::Options{});
   stack_.data_manager->AddPeer(&peer);
   int64_t before_peer = peer.requests_handled();
   for (int i = 0; i < 10; ++i) {
