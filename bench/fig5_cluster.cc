@@ -5,7 +5,7 @@
 // rows) projects the paper's scale-out curve; this harness measures what
 // the code in src/cluster actually does. It boots N ClusterNodes with
 // ClusterOptions defaults, each a full DM stack behind a TcpRmiServer on
-// the runner's shared reactor (default worker count, FromConfig of an
+// the runner's shared reactor (one event loop per core, FromConfig of an
 // empty Config), and drives closed-loop clients through RoutedDmPool over
 // loopback TCP with the deterministic cluster workload. Nothing is
 // injected: no sleeps, no floors, no modeled capacity. All N nodes run

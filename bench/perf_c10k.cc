@@ -62,7 +62,7 @@ struct ServerChild {
       ::close(exit_pipe[1]);
       EchoRmi rmi;
       dm::TcpRmiServer::Options options;
-      options.reactor.workers = 2;
+      options.reactor.loops = 2;
       // Connections are intentionally idle most of the time; only a
       // genuinely dead one should be reaped.
       options.reactor.idle_timeout = 300 * kMicrosPerSecond;

@@ -23,7 +23,7 @@ ClusterRunner::ClusterRunner(ClusterOptions options, Clock* clock,
       clock_(clock),
       metrics_(metrics != nullptr ? metrics : MetricsRegistry::Default()),
       membership_(metrics_) {
-  // All nodes' RMI listeners share this loop: O(workers) threads for the
+  // All nodes' RMI listeners share this reactor: O(loops) threads for the
   // whole cluster, however many nodes and channels exist.
   net::Reactor::Options reactor_options = options_.node.rmi.reactor;
   if (reactor_options.metrics == nullptr) reactor_options.metrics = metrics_;

@@ -8,7 +8,7 @@
 // MembershipRegistry, and routes session keys to nodes through a
 // SessionRouter (least_loaded or consistent_hash; see routing.h). Every
 // node is served by the runner's one reactor, so N nodes in one process
-// share that reactor's workers and the host's cores.
+// share that reactor's event loops (one per core) and the host's cores.
 //
 // Two dispatch paths ride on top:
 //  * RouteInProcess — the web tier picks the DataManager a servlet runs
@@ -52,7 +52,7 @@ struct ClusterOptions {
   NodeOptions node;
 
   // Reads cluster.nodes, cluster.routing, cluster.virtual_points and
-  // cluster.wal_dir, plus the node RMI transport knobs (net.workers and
+  // cluster.wal_dir, plus the node RMI transport knobs (net.loops and
   // friends; see dm::TcpRmiServer::Options::FromConfig). Unknown routing
   // names fall back to least_loaded.
   static ClusterOptions FromConfig(const Config& config);

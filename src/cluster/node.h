@@ -28,9 +28,9 @@ struct NodeOptions {
   // Per-node WAL directory; empty = in-memory only (tests/benches).
   std::string wal_dir;
   // RMI transport tuning. The cluster runner points rmi.shared_reactor
-  // at its own reactor, so N nodes serve from one event loop instead of
-  // N thread armies; rmi.reactor.workers sizes that loop's worker pool,
-  // which bounds how many calls the whole cluster executes at once.
+  // at its own reactor, so N nodes serve from one set of event loops
+  // instead of N thread armies; rmi.reactor.loops sizes that set, which
+  // bounds how many calls the whole cluster executes at once.
   dm::TcpRmiServer::Options rmi;
   dm::DataManager::Options dm;
   pl::ProductCache::Options cache;

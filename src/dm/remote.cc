@@ -127,7 +127,7 @@ Status DecodeResultSet(ByteReader* in, db::ResultSet* out) {
 std::vector<uint8_t> RmiServer::Handle(const std::vector<uint8_t>& request) {
   calls_handled_.fetch_add(1, std::memory_order_relaxed);
   dm_->CountRequest();
-  metrics_->GetCounter("remote.server.calls")->Add();
+  calls_->Add();
   ByteReader reader(request);
   CallHeader header;
   Status header_status = DecodeCallHeader(&reader, &header);

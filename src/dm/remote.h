@@ -64,7 +64,8 @@ class RmiServer : public RmiHandler {
  public:
   explicit RmiServer(DataManager* dm, MetricsRegistry* metrics = nullptr)
       : dm_(dm),
-        metrics_(metrics != nullptr ? metrics : MetricsRegistry::Default()) {}
+        metrics_(metrics != nullptr ? metrics : MetricsRegistry::Default()),
+        calls_(metrics_->GetCounter("remote.server.calls")) {}
 
   // Handles one frame; the response encodes either a result or an error
   // status. Malformed frames yield a kCorruption response, never a crash.
@@ -77,6 +78,7 @@ class RmiServer : public RmiHandler {
  private:
   DataManager* dm_;
   MetricsRegistry* metrics_;
+  Counter* calls_;  // remote.server.calls
   std::atomic<int64_t> calls_handled_{0};
 };
 

@@ -9,13 +9,14 @@ namespace {
 // Per-connection state machine for [u32 len][payload][u32 crc32] frames on
 // the reactor. A hostile length or checksum mismatch drops the connection
 // without a response (peers observe kUnavailable on their next read); a
-// valid frame executes on the worker pool and always produces a response
+// valid frame executes inline on the loop and always produces a response
 // frame.
 class RmiFrameProtocol : public net::ReactorProtocol {
  public:
-  RmiFrameProtocol(RmiHandler* rmi, MetricsRegistry* metrics,
+  RmiFrameProtocol(RmiHandler* rmi, Counter* frames, Counter* oversized,
                    size_t max_frame)
-      : rmi_(rmi), metrics_(metrics), max_frame_(max_frame) {}
+      : rmi_(rmi), frames_(frames), oversized_(oversized),
+        max_frame_(max_frame) {}
 
   size_t OnData(const uint8_t* data, size_t n,
                 net::ReactorContext* ctx) override {
@@ -27,7 +28,7 @@ class RmiFrameProtocol : public net::ReactorProtocol {
     if (len > max_frame_) {
       // Rejected on the 4 header bytes alone — no payload-sized
       // allocation ever happens for a hostile length.
-      metrics_->GetCounter("net.oversized_frames")->Add();
+      oversized_->Add();
       ctx->Close();
       return 0;
     }
@@ -44,17 +45,16 @@ class RmiFrameProtocol : public net::ReactorProtocol {
     }
     // Transport-level frame count; the RMI codec layer above counts
     // remote.server.calls (one per decoded call).
-    metrics_->GetCounter("remote.server.frames")->Add();
-    ctx->Dispatch([rmi = rmi_, payload = std::move(payload)]() mutable {
-      return net::ReactorReply{net::EncodeFrame(rmi->Handle(payload)),
-                               /*close_after=*/false};
-    });
+    frames_->Add();
+    ctx->Reply({net::EncodeFrame(rmi_->Handle(payload)),
+                /*close_after=*/false});
     return total;
   }
 
  private:
   RmiHandler* rmi_;
-  MetricsRegistry* metrics_;
+  Counter* frames_;
+  Counter* oversized_;
   size_t max_frame_;
 };
 
@@ -95,12 +95,15 @@ Status TcpRmiServer::Start(int port) {
     HEDC_RETURN_IF_ERROR(r->Start());
   }
   RmiHandler* rmi = rmi_;
-  MetricsRegistry* metrics = metrics_;
+  Counter* connections = metrics_->GetCounter("remote.server.connections");
+  Counter* frames = metrics_->GetCounter("remote.server.frames");
+  Counter* oversized = metrics_->GetCounter("net.oversized_frames");
   size_t max_frame = options_.max_frame;
-  Result<net::Reactor::ListenerInfo> listener =
-      r->AddListener(port, [rmi, metrics, max_frame] {
-        metrics->GetCounter("remote.server.connections")->Add();
-        return std::make_unique<RmiFrameProtocol>(rmi, metrics, max_frame);
+  Result<net::Reactor::ListenerInfo> listener = r->AddListener(
+      port, [rmi, connections, frames, oversized, max_frame] {
+        connections->Add();
+        return std::make_unique<RmiFrameProtocol>(rmi, frames, oversized,
+                                                  max_frame);
       });
   if (!listener.ok()) return listener.status();
   listener_ = listener.value();
@@ -127,8 +130,8 @@ void TcpRmiServer::Stop() {
     listener_id = listener_.id;
     listener_ = net::Reactor::ListenerInfo{};
   }
-  // Drains this listener's connections and in-flight frames; must run
-  // outside mu_ (port() readers proceed meanwhile).
+  // Closes this listener's connections, dropping the replies of frames
+  // in flight; must run outside mu_ (port() readers proceed meanwhile).
   reactor()->CloseListener(listener_id);
 }
 

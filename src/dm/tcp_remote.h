@@ -7,14 +7,15 @@
 // reconnects lazily after any transport error, so a ResilientChannel
 // layered on top can simply retry.
 //
-// The server parses each connection with a frame state machine on an
-// epoll loop (net/reactor.h) and executes frames on its worker pool, so
-// it holds C10K keep-alive connections without a thread each. Many
-// servers can share one Reactor (Options::shared_reactor), which is how a
-// whole cluster's nodes serve without thread explosion. Client-visible
-// semantics are locked down by tests/net_conformance_test.cc: framing
-// errors drop the connection (peers observe kUnavailable), valid frames
-// always get a response, and Stop() kills in-flight calls.
+// The server parses each connection with a frame state machine on one of
+// the reactor's event loops (net/reactor.h) and executes each frame inline
+// on that loop, so it holds C10K keep-alive connections without a thread
+// each. Many servers can share one Reactor (Options::shared_reactor),
+// which is how a whole cluster's nodes serve without thread explosion.
+// Client-visible semantics are locked down by
+// tests/net_conformance_test.cc: framing errors drop the connection
+// (peers observe kUnavailable), valid frames always get a response, and
+// Stop() kills in-flight calls.
 #ifndef HEDC_DM_TCP_REMOTE_H_
 #define HEDC_DM_TCP_REMOTE_H_
 

@@ -1,7 +1,6 @@
 #include "net/reactor.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -9,8 +8,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
+#include <deque>
+#include <thread>
 
 namespace hedc::net {
 
@@ -29,19 +33,20 @@ Status Errno(const std::string& what) {
   return Status::Unavailable(what + ": " + std::strerror(errno));
 }
 
-void SetNonBlockingNodelay(int fd) {
-  int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
-  int one = 1;
-  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+// Registers (EPOLL_CTL_ADD) or updates (EPOLL_CTL_MOD) `fd` with `tag`.
+bool EpollCtl(int epoll_fd, int op, int fd, uint32_t events, uint64_t tag) {
+  struct epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = events;
+  ev.data.u64 = tag;
+  return ::epoll_ctl(epoll_fd, op, fd, &ev) == 0;
 }
 
 }  // namespace
 
 Reactor::Options Reactor::Options::FromConfig(const Config& config) {
   Options options;
-  options.workers =
-      static_cast<int>(config.GetInt("net.workers", options.workers));
+  options.loops = static_cast<int>(config.GetInt("net.loops", options.loops));
   options.idle_timeout = config.GetInt("net.idle_timeout_ms",
                                        options.idle_timeout / kMicrosPerMilli) *
                          kMicrosPerMilli;
@@ -58,12 +63,20 @@ Reactor::Options Reactor::Options::FromConfig(const Config& config) {
   return options;
 }
 
-// All fields are loop-thread-only; worker threads reach a connection only
-// by id through Post().
+struct Reactor::ListenerState {
+  int id = -1;
+  int fd = -1;  // accepting-loop-only once registered
+  ProtocolFactory factory;
+  // Set before CloseListener posts its close to the loops, so a loop that
+  // sees it after a handler returns drops that handler's reply.
+  std::atomic<bool> closed{false};
+};
+
+// All fields belong to the owning loop's thread.
 struct Reactor::Conn {
   uint64_t id = 0;
   int fd = -1;
-  int listener_id = -1;
+  std::shared_ptr<ListenerState> listener;
   std::unique_ptr<ReactorProtocol> protocol;
 
   std::vector<uint8_t> in;  // received, not yet consumed (from in_head)
@@ -74,8 +87,7 @@ struct Reactor::Conn {
   size_t out_bytes = 0;  // total queued
 
   bool want_write = false;  // EPOLLOUT armed
-  bool paused = false;      // EPOLLIN dropped (backpressure)
-  bool dispatch_pending = false;
+  bool paused = false;      // reading and parsing stopped (backpressure)
   bool close_after_flush = false;
   bool peer_eof = false;
 
@@ -84,26 +96,149 @@ struct Reactor::Conn {
   Micros write_stall_start = 0;  // writes blocked since (0 = none)
 };
 
-struct Reactor::ListenerState {
-  int id = -1;
-  int fd = -1;
-  int port = 0;
-  ProtocolFactory factory;
-  std::atomic<int64_t> inflight{0};
-  bool closed = false;  // guarded by listeners_mu_
+// One event loop: an epoll set, a wake eventfd, a task queue other
+// threads post into, and the connections assigned to it. Everything below
+// the task queue is touched by the loop's thread only.
+class Reactor::Loop {
+ public:
+  Loop(Reactor* reactor, bool acceptor)
+      : r_(reactor), acceptor_(acceptor) {}
+  // Stops and joins the thread (if any), then closes the fds.
+  ~Loop() {
+    stop_.store(true, std::memory_order_release);
+    if (thread_.joinable()) {
+      Wake();
+      thread_.join();
+    }
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+  }
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  Status Open() {
+    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+    if (epoll_fd_ < 0) return Errno("epoll_create1");
+    wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+    if (wake_fd_ < 0) return Errno("eventfd");
+    if (!EpollCtl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, EPOLLIN, kWakeTag)) {
+      return Errno("epoll_ctl(eventfd)");
+    }
+    accepting_tasks_ = true;
+    thread_ = std::thread([this] { Main(); });
+    return Status::Ok();
+  }
+
+  // Enqueues `fn` onto the loop thread; false once the loop is gone.
+  bool Post(std::function<void()> fn) {
+    {
+      std::lock_guard<std::mutex> lock(task_mu_);
+      if (!accepting_tasks_) return false;
+      tasks_.push_back(Task{SteadyNowUs(), std::move(fn)});
+    }
+    Wake();
+    return true;
+  }
+
+  int epoll_fd() const { return epoll_fd_; }
+
+  // Loop thread: takes over an accepted fd (already counted in open_).
+  void Adopt(int fd, std::shared_ptr<ListenerState> listener) {
+    if (listener->closed.load(std::memory_order_acquire)) {
+      ::close(fd);
+      open_.fetch_sub(1, std::memory_order_relaxed);
+      return;
+    }
+    auto conn = std::make_unique<Conn>();
+    conn->id = next_conn_id_++;
+    conn->fd = fd;
+    conn->protocol = listener->factory();
+    conn->listener = std::move(listener);
+    conn->last_activity = SteadyNowUs();
+    // Bytes that arrived before the fd joined this epoll set still raise
+    // one edge: EPOLL_CTL_ADD reports a socket that is already readable.
+    if (!EpollCtl(epoll_fd_, EPOLL_CTL_ADD, fd,
+                  EPOLLIN | EPOLLRDHUP | EPOLLET, conn->id)) {
+      ::close(fd);
+      open_.fetch_sub(1, std::memory_order_relaxed);
+      r_->accept_errors_->Add();
+      return;
+    }
+    r_->accepts_->Add();
+    r_->conns_open_->Add(1);
+    conns_[conn->id] = std::move(conn);
+  }
+
+  // Loop thread: closes the listener's fd (acceptor) and connections.
+  void DropListener(const ListenerState& listener) {
+    if (acceptor_) {
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listener.fd, nullptr);
+      ::close(listener.fd);
+    }
+    std::vector<Conn*> doomed;
+    for (const auto& [conn_id, conn] : conns_) {
+      if (conn->listener.get() == &listener) doomed.push_back(conn.get());
+    }
+    for (Conn* c : doomed) CloseConn(c);
+  }
+
+  int64_t open_conns() const { return open_.load(std::memory_order_relaxed); }
+  void CountAssigned() { open_.fetch_add(1, std::memory_order_relaxed); }
+
+ private:
+  struct Task {
+    Micros enqueued_us = 0;
+    std::function<void()> fn;
+  };
+
+  void Main();
+  void RunPostedTasks();
+  void Wake() {
+    uint64_t one = 1;
+    ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
+    (void)ignored;
+  }
+
+  void AcceptReady(int listener_id);
+  // The Conn helpers return false when they closed (and freed) the
+  // connection, so callers stop touching it.
+  bool ReadConn(Conn* c);
+  bool ParseConn(Conn* c);
+  bool FlushConn(Conn* c);
+  bool MaybeCloseOnEof(Conn* c);
+  void CloseConn(Conn* c);
+  void UpdateInterest(Conn* c);
+  void SweepDeadlines(Micros now);
+
+  Reactor* const r_;
+  const bool acceptor_;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;
+  std::atomic<bool> stop_{false};
+  // Connections assigned to this loop, counted from the acceptor's pick
+  // until CloseConn; read by the acceptor to balance.
+  std::atomic<int64_t> open_{0};
+
+  std::mutex task_mu_;
+  bool accepting_tasks_ = false;
+  std::vector<Task> tasks_;
+
+  // --- loop-thread-only state ------------------------------------------
+  uint64_t next_conn_id_ = 1;
+  std::map<uint64_t, std::unique_ptr<Conn>> conns_;
+  Micros last_sweep_us_ = 0;
+  uint64_t sweep_cursor_ = 0;  // deadline sweep resumes at upper_bound(this)
+
+  std::thread thread_;  // last: runs Main() over every member above
 };
-
-void ReactorContext::Dispatch(std::function<ReactorReply()> work) {
-  dispatched_ = true;
-  reactor_->DispatchWork(conn_id_, std::move(work));
-}
-
-void ReactorContext::Close() { close_ = true; }
 
 Reactor::Reactor() : Reactor(Options()) {}
 
 Reactor::Reactor(Options options) : options_(options) {
-  if (options_.workers < 1) options_.workers = 1;
+  if (options_.loops <= 0) {
+    options_.loops =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  }
   metrics_ = options_.metrics != nullptr ? options_.metrics
                                          : MetricsRegistry::Default();
   accepts_ = metrics_->GetCounter("net.accepts");
@@ -128,32 +263,15 @@ int64_t Reactor::conns_open() const { return conns_open_->Value(); }
 Status Reactor::Start() {
   std::lock_guard<std::mutex> lock(state_mu_);
   if (running_) return Status::FailedPrecondition("reactor already running");
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) return Errno("epoll_create1");
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (wake_fd_ < 0) {
-    Status s = Errno("eventfd");
-    ::close(epoll_fd_);
-    epoll_fd_ = -1;
-    return s;
+  for (int i = 0; i <= options_.loops; ++i) {
+    loops_.push_back(std::make_unique<Loop>(this, /*acceptor=*/i == 0));
+    Status s = loops_.back()->Open();
+    if (!s.ok()) {
+      loops_.clear();
+      return s;
+    }
   }
-  struct epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN;
-  ev.data.u64 = kWakeTag;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
-
-  stop_loop_.store(false, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> task_lock(task_mu_);
-    accepting_tasks_ = true;
-    tasks_.clear();
-  }
-  work_queue_ = std::make_unique<BoundedQueue<WorkItem>>(8192);
-  for (int i = 0; i < options_.workers; ++i) {
-    worker_threads_.emplace_back([this] { WorkerMain(); });
-  }
-  loop_thread_ = std::thread([this] { LoopMain(); });
+  next_loop_ = 0;
   running_ = true;
   return Status::Ok();
 }
@@ -164,35 +282,17 @@ void Reactor::Stop() {
     if (!running_) return;
     running_ = false;
   }
-  // Drain every listener first — this fails their connections and waits
-  // out in-flight handler executions while the loop is still alive.
+  // Close every listener first, while the loops are still alive to run
+  // the closes.
   std::vector<int> ids;
   {
     std::lock_guard<std::mutex> lock(listeners_mu_);
     for (const auto& [id, state] : listeners_) ids.push_back(id);
   }
   for (int id : ids) CloseListener(id);
-
-  work_queue_->Close();
-  for (std::thread& t : worker_threads_) {
-    if (t.joinable()) t.join();
-  }
-  worker_threads_.clear();
-
-  stop_loop_.store(true, std::memory_order_release);
-  Wake();
-  if (loop_thread_.joinable()) loop_thread_.join();
-  {
-    // The loop is gone; late Post() callers must not enqueue forever.
-    std::lock_guard<std::mutex> lock(task_mu_);
-    accepting_tasks_ = false;
-    tasks_.clear();
-  }
-  work_queue_.reset();
-  ::close(wake_fd_);
-  wake_fd_ = -1;
-  ::close(epoll_fd_);
-  epoll_fd_ = -1;
+  // With no listener left, the acceptor posts to no loop; each loop's
+  // destructor joins its thread.
+  loops_.clear();
 }
 
 Result<Reactor::ListenerInfo> Reactor::AddListener(int port,
@@ -210,48 +310,35 @@ Result<Reactor::ListenerInfo> Reactor::AddListener(int port,
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<uint16_t>(port));
   ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status s = Errno("bind 127.0.0.1:" + std::to_string(port));
+  auto fail = [fd](const std::string& what) {
+    Status s = Errno(what);
     ::close(fd);
     return s;
-  }
-  if (::listen(fd, options_.listen_backlog) != 0) {
-    Status s = Errno("listen");
-    ::close(fd);
-    return s;
-  }
+  };
   socklen_t len = sizeof(addr);
+  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), len) != 0) {
+    return fail("bind 127.0.0.1:" + std::to_string(port));
+  }
+  if (::listen(fd, options_.listen_backlog) != 0) return fail("listen");
   if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) !=
       0) {
-    Status s = Errno("getsockname");
-    ::close(fd);
-    return s;
+    return fail("getsockname");
   }
 
   auto state = std::make_shared<ListenerState>();
   state->fd = fd;
-  state->port = ntohs(addr.sin_port);
   state->factory = std::move(factory);
-  {
-    std::lock_guard<std::mutex> lock(listeners_mu_);
-    state->id = next_listener_id_++;
-    listeners_[state->id] = state;
+  // Held across the registration: an accept event for the new listener
+  // waits here until the acceptor can find it.
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  state->id = next_listener_id_++;
+  // Level-triggered accept: no drain races.
+  if (!EpollCtl(loops_.front()->epoll_fd(), EPOLL_CTL_ADD, fd, EPOLLIN,
+                kListenerTag | static_cast<uint64_t>(state->id))) {
+    return fail("epoll_ctl(listener)");
   }
-  struct epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN;  // level-triggered accept: no drain races
-  ev.data.u64 = kListenerTag | static_cast<uint64_t>(state->id);
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
-    Status s = Errno("epoll_ctl(listener)");
-    {
-      std::lock_guard<std::mutex> lock(listeners_mu_);
-      listeners_.erase(state->id);
-    }
-    ::close(fd);
-    return s;
-  }
-  return ListenerInfo{state->id, state->port};
+  listeners_[state->id] = state;
+  return ListenerInfo{state->id, ntohs(addr.sin_port)};
 }
 
 void Reactor::CloseListener(int id) {
@@ -259,61 +346,56 @@ void Reactor::CloseListener(int id) {
   {
     std::lock_guard<std::mutex> lock(listeners_mu_);
     auto it = listeners_.find(id);
-    if (it == listeners_.end() || it->second->closed) return;
-    it->second->closed = true;
+    if (it == listeners_.end() || it->second->closed.load()) return;
     state = it->second;
+    state->closed.store(true, std::memory_order_release);
   }
-  // The loop owns the listener fd and its connections; close them there.
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  bool done = false;
-  Post([this, id, fd = state->fd, &done_mu, &done_cv, &done] {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    std::vector<uint64_t> doomed;
-    for (const auto& [conn_id, conn] : conns_) {
-      if (conn->listener_id == id) doomed.push_back(conn_id);
-    }
-    for (uint64_t conn_id : doomed) {
-      auto it = conns_.find(conn_id);
-      if (it != conns_.end()) CloseConn(it->second.get(), CloseReason::kNormal);
-    }
-    std::lock_guard<std::mutex> lock(done_mu);
-    done = true;
-    done_cv.notify_all();
-  });
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    done_cv.wait(lock, [&done] { return done; });
-  }
-  // Wait out handler executions that entered through this listener, so
-  // the caller may free the handlers behind the protocol factory.
-  {
-    std::unique_lock<std::mutex> lock(inflight_mu_);
-    inflight_cv_.wait(lock, [&state] {
-      return state->inflight.load(std::memory_order_acquire) == 0;
+  // Post the close to every loop and wait for all of them. Each loop runs
+  // one handler at a time, so once a loop has run the close, no handler
+  // of the listener is still running there.
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t left = loops_.size();
+  for (auto& loop : loops_) {
+    Loop* l = loop.get();
+    bool posted = l->Post([l, &state, &mu, &cv, &left] {
+      l->DropListener(*state);
+      std::lock_guard<std::mutex> lock(mu);
+      if (--left == 0) cv.notify_all();
     });
+    if (!posted) {
+      std::lock_guard<std::mutex> lock(mu);
+      --left;
+    }
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&left] { return left == 0; });
   }
   std::lock_guard<std::mutex> lock(listeners_mu_);
   listeners_.erase(id);
 }
 
-void Reactor::Post(std::function<void()> fn) {
-  {
-    std::lock_guard<std::mutex> lock(task_mu_);
-    if (!accepting_tasks_) return;
-    tasks_.push_back(Task{SteadyNowUs(), std::move(fn)});
+Reactor::Loop* Reactor::PickLoop() {
+  // loops_[0] is the acceptor; serving loop i is loops_[1 + i]. The scan
+  // starts at the round-robin cursor, so ties go to the next loop in turn.
+  const size_t n = loops_.size() - 1;
+  size_t best = next_loop_ % n;
+  int64_t best_open = loops_[1 + best]->open_conns();
+  for (size_t k = 1; k < n; ++k) {
+    size_t i = (next_loop_ + k) % n;
+    int64_t open = loops_[1 + i]->open_conns();
+    if (open < best_open) {
+      best = i;
+      best_open = open;
+    }
   }
-  Wake();
+  next_loop_ = best + 1;
+  loops_[1 + best]->CountAssigned();
+  return loops_[1 + best].get();
 }
 
-void Reactor::Wake() {
-  uint64_t one = 1;
-  ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
-  (void)ignored;
-}
-
-void Reactor::RunPostedTasks() {
+void Reactor::Loop::RunPostedTasks() {
   std::vector<Task> batch;
   {
     std::lock_guard<std::mutex> lock(task_mu_);
@@ -321,61 +403,12 @@ void Reactor::RunPostedTasks() {
   }
   Micros now = SteadyNowUs();
   for (Task& task : batch) {
-    loop_lag_->Observe(now - task.enqueued_us);
+    r_->loop_lag_->Observe(now - task.enqueued_us);
     task.fn();
   }
 }
 
-void Reactor::WorkerMain() {
-  while (true) {
-    std::optional<WorkItem> item = work_queue_->Pop();
-    if (!item.has_value()) return;
-    ReactorReply reply = item->work();
-    // Decrement before posting: the reply is plain data, so once the
-    // count hits zero the handlers may be torn down safely.
-    item->listener->inflight.fetch_sub(1, std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      inflight_cv_.notify_all();
-    }
-    uint64_t conn_id = item->conn_id;
-    Post([this, conn_id, reply = std::move(reply)]() mutable {
-      OnReplyReady(conn_id, std::move(reply));
-    });
-  }
-}
-
-void Reactor::DispatchWork(uint64_t conn_id,
-                           std::function<ReactorReply()> work) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  Conn* c = it->second.get();
-  std::shared_ptr<ListenerState> listener;
-  {
-    std::lock_guard<std::mutex> lock(listeners_mu_);
-    auto lit = listeners_.find(c->listener_id);
-    if (lit == listeners_.end()) return;
-    listener = lit->second;
-  }
-  c->dispatch_pending = true;
-  requests_->Add();
-  listener->inflight.fetch_add(1, std::memory_order_acq_rel);
-  work_queue_->Push(WorkItem{conn_id, std::move(work), std::move(listener)});
-}
-
-void Reactor::OnReplyReady(uint64_t conn_id, ReactorReply reply) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;  // connection died while executing
-  Conn* c = it->second.get();
-  c->dispatch_pending = false;
-  if (!reply.bytes.empty()) QueueWrite(c, std::move(reply.bytes));
-  if (reply.close_after) c->close_after_flush = true;
-  if (!FlushConn(c)) return;
-  if (!ParseConn(c)) return;
-  MaybeCloseOnEof(c);
-}
-
-void Reactor::LoopMain() {
+void Reactor::Loop::Main() {
   std::vector<struct epoll_event> events(256);
   while (true) {
     int n = ::epoll_wait(epoll_fd_, events.data(),
@@ -385,7 +418,7 @@ void Reactor::LoopMain() {
       break;
     }
     RunPostedTasks();
-    if (stop_loop_.load(std::memory_order_acquire)) break;
+    if (stop_.load(std::memory_order_acquire)) break;
     for (int i = 0; i < n; ++i) {
       uint64_t tag = events[i].data.u64;
       uint32_t ev = events[i].events;
@@ -403,13 +436,14 @@ void Reactor::LoopMain() {
       if (it == conns_.end()) continue;  // closed earlier this round
       Conn* c = it->second.get();
       if ((ev & EPOLLOUT) != 0) {
-        if (!FlushConn(c)) continue;
+        // A drained buffer resumes parsing of requests already buffered:
+        // no new EPOLLIN arrives for them.
+        if (!FlushConn(c) || !ParseConn(c)) continue;
       }
       if ((ev & (EPOLLIN | EPOLLRDHUP | EPOLLHUP | EPOLLERR)) != 0) {
-        if (!ReadConn(c)) continue;
-        if (!ParseConn(c)) continue;
-        if (!MaybeCloseOnEof(c)) continue;
+        if (!ReadConn(c) || !ParseConn(c)) continue;
       }
+      MaybeCloseOnEof(c);
     }
     Micros now = SteadyNowUs();
     if (now - last_sweep_us_ >= kSweepMs * kMicrosPerMilli) {
@@ -417,19 +451,23 @@ void Reactor::LoopMain() {
       SweepDeadlines(now);
     }
   }
-  // Loop teardown: whatever connections remain (listeners are already
-  // drained on the Stop path) are dropped here, on the owning thread.
-  while (!conns_.empty()) {
-    CloseConn(conns_.begin()->second.get(), CloseReason::kNormal);
+  // Teardown: run what was posted before the queue shut (an accepted fd
+  // in flight to this loop is closed by Adopt), then drop whatever
+  // connections remain, on the owning thread.
+  {
+    std::lock_guard<std::mutex> lock(task_mu_);
+    accepting_tasks_ = false;
   }
+  RunPostedTasks();
+  while (!conns_.empty()) CloseConn(conns_.begin()->second.get());
 }
 
-void Reactor::AcceptReady(int listener_id) {
+void Reactor::Loop::AcceptReady(int listener_id) {
   std::shared_ptr<ListenerState> listener;
   {
-    std::lock_guard<std::mutex> lock(listeners_mu_);
-    auto it = listeners_.find(listener_id);
-    if (it == listeners_.end() || it->second->closed) return;
+    std::lock_guard<std::mutex> lock(r_->listeners_mu_);
+    auto it = r_->listeners_.find(listener_id);
+    if (it == r_->listeners_.end() || it->second->closed.load()) return;
     listener = it->second;
   }
   while (true) {
@@ -440,40 +478,30 @@ void Reactor::AcceptReady(int listener_id) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       // EMFILE/ENFILE and transient network errors: count and let the
       // backlog hold the rest; the next readiness event retries.
-      accept_errors_->Add();
+      r_->accept_errors_->Add();
       return;
     }
-    SetNonBlockingNodelay(fd);
-    auto conn = std::make_unique<Conn>();
-    conn->id = next_conn_id_++;
-    conn->fd = fd;
-    conn->listener_id = listener_id;
-    conn->protocol = listener->factory();
-    conn->last_activity = SteadyNowUs();
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | EPOLLRDHUP | EPOLLET;
-    ev.data.u64 = conn->id;
-    if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    Loop* target = r_->PickLoop();
+    if (!target->Post([target, fd, listener] {
+          target->Adopt(fd, listener);
+        })) {
       ::close(fd);
-      accept_errors_->Add();
-      continue;
+      target->open_.fetch_sub(1, std::memory_order_relaxed);
     }
-    accepts_->Add();
-    conns_open_->Add(1);
-    conns_[conn->id] = std::move(conn);
   }
 }
 
-bool Reactor::ReadConn(Conn* c) {
+bool Reactor::Loop::ReadConn(Conn* c) {
   if (c->paused) return true;  // backpressure: interest is off, skip
   uint8_t buf[16384];
   while (true) {
     ssize_t r = ::recv(c->fd, buf, sizeof(buf), 0);
     if (r > 0) {
       if (c->in.size() - c->in_head + static_cast<size_t>(r) >
-          options_.max_in_buffer) {
-        CloseConn(c, CloseReason::kOverflow);
+          r_->options_.max_in_buffer) {
+        CloseConn(c);
         return false;
       }
       c->in.insert(c->in.end(), buf, buf + r);
@@ -486,27 +514,48 @@ bool Reactor::ReadConn(Conn* c) {
     }
     if (errno == EINTR) continue;
     if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-    CloseConn(c, CloseReason::kError);  // ECONNRESET and friends
+    CloseConn(c);  // ECONNRESET and friends
     return false;
   }
 }
 
-bool Reactor::ParseConn(Conn* c) {
-  while (!c->dispatch_pending) {
+bool Reactor::Loop::ParseConn(Conn* c) {
+  // Every parsed request runs its handler and queues a reply, so parsing
+  // stops while the peer is not draining replies (paused) — otherwise a
+  // pipelined burst would queue replies without bound — and once a reply
+  // has asked for the connection to close.
+  bool progressed = false;
+  while (!c->paused && !c->close_after_flush) {
     size_t avail = c->in.size() - c->in_head;
     if (avail == 0) break;
-    ReactorContext ctx(this, c->id);
+    ReactorContext ctx;
     size_t consumed = c->protocol->OnData(c->in.data() + c->in_head, avail,
                                           &ctx);
     if (consumed > avail) consumed = avail;
     c->in_head += consumed;
+    progressed |= consumed > 0;
     if (ctx.close_) {
-      protocol_errors_->Add();
-      CloseConn(c, CloseReason::kProtocol);
+      r_->protocol_errors_->Add();
+      CloseConn(c);
       return false;
     }
-    if (consumed == 0 && !ctx.dispatched_) break;  // needs more bytes
-    if (c->in_head == c->in.size()) break;  // fully consumed; dispatch runs
+    if (!ctx.replied_) {
+      if (consumed == 0) break;  // needs more bytes
+      continue;
+    }
+    r_->requests_->Add();
+    if (c->listener->closed.load(std::memory_order_acquire)) {
+      // CloseListener ran while the handler did: the call was killed
+      // mid-flight, so its reply must not reach the peer.
+      CloseConn(c);
+      return false;
+    }
+    if (ctx.reply_.close_after) c->close_after_flush = true;
+    if (!ctx.reply_.bytes.empty()) {
+      c->out_bytes += ctx.reply_.bytes.size();
+      c->out.push_back(std::move(ctx.reply_.bytes));
+    }
+    if (!FlushConn(c)) return false;
   }
   // Compact the parsed prefix so long-lived keep-alive connections do
   // not grow without bound.
@@ -518,34 +567,21 @@ bool Reactor::ParseConn(Conn* c) {
                 c->in.begin() + static_cast<long>(c->in_head));
     c->in_head = 0;
   }
-  // An unconsumed tail is a request still being assembled — unless a
-  // dispatch is pending, in which case parsing is merely paused.
-  size_t pending = c->in.size() - c->in_head;
-  if (pending == 0) {
+  // An unconsumed tail is a request still being assembled — unless
+  // parsing is stopped, in which case the write deadline governs.
+  if (c->in.empty() || c->paused || c->close_after_flush) {
     c->request_start = 0;
-  } else if (c->request_start == 0 && !c->dispatch_pending) {
+  } else if (progressed || c->request_start == 0) {
     c->request_start = SteadyNowUs();
   }
   return true;
 }
 
-void Reactor::QueueWrite(Conn* c, std::vector<uint8_t> bytes) {
-  if (bytes.empty()) return;
-  c->out_bytes += bytes.size();
-  c->out.push_back(std::move(bytes));
-}
-
-bool Reactor::FlushConn(Conn* c) {
+bool Reactor::Loop::FlushConn(Conn* c) {
   while (!c->out.empty()) {
     const std::vector<uint8_t>& front = c->out.front();
     ssize_t w = ::send(c->fd, front.data() + c->out_head,
-                       front.size() - c->out_head,
-#ifdef MSG_NOSIGNAL
-                       MSG_NOSIGNAL
-#else
-                       0
-#endif
-    );
+                       front.size() - c->out_head, MSG_NOSIGNAL);
     if (w < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) {
@@ -556,7 +592,7 @@ bool Reactor::FlushConn(Conn* c) {
         if (c->write_stall_start == 0) c->write_stall_start = SteadyNowUs();
         break;
       }
-      CloseConn(c, CloseReason::kError);
+      CloseConn(c);
       return false;
     }
     c->out_head += static_cast<size_t>(w);
@@ -575,7 +611,7 @@ bool Reactor::FlushConn(Conn* c) {
       interest_changed = true;
     }
     if (c->close_after_flush) {
-      CloseConn(c, CloseReason::kNormal);
+      CloseConn(c);
       return false;
     }
     if (c->paused) {
@@ -585,34 +621,32 @@ bool Reactor::FlushConn(Conn* c) {
       interest_changed = true;
     }
     if (interest_changed) UpdateInterest(c);
-  } else if (!c->paused && c->out_bytes > options_.write_high_watermark) {
+  } else if (!c->paused && c->out_bytes > r_->options_.write_high_watermark) {
     c->paused = true;
-    stalls_->Add();
+    r_->stalls_->Add();
     UpdateInterest(c);
   }
   return true;
 }
 
-bool Reactor::MaybeCloseOnEof(Conn* c) {
-  if (c->peer_eof && !c->dispatch_pending && c->out_bytes == 0) {
+bool Reactor::Loop::MaybeCloseOnEof(Conn* c) {
+  if (c->peer_eof && c->out_bytes == 0) {
     // Peer finished sending and nothing is owed: a trailing partial
     // request (if any) can never complete, so drop the connection.
-    CloseConn(c, CloseReason::kNormal);
+    CloseConn(c);
     return false;
   }
   return true;
 }
 
-void Reactor::UpdateInterest(Conn* c) {
-  struct epoll_event ev;
-  std::memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLET | (c->paused ? 0u : (EPOLLIN | EPOLLRDHUP)) |
-              (c->want_write ? EPOLLOUT : 0u);
-  ev.data.u64 = c->id;
-  ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c->fd, &ev);
+void Reactor::Loop::UpdateInterest(Conn* c) {
+  EpollCtl(epoll_fd_, EPOLL_CTL_MOD, c->fd,
+           EPOLLET | (c->paused ? 0u : (EPOLLIN | EPOLLRDHUP)) |
+               (c->want_write ? EPOLLOUT : 0u),
+           c->id);
 }
 
-void Reactor::SweepDeadlines(Micros now) {
+void Reactor::Loop::SweepDeadlines(Micros now) {
   // Amortized reaper: each tick inspects a bounded chunk, resuming where
   // the previous tick stopped. A full O(conns) scan on the loop thread
   // stalls event handling, and with 10k+ connections that pause lands
@@ -620,6 +654,7 @@ void Reactor::SweepDeadlines(Micros now) {
   // measures exactly this). The chunk floor covers small fleets in one
   // tick; above 512*20 connections the size/20 term caps a full cycle at
   // 20 ticks (~1s of detection lag on top of the configured timeout).
+  const Options& options = r_->options_;
   size_t budget = std::max<size_t>(512, (conns_.size() + 19) / 20);
   std::vector<uint64_t> doomed;
   auto it = conns_.upper_bound(sweep_cursor_);
@@ -632,37 +667,34 @@ void Reactor::SweepDeadlines(Micros now) {
     const Conn* c = it->second.get();
     sweep_cursor_ = id;
     ++it;
-    // A connection waiting on its own handler is busy, not idle.
-    bool quiescent = !c->dispatch_pending && c->out_bytes == 0;
-    if (options_.idle_timeout > 0 && quiescent &&
-        now - c->last_activity > options_.idle_timeout) {
+    if (options.idle_timeout > 0 && c->out_bytes == 0 &&
+        now - c->last_activity > options.idle_timeout) {
       doomed.push_back(id);
       continue;
     }
-    if (options_.read_timeout > 0 && c->request_start != 0 &&
-        !c->dispatch_pending &&
-        now - c->request_start > options_.read_timeout) {
+    if (options.read_timeout > 0 && c->request_start != 0 &&
+        now - c->request_start > options.read_timeout) {
       doomed.push_back(id);
       continue;
     }
-    if (options_.write_timeout > 0 && c->write_stall_start != 0 &&
-        now - c->write_stall_start > options_.write_timeout) {
+    if (options.write_timeout > 0 && c->write_stall_start != 0 &&
+        now - c->write_stall_start > options.write_timeout) {
       doomed.push_back(id);
     }
   }
   for (uint64_t id : doomed) {
-    auto it = conns_.find(id);
-    if (it == conns_.end()) continue;
-    timeouts_->Add();
-    CloseConn(it->second.get(), CloseReason::kTimeout);
+    auto found = conns_.find(id);
+    if (found == conns_.end()) continue;
+    r_->timeouts_->Add();
+    CloseConn(found->second.get());
   }
 }
 
-void Reactor::CloseConn(Conn* c, CloseReason reason) {
-  (void)reason;  // reason-specific counters are bumped by the caller
+void Reactor::Loop::CloseConn(Conn* c) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->fd, nullptr);
   ::close(c->fd);
-  conns_open_->Add(-1);
+  r_->conns_open_->Add(-1);
+  open_.fetch_sub(1, std::memory_order_relaxed);
   conns_.erase(c->id);  // frees c
 }
 

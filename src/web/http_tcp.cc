@@ -183,15 +183,17 @@ std::vector<uint8_t> SerializeHttpResponse(const HttpResponse& response,
   return bytes;
 }
 
-// Per-connection state machine: buffer -> ParseHttpRequest -> dispatch
-// handler -> serialized reply (close_after on "Connection: close");
-// malformed input gets a 400 and the connection dropped.
+// Per-connection state machine: buffer -> ParseHttpRequest -> handler,
+// run inline on the loop -> serialized reply (close_after on
+// "Connection: close"); malformed input gets a 400 and the connection
+// dropped.
 class HttpProtocol : public net::ReactorProtocol {
  public:
-  HttpProtocol(HttpTcpServer::Handler* handler, MetricsRegistry* metrics,
-               size_t max_header, size_t max_body)
+  HttpProtocol(HttpTcpServer::Handler* handler, Counter* requests,
+               Counter* bad_requests, size_t max_header, size_t max_body)
       : handler_(handler),
-        metrics_(metrics),
+        requests_(requests),
+        bad_requests_(bad_requests),
         max_header_(max_header),
         max_body_(max_body) {}
 
@@ -204,31 +206,26 @@ class HttpProtocol : public net::ReactorProtocol {
       case HttpParseResult::kNeedMore:
         return 0;
       case HttpParseResult::kBad:
-        metrics_->GetCounter("web.http_bad_requests")->Add();
-        ctx->Dispatch([] {
-          return net::ReactorReply{
-              SerializeHttpResponse(
-                  HttpResponse::BadRequest("malformed request"),
-                  /*keep_alive=*/false),
-              /*close_after=*/true};
-        });
+        bad_requests_->Add();
+        ctx->Reply({SerializeHttpResponse(
+                        HttpResponse::BadRequest("malformed request"),
+                        /*keep_alive=*/false),
+                    /*close_after=*/true});
         return n;  // discard the garbage; connection dies after the 400
       case HttpParseResult::kOk:
         break;
     }
-    metrics_->GetCounter("web.http_requests")->Add();
-    ctx->Dispatch([handler = handler_, parsed = std::move(parsed)] {
-      HttpResponse response = (*handler)(parsed.request);
-      return net::ReactorReply{
-          SerializeHttpResponse(response, parsed.keep_alive),
-          /*close_after=*/!parsed.keep_alive};
-    });
+    requests_->Add();
+    HttpResponse response = (*handler_)(parsed.request);
+    ctx->Reply({SerializeHttpResponse(response, parsed.keep_alive),
+                /*close_after=*/!parsed.keep_alive});
     return consumed;
   }
 
  private:
   HttpTcpServer::Handler* handler_;
-  MetricsRegistry* metrics_;
+  Counter* requests_;
+  Counter* bad_requests_;
   size_t max_header_;
   size_t max_body_;
 };
@@ -271,14 +268,17 @@ Status HttpTcpServer::Start(int port) {
     HEDC_RETURN_IF_ERROR(r->Start());
   }
   Handler* handler = &handler_;
-  MetricsRegistry* metrics = metrics_;
+  Counter* connections = metrics_->GetCounter("web.http_connections");
+  Counter* requests = metrics_->GetCounter("web.http_requests");
+  Counter* bad_requests = metrics_->GetCounter("web.http_bad_requests");
   size_t max_header = options_.max_header_bytes;
   size_t max_body = options_.max_body_bytes;
-  Result<net::Reactor::ListenerInfo> listener =
-      r->AddListener(port, [handler, metrics, max_header, max_body] {
-        metrics->GetCounter("web.http_connections")->Add();
-        return std::make_unique<HttpProtocol>(handler, metrics, max_header,
-                                              max_body);
+  Result<net::Reactor::ListenerInfo> listener = r->AddListener(
+      port,
+      [handler, connections, requests, bad_requests, max_header, max_body] {
+        connections->Add();
+        return std::make_unique<HttpProtocol>(handler, requests, bad_requests,
+                                              max_header, max_body);
       });
   if (!listener.ok()) return listener.status();
   listener_ = listener.value();

@@ -808,6 +808,11 @@ class MetricsServlet : public Servlet {
   }
 };
 
+Counter* LookupStatusCounter(int code) {
+  return MetricsRegistry::Default()->GetCounter("web.status." +
+                                                std::to_string(code));
+}
+
 }  // namespace
 
 WebServer::WebServer(dm::DataManager* dm, pl::Frontend* frontend)
@@ -820,6 +825,16 @@ WebServer::WebServer(dm::DataManager* dm, pl::Frontend* frontend)
   if (max_id.ok() && !max_id.value().rows.empty()) {
     stat_counter_ = max_id.value().rows[0][0].AsInt() + 1;
   }
+  for (int code : {200, 400, 403, 404}) {
+    status_counters_.emplace_back(code, LookupStatusCounter(code));
+  }
+}
+
+Counter* WebServer::StatusCounter(int code) {
+  for (const auto& [known, counter] : status_counters_) {
+    if (known == code) return counter;
+  }
+  return LookupStatusCounter(code);
 }
 
 void WebServer::RegisterStandardServlets() {
@@ -853,7 +868,11 @@ WebServer::DeliveryOptions WebServer::DeliveryOptions::FromConfig(
 
 void WebServer::Register(const std::string& path,
                          std::unique_ptr<Servlet> servlet) {
-  servlets_[path] = std::move(servlet);
+  MetricsRegistry* metrics = MetricsRegistry::Default();
+  Route& route = servlets_[path];
+  route.servlet = std::move(servlet);
+  route.requests = metrics->GetCounter("web.requests" + path);
+  route.latency = metrics->GetHistogram("web.latency_us" + path);
 }
 
 HttpResponse WebServer::Dispatch(const HttpRequest& request) {
@@ -861,15 +880,16 @@ HttpResponse WebServer::Dispatch(const HttpRequest& request) {
   MetricsRegistry* metrics = MetricsRegistry::Default();
   auto it = servlets_.find(request.path);
   if (it == servlets_.end()) {
-    metrics->GetCounter("web.status.404")->Add();
+    StatusCounter(404)->Add();
     return HttpResponse::NotFound("no servlet for " + request.path);
   }
+  const Route& route = it->second;
   // Every dispatched request gets a trace id; servlets thread it through
   // their session into the PL so the whole request is followable.
   if (request.trace_id == 0) {
     request.trace_id = metrics->traces().NewTraceId();
   }
-  metrics->GetCounter("web.requests" + request.path)->Add();
+  route.requests->Add();
   // Call redirection: the request may execute on a peer DM node (§5.4).
   // A cluster router (when installed) owns the choice; otherwise the
   // primary node's peer round-robin decides.
@@ -878,13 +898,11 @@ HttpResponse WebServer::Dispatch(const HttpRequest& request) {
   node->CountRequest();
   Micros start = node->clock()->Now();
   HttpResponse response = [&] {
-    ScopedTimer timer(
-        metrics->GetHistogram("web.latency_us" + request.path));
+    ScopedTimer timer(route.latency);
     TraceSpan span(request.trace_id, "web", request.path);
-    return it->second->Handle(request, node, this);
+    return route.servlet->Handle(request, node, this);
   }();
-  metrics->GetCounter("web.status." + std::to_string(response.status_code))
-      ->Add();
+  StatusCounter(response.status_code)->Add();
   if (record_usage_) {
     // Operational section: usage statistics / audit trail (§4.1).
     dm::UserProfile profile = ProfileFor(request);

@@ -8,6 +8,7 @@
 
 #include <dirent.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -24,6 +25,20 @@ class EchoRmi : public dm::RmiHandler {
   std::vector<uint8_t> Handle(const std::vector<uint8_t>& request) override {
     return request;
   }
+};
+
+// Answers every frame with 64 KB that start with the request bytes, and
+// counts handler runs.
+class BulkRmi : public dm::RmiHandler {
+ public:
+  std::vector<uint8_t> Handle(const std::vector<uint8_t>& request) override {
+    runs.fetch_add(1, std::memory_order_relaxed);
+    std::vector<uint8_t> reply(64u << 10, 0xAB);
+    std::copy(request.begin(), request.end(), reply.begin());
+    return reply;
+  }
+
+  std::atomic<int64_t> runs{0};
 };
 
 int OpenFdCount() {
@@ -52,7 +67,7 @@ TEST(NetAdversarialTest, SlowlorisDiesOnReadTimeoutWithoutHoldingWorker) {
   EchoRmi rmi;
   MetricsRegistry metrics;
   dm::TcpRmiServer::Options options;
-  options.reactor.workers = 1;
+  options.reactor.loops = 1;
   options.reactor.read_timeout = 150 * kMicrosPerMilli;
   options.reactor.idle_timeout = 30 * kMicrosPerSecond;
   dm::TcpRmiServer server(&rmi, &metrics, options);
@@ -161,6 +176,57 @@ TEST(NetAdversarialTest, HalfOpenFloodIsReapedAndFdsReturnToBaseline) {
   // Server still healthy.
   dm::TcpChannel channel("127.0.0.1", server.port());
   EXPECT_TRUE(channel.Call({1, 2, 3}).ok());
+  server.Stop();
+}
+
+// A client pipelines 2000 requests and reads nothing. Answering them all
+// would queue ~125 MB of 64 KB replies on the server; once the queued
+// replies pass the 1 MiB write watermark, the loop must stop running
+// handlers until the client drains them — and then answer the rest,
+// complete and in order.
+TEST(NetAdversarialTest, PipelinedRequestsStopAtWriteWatermark) {
+  BulkRmi rmi;
+  MetricsRegistry metrics;
+  dm::TcpRmiServer::Options options;
+  options.reactor.loops = 1;
+  options.reactor.write_high_watermark = 1u << 20;
+  dm::TcpRmiServer server(&rmi, &metrics, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto connected = net::TcpConnect("127.0.0.1", server.port());
+  ASSERT_TRUE(connected.ok());
+  net::TcpSocket socket = std::move(connected).value();
+  ASSERT_TRUE(socket.SetRecvTimeout(5 * kMicrosPerSecond).ok());
+  constexpr int kRequests = 2000;
+  std::vector<uint8_t> burst;
+  for (int i = 0; i < kRequests; ++i) {
+    std::vector<uint8_t> frame = net::EncodeFrame(
+        {static_cast<uint8_t>(i), static_cast<uint8_t>(i >> 8)});
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(socket.SendAll(burst.data(), burst.size()).ok());
+
+  // Let the server run as far as it will: handler runs level off once the
+  // socket buffers and the watermark are full.
+  int64_t settled = -1;
+  for (int i = 0; i < 100 && rmi.runs.load() != settled; ++i) {
+    settled = rmi.runs.load();
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  }
+  EXPECT_LT(settled, kRequests / 4)
+      << "handlers kept running while the client read nothing";
+  EXPECT_GE(metrics.GetCounter("net.backpressure_stalls")->Value(), 1);
+
+  for (int i = 0; i < kRequests; ++i) {
+    auto reply = net::RecvFrame(socket);
+    ASSERT_TRUE(reply.ok()) << "reply " << i << ": "
+                            << reply.status().ToString();
+    ASSERT_EQ(reply.value().size(), 64u << 10) << "reply " << i;
+    ASSERT_EQ(reply.value()[0], static_cast<uint8_t>(i)) << "reply " << i;
+    ASSERT_EQ(reply.value()[1], static_cast<uint8_t>(i >> 8))
+        << "reply " << i;
+  }
+  EXPECT_EQ(rmi.runs.load(), kRequests);
   server.Stop();
 }
 

@@ -15,6 +15,7 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -68,6 +69,89 @@ class LatchRmi : public dm::RmiHandler {
   bool entered_ = false;
   bool released_ = false;
 };
+
+// Records which thread ran each call.
+class ThreadRecordingRmi : public dm::RmiHandler {
+ public:
+  std::vector<uint8_t> Handle(const std::vector<uint8_t>& request) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    threads_.insert(std::this_thread::get_id());
+    return request;
+  }
+  std::set<std::thread::id> threads() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return threads_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::set<std::thread::id> threads_;
+};
+
+// Parks calls tagged kPark on a LatchRmi; echoes every other call.
+class ParkTaggedRmi : public dm::RmiHandler {
+ public:
+  static constexpr uint8_t kPark = 0xFF;
+  std::vector<uint8_t> Handle(const std::vector<uint8_t>& request) override {
+    if (!request.empty() && request[0] == kPark) return latch.Handle(request);
+    return request;
+  }
+  LatchRmi latch;
+};
+
+dm::TcpRmiServer::Options WithLoops(int loops) {
+  dm::TcpRmiServer::Options options;
+  options.reactor.loops = loops;
+  return options;
+}
+
+// The acceptor hands each new connection to the loop with the fewest open
+// connections, so 4 keep-alive connections on 4 loops run their handlers
+// on 4 distinct threads.
+TEST(ReactorLoopsTest, FourConnectionsRunOnFourLoops) {
+  ThreadRecordingRmi rmi;
+  MetricsRegistry metrics;
+  dm::TcpRmiServer server(&rmi, &metrics, WithLoops(4));
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::unique_ptr<dm::TcpChannel>> channels;
+  for (int i = 0; i < 4; ++i) {
+    channels.push_back(
+        std::make_unique<dm::TcpChannel>("127.0.0.1", server.port()));
+    for (int call = 0; call < 3; ++call) {
+      ASSERT_TRUE(channels.back()->Call({static_cast<uint8_t>(i)}).ok());
+    }
+  }
+  std::set<std::thread::id> threads = rmi.threads();
+  EXPECT_EQ(threads.size(), 4u);
+  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+  server.Stop();
+}
+
+// A handler blocks only its own loop: a call on a connection that sits on
+// the other loop is answered while the first is parked.
+TEST(ReactorLoopsTest, ParkedHandlerDoesNotDelayOtherLoop) {
+  ParkTaggedRmi rmi;
+  MetricsRegistry metrics;
+  dm::TcpRmiServer server(&rmi, &metrics, WithLoops(2));
+  ASSERT_TRUE(server.Start().ok());
+
+  Status parked;
+  std::thread caller([&] {
+    dm::TcpChannel channel("127.0.0.1", server.port(),
+                           /*recv_timeout=*/5 * kMicrosPerSecond);
+    parked = channel.Call({ParkTaggedRmi::kPark}).status();
+  });
+  rmi.latch.WaitUntilEntered();
+  dm::TcpChannel other("127.0.0.1", server.port(),
+                       /*recv_timeout=*/kMicrosPerSecond);
+  auto response = other.Call({1, 2, 3});
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  rmi.latch.Release();
+  caller.join();
+  EXPECT_TRUE(parked.ok()) << parked.ToString();
+  server.Stop();
+}
 
 class TransportConformanceTest : public ::testing::TestWithParam<bool> {};
 

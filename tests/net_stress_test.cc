@@ -1,9 +1,9 @@
 // Reactor stress lane (ctest label net-stress; runs under TSan in
-// scripts/verify.sh): connection churn raced against Stop/restart, a
-// 1k-connection storm on one loop, and the chaos/resilience stack layered
-// over the reactor transport. These are the schedules where loop-thread /
-// worker / control-thread handoffs break if the ownership rules in
-// net/reactor.h are wrong.
+// scripts/verify.sh): connection churn raced against Stop/restart and
+// against CloseListener on 4 loops, a 1k-connection storm, and the
+// chaos/resilience stack layered over the reactor transport. These are
+// the schedules where acceptor / loop / control-thread handoffs break if
+// the ownership rules in net/reactor.h are wrong.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -28,7 +28,7 @@ class EchoRmi : public dm::RmiHandler {
 
 dm::TcpRmiServer::Options ReactorOptions() {
   dm::TcpRmiServer::Options options;
-  options.reactor.workers = 2;
+  options.reactor.loops = 2;
   return options;
 }
 
@@ -76,6 +76,80 @@ TEST(NetStressTest, ConnectionChurnRacedAgainstStopRestart) {
   auto response = channel.Call({9});
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   server.Stop();
+}
+
+// Echoes after a short pause, so Stop often lands mid-call, and counts
+// every handler entry or exit seen after `closed` was raised.
+class GuardedRmi : public dm::RmiHandler {
+ public:
+  std::vector<uint8_t> Handle(const std::vector<uint8_t>& request) override {
+    if (closed.load(std::memory_order_acquire)) late.fetch_add(1);
+    running.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    running.fetch_sub(1);
+    if (closed.load(std::memory_order_acquire)) late.fetch_add(1);
+    return request;
+  }
+
+  std::atomic<bool> closed{false};
+  std::atomic<int> running{0};
+  std::atomic<int> late{0};
+};
+
+// Connection churn and in-flight handlers on 4 loops of one shared
+// reactor, raced against CloseListener (server Stop) and, last, against
+// the reactor's own Stop. Once either returns, no handler of the closed
+// listener may still run or start: each cycle's handler object is
+// destroyed right after, so a late call would also be a use-after-free.
+TEST(NetStressTest, NoHandlerRunsAfterCloseListenerOnFourLoops) {
+  MetricsRegistry metrics;
+  net::Reactor::Options reactor_options;
+  reactor_options.loops = 4;
+  reactor_options.metrics = &metrics;
+  net::Reactor reactor(reactor_options);
+  ASSERT_TRUE(reactor.Start().ok());
+
+  constexpr int kCycles = 12;
+  for (int cycle = 0; cycle < kCycles; ++cycle) {
+    const bool stop_reactor = cycle == kCycles - 1;
+    GuardedRmi rmi;
+    dm::TcpRmiServer::Options options;
+    options.shared_reactor = &reactor;
+    dm::TcpRmiServer server(&rmi, &metrics, options);
+    ASSERT_TRUE(server.Start().ok());
+    const int port = server.port();
+
+    std::atomic<bool> done{false};
+    std::vector<std::thread> clients;
+    for (int t = 0; t < 6; ++t) {
+      clients.emplace_back([&, t] {
+        uint8_t tag = static_cast<uint8_t>(t);
+        while (!done.load(std::memory_order_acquire)) {
+          // Half the clients reconnect per call, half keep one connection
+          // for a few calls.
+          dm::TcpChannel channel("127.0.0.1", port,
+                                 /*recv_timeout=*/200 * kMicrosPerMilli);
+          for (int i = 0; i < (t % 2 == 0 ? 1 : 4); ++i) {
+            if (!channel.Call({tag, static_cast<uint8_t>(i)}).ok()) break;
+          }
+        }
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+    if (stop_reactor) {
+      reactor.Stop();
+    } else {
+      server.Stop();
+    }
+    rmi.closed.store(true, std::memory_order_release);
+    EXPECT_EQ(rmi.running.load(), 0) << "cycle " << cycle;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    done.store(true, std::memory_order_release);
+    for (std::thread& t : clients) t.join();
+    EXPECT_EQ(rmi.late.load(), 0) << "cycle " << cycle;
+  }
+  EXPECT_FALSE(reactor.running());
+  EXPECT_EQ(metrics.GetGauge("net.conns_open")->Value(), 0);
 }
 
 // 1k concurrent keep-alive connections on one loop, each making several

@@ -1,8 +1,11 @@
 // Web tier tests: query parsing, templates, servlets end to end.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <thread>
+#include <vector>
 
 #include "cluster_fixture.h"
 #include "core/strings.h"
@@ -185,6 +188,71 @@ TEST_F(WebStackTest, FullStackServesOverBothTcpEngines) {
     }
     http.Stop();
   }
+}
+
+// Two loops run WebServer::Dispatch concurrently; the per-path and
+// per-status counters, whose handles Dispatch resolves once, must still
+// count every request exactly.
+TEST_F(WebStackTest, ConcurrentLoopsCountRequestsAndStatusesExactly) {
+  MetricsRegistry* metrics = MetricsRegistry::Default();
+  auto value = [metrics](const std::string& name) {
+    return metrics->GetCounter(name)->Value();
+  };
+  const int64_t view_before = value("web.requests/view");
+  const int64_t ok_before = value("web.status.200");
+  const int64_t bad_before = value("web.status.400");
+  const int64_t missing_before = value("web.status.404");
+
+  web::HttpTcpServer::Options options;
+  options.reactor.loops = 2;
+  web::HttpTcpServer http(
+      [&](const HttpRequest& request) {
+        return stack_.web_server->Dispatch(request);
+      },
+      nullptr, options);
+  ASSERT_TRUE(http.Start().ok());
+  constexpr int kClients = 4;
+  constexpr int kRounds = 40;
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      auto connected = net::TcpConnect("127.0.0.1", http.port());
+      if (!connected.ok()) {
+        wrong.fetch_add(kRounds);
+        return;
+      }
+      net::TcpSocket socket = std::move(connected).value();
+      const struct {
+        const char* target;
+        const char* status;
+      } requests[] = {{"/view?unit=1&resolution=0", "HTTP/1.1 200"},
+                      {"/view", "HTTP/1.1 400"},
+                      {"/no-such-servlet", "HTTP/1.1 404"}};
+      for (int round = 0; round < kRounds; ++round) {
+        for (const auto& r : requests) {
+          std::string text = std::string("GET ") + r.target +
+                             " HTTP/1.1\r\nHost: hedc\r\n\r\n";
+          bool ok = socket
+                        .SendAll(reinterpret_cast<const uint8_t*>(
+                                     text.data()),
+                                 text.size())
+                        .ok() &&
+                    ReadHttpResponse(socket).rfind(r.status, 0) == 0;
+          if (!ok) wrong.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  http.Stop();
+
+  EXPECT_EQ(wrong.load(), 0);
+  const int64_t each = kClients * kRounds;
+  EXPECT_EQ(value("web.requests/view") - view_before, 2 * each);
+  EXPECT_EQ(value("web.status.200") - ok_before, each);
+  EXPECT_EQ(value("web.status.400") - bad_before, each);
+  EXPECT_EQ(value("web.status.404") - missing_before, each);
 }
 
 // --- progressive view delivery (/view) and approximate aggregates
