@@ -106,7 +106,11 @@ int main() {
 
   // --- web views over the merged repository -------------------------------
   web::WebServer web_server(&data_manager, nullptr);
-  web_server.RegisterStandardServlets();
+  Status registered = web_server.RegisterStandardServlets();
+  if (!registered.ok()) {
+    std::printf("page templates: %s\n", registered.ToString().c_str());
+    return 1;
+  }
   web::HttpResponse login = web_server.Dispatch(
       web::MakeRequest("/login?user=ops&password=pw"));
   std::string cookie = login.set_cookies["hedc_session"];

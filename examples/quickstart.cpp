@@ -93,7 +93,11 @@ int main() {
 
   // --- presentation tier ---------------------------------------------------
   web::WebServer web_server(&data_manager, &frontend);
-  web_server.RegisterStandardServlets();
+  Status registered = web_server.RegisterStandardServlets();
+  if (!registered.ok()) {
+    std::printf("page templates: %s\n", registered.ToString().c_str());
+    return 1;
+  }
 
   web::HttpResponse login = web_server.Dispatch(
       web::MakeRequest("/login?user=alice&password=secret"));

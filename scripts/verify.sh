@@ -12,8 +12,9 @@
 # concurrency hammers, networked chaos/failover, the cluster kill/restart
 # stress and the reactor net-stress lane (`ctest -L net-stress` runs just
 # that lane; the stress label regex picks it up here) — under
-# ThreadSanitizer, and last the codec fuzz suites (`ctest -L fuzz`) under
-# AddressSanitizer. Run from the repo root:
+# ThreadSanitizer, and last every non-stress test (`ctest -LE stress`, the
+# codec fuzz suites included) under AddressSanitizer + UndefinedBehavior
+# Sanitizer. Run from the repo root:
 #   scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -57,11 +58,11 @@ cmake --build build-tsan -j
 echo "=== stress suite under TSan (includes cluster kill/restart) ==="
 (cd build-tsan && ctest -L stress --output-on-failure)
 
-echo "=== build (HEDC_SANITIZE=address) ==="
+echo "=== build (HEDC_SANITIZE=address: ASan + UBSan) ==="
 cmake -B build-asan -S . -DHEDC_SANITIZE=address >/dev/null
 cmake --build build-asan -j
 
-echo "=== codec fuzz suites under ASan (raw unit, wavelet, dm-remote) ==="
-(cd build-asan && ctest -L fuzz --output-on-failure)
+echo "=== every non-stress test under ASan + UBSan (includes the codec fuzz suites) ==="
+(cd build-asan && ctest -LE stress --output-on-failure -j4)
 
 echo "verify: OK"

@@ -43,6 +43,8 @@ class Value {
   double real_value() const { return std::get<double>(data_); }
   bool bool_value() const { return std::get<bool>(data_); }
   const std::string& text() const { return std::get<std::string>(data_); }
+  // Moves the text out (UB unless type() is kText), leaving it empty.
+  std::string TakeText() { return std::move(std::get<std::string>(data_)); }
   const std::vector<uint8_t>& blob() const {
     return std::get<std::vector<uint8_t>>(data_);
   }

@@ -19,6 +19,14 @@ bool IsSafeIdentifier(const std::string& name) {
   return true;
 }
 
+// An identifier, or one qualified as `table.column`.
+bool IsSafeField(const std::string& name) {
+  size_t dot = name.find('.');
+  if (dot == std::string::npos) return IsSafeIdentifier(name);
+  return IsSafeIdentifier(name.substr(0, dot)) &&
+         IsSafeIdentifier(name.substr(dot + 1));
+}
+
 const char* OpToSql(CondOp op) {
   switch (op) {
     case CondOp::kEq:
@@ -52,7 +60,7 @@ Result<std::string> QuerySpec::ToSql(std::vector<db::Value>* params) const {
     sql += "*";
   } else {
     for (size_t i = 0; i < fields_.size(); ++i) {
-      if (!IsSafeIdentifier(fields_[i])) {
+      if (!IsSafeField(fields_[i])) {
         return Status::InvalidArgument("unsafe field name: " + fields_[i]);
       }
       if (i > 0) sql += ", ";
@@ -61,11 +69,19 @@ Result<std::string> QuerySpec::ToSql(std::vector<db::Value>* params) const {
   }
   sql += " FROM ";
   sql += table_;
+  if (!join_table_.empty()) {
+    if (!IsSafeIdentifier(join_table_) || !IsSafeField(join_left_) ||
+        !IsSafeField(join_right_)) {
+      return Status::InvalidArgument("unsafe join: " + join_table_);
+    }
+    sql += " JOIN " + join_table_ + " ON " + join_left_ + " = " +
+           join_right_;
+  }
 
   params->clear();
   bool first = true;
   for (const Condition& cond : conditions_) {
-    if (!IsSafeIdentifier(cond.field)) {
+    if (!IsSafeField(cond.field)) {
       return Status::InvalidArgument("unsafe field name: " + cond.field);
     }
     sql += first ? " WHERE " : " AND ";
@@ -84,7 +100,7 @@ Result<std::string> QuerySpec::ToSql(std::vector<db::Value>* params) const {
     sql += ")";
   }
   if (!order_by_.empty()) {
-    if (!IsSafeIdentifier(order_by_)) {
+    if (!IsSafeField(order_by_)) {
       return Status::InvalidArgument("unsafe order field: " + order_by_);
     }
     sql += " ORDER BY ";

@@ -34,6 +34,16 @@ class QuerySpec {
     fields_.push_back(std::move(field));
     return *this;
   }
+  // Inner join: FROM table_ JOIN `table` ON `left_field` = `right_field`.
+  // Name fields of a join as `table.column`. The join runs on the DBMS
+  // that serves table_, which must also hold `table`.
+  QuerySpec& Join(std::string table, std::string left_field,
+                  std::string right_field) {
+    join_table_ = std::move(table);
+    join_left_ = std::move(left_field);
+    join_right_ = std::move(right_field);
+    return *this;
+  }
   QuerySpec& Where(std::string field, CondOp op, db::Value value) {
     conditions_.push_back({std::move(field), op, std::move(value)});
     return *this;
@@ -59,12 +69,16 @@ class QuerySpec {
 
   const std::string& table() const { return table_; }
 
-  // Verifies field names (identifier charset) and renders SQL with '?'
-  // parameters; the bound values come out through `params`.
+  // Verifies table and field names (identifier charset; a field may be
+  // qualified as `table.column`) and renders SQL with '?' parameters; the
+  // bound values come out through `params`.
   Result<std::string> ToSql(std::vector<db::Value>* params) const;
 
  private:
   std::string table_;
+  std::string join_table_;  // empty = no join
+  std::string join_left_;
+  std::string join_right_;
   std::vector<std::string> fields_;  // empty = *
   std::vector<Condition> conditions_;
   std::string order_by_;

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 #include "core/strings.h"
@@ -25,7 +26,14 @@ void Assign(const db::Value& v, int* out) {
 }
 void Assign(const db::Value& v, double* out) { *out = v.AsReal(); }
 void Assign(const db::Value& v, bool* out) { *out = v.AsBool(); }
-void Assign(const db::Value& v, std::string* out) { *out = v.AsText(); }
+// Text moves out of the decoded cell; any other type prints as AsText.
+void Assign(db::Value& v, std::string* out) {
+  if (v.type() == db::ValueType::kText) {
+    *out = v.TakeText();
+  } else {
+    *out = v.AsText();
+  }
+}
 
 const Field<HleRecord> kHleFields[] = {
     {"hle_id", &HleRecord::hle_id},
@@ -86,25 +94,25 @@ const Field<CatalogRecord> kCatalogFields[] = {
     {"created_time", &CatalogRecord::created_time},
 };
 
-// Decodes every row of `rs` into a record. Each field's column ordinal is
+// Decodes every row of `rs` into a record, moving text values out of the
+// result set rather than copying them. Each field's column ordinal is
 // looked up by name once per result set, so a table whose columns are
 // reordered or extended decodes the same; a column the result set lacks
 // reads as Null.
 template <typename Record, size_t N>
-std::vector<Record> DecodeRows(const db::ResultSet& rs,
+std::vector<Record> DecodeRows(db::ResultSet rs,
                                const Field<Record> (&fields)[N]) {
-  static const db::Value kNull;
+  db::Value null;
   std::array<std::optional<size_t>, N> ordinals;
   for (size_t f = 0; f < N; ++f) {
     ordinals[f] = rs.ColumnIndex(fields[f].column);
   }
   std::vector<Record> out(rs.num_rows());
   for (size_t i = 0; i < rs.num_rows(); ++i) {
-    const db::Row& row = rs.rows[i];
+    db::Row& row = rs.rows[i];
     for (size_t f = 0; f < N; ++f) {
       const std::optional<size_t>& ordinal = ordinals[f];
-      const db::Value& v =
-          ordinal && *ordinal < row.size() ? row[*ordinal] : kNull;
+      db::Value& v = ordinal && *ordinal < row.size() ? row[*ordinal] : null;
       std::visit([&](auto member) { Assign(v, &(out[i].*member)); },
                  fields[f].member);
     }
@@ -209,7 +217,7 @@ Result<HleRecord> SemanticLayer::GetHle(const Session& session,
     return Status::NotFound(StrFormat("HLE %lld",
                                       static_cast<long long>(hle_id)));
   }
-  HleRecord record = std::move(DecodeRows(rs, kHleFields)[0]);
+  HleRecord record = std::move(DecodeRows(std::move(rs), kHleFields)[0]);
   if (!Visible(session, record.owner_id, record.is_public)) {
     // Indistinguishable from absent: privacy constraint (§5.3).
     return Status::NotFound(StrFormat("HLE %lld",
@@ -229,7 +237,7 @@ Result<std::vector<HleRecord>> SemanticLayer::ListHles(
     spec.RawPredicate(session.view_predicate);
   }
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
-  return DecodeRows(rs, kHleFields);
+  return DecodeRows(std::move(rs), kHleFields);
 }
 
 Status SemanticLayer::SetHlePublic(const Session& session, int64_t hle_id,
@@ -350,7 +358,7 @@ Result<AnaRecord> SemanticLayer::GetAna(const Session& session,
     return Status::NotFound(StrFormat("ANA %lld",
                                       static_cast<long long>(ana_id)));
   }
-  AnaRecord record = std::move(DecodeRows(rs, kAnaFields)[0]);
+  AnaRecord record = std::move(DecodeRows(std::move(rs), kAnaFields)[0]);
   if (!Visible(session, record.owner_id, record.is_public)) {
     return Status::NotFound(StrFormat("ANA %lld",
                                       static_cast<long long>(ana_id)));
@@ -367,7 +375,7 @@ Result<std::vector<AnaRecord>> SemanticLayer::ListAnalyses(
     spec.RawPredicate(session.view_predicate);
   }
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
-  return DecodeRows(rs, kAnaFields);
+  return DecodeRows(std::move(rs), kAnaFields);
 }
 
 Status SemanticLayer::SetAnaPublic(const Session& session, int64_t ana_id,
@@ -404,7 +412,7 @@ Result<std::optional<AnaRecord>> SemanticLayer::FindExistingAnalysis(
     spec.RawPredicate(session.view_predicate);
   }
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
-  for (AnaRecord& record : DecodeRows(rs, kAnaFields)) {
+  for (AnaRecord& record : DecodeRows(std::move(rs), kAnaFields)) {
     // The hash is an index accelerator; confirm the actual parameters.
     if (record.routine == routine &&
         record.parameters == canonical_params &&
@@ -444,7 +452,8 @@ Result<CatalogRecord> SemanticLayer::GetCatalogByName(
   spec.Where("name", CondOp::kEq, db::Value::Text(name));
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   if (rs.rows.empty()) return Status::NotFound("catalog " + name);
-  CatalogRecord record = std::move(DecodeRows(rs, kCatalogFields)[0]);
+  CatalogRecord record =
+      std::move(DecodeRows(std::move(rs), kCatalogFields)[0]);
   if (!Visible(session, record.owner_id, record.is_public)) {
     return Status::NotFound("catalog " + name);
   }
@@ -461,7 +470,8 @@ Status SemanticLayer::AddToCatalog(const Session& session,
     return Status::NotFound(StrFormat("catalog %lld",
                                       static_cast<long long>(catalog_id)));
   }
-  CatalogRecord record = std::move(DecodeRows(cat_rs, kCatalogFields)[0]);
+  CatalogRecord record =
+      std::move(DecodeRows(std::move(cat_rs), kCatalogFields)[0]);
   HEDC_RETURN_IF_ERROR(RequireOwnership(session, record.owner_id));
   HEDC_ASSIGN_OR_RETURN(HleRecord hle, GetHle(session, hle_id));
   (void)hle;
@@ -477,24 +487,22 @@ Status SemanticLayer::AddToCatalog(const Session& session,
 
 Result<std::vector<int64_t>> SemanticLayer::ListCatalogHles(
     const Session& session, int64_t catalog_id) {
+  // One join reads each member's HLE visibility columns; a member whose
+  // HLE is gone has no HLE row and drops out of the inner join. Only the
+  // HLEs this session may see are listed.
   QuerySpec spec("catalog_members");
-  spec.Select("hle_id")
-      .Where("catalog_id", CondOp::kEq, db::Value::Int(catalog_id))
-      .OrderBy("hle_id");
+  spec.Join("hle", "catalog_members.hle_id", "hle.hle_id")
+      .Select("catalog_members.hle_id")
+      .Select("hle.owner_id")
+      .Select("hle.is_public")
+      .Where("catalog_members.catalog_id", CondOp::kEq,
+             db::Value::Int(catalog_id))
+      .OrderBy("catalog_members.hle_id");
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rs, io_->Query(spec));
   std::vector<int64_t> out;
   for (const db::Row& member : rs.rows) {
-    int64_t hle_id = member[0].AsInt();
-    // Only visible HLEs are listed. The probe reads just the visibility
-    // columns; a member whose HLE is gone has no row and is skipped.
-    QuerySpec probe("hle");
-    probe.Select("owner_id")
-        .Select("is_public")
-        .Where("hle_id", CondOp::kEq, db::Value::Int(hle_id));
-    HEDC_ASSIGN_OR_RETURN(db::ResultSet hle, io_->Query(probe));
-    if (!hle.rows.empty() &&
-        Visible(session, hle.rows[0][0].AsInt(), hle.rows[0][1].AsBool())) {
-      out.push_back(hle_id);
+    if (Visible(session, member[1].AsInt(), member[2].AsBool())) {
+      out.push_back(member[0].AsInt());
     }
   }
   return out;

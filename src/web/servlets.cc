@@ -2,6 +2,8 @@
 // pages, image download, analysis submission, progressive view delivery,
 // approximate aggregates.
 #include <memory>
+#include <string_view>
+#include <utility>
 
 #include "analysis/approx.h"
 #include "analysis/product.h"
@@ -20,40 +22,124 @@ namespace hedc::web {
 
 namespace {
 
-// Shared page templates (static text + dynamic slots, §6.1).
-constexpr const char kPageHeader[] =
+// Page templates (static text + dynamic slots, §6.1). Every HTML page is
+// the shared header, a page body and the shared footer, compiled once by
+// RegisterStandardServlets; the header's {{title}} slot is every page's.
+constexpr std::string_view kPageHeader =
     "<html><head><title>{{title}} - HEDC</title>"
     "<link rel='stylesheet' href='/static/hedc.css'></head><body>"
     "<img src='/static/logo.gif' alt='HEDC'>"
     "<h1>{{title}}</h1><div class='nav'><a href='/catalog?name=standard'>"
     "standard catalog</a></div>";
 
-constexpr const char kPageFooter[] =
+constexpr std::string_view kPageFooter =
     "<div class='footer'>RHESSI Experimental Data Center</div>"
     "</body></html>";
 
-constexpr const char kHleTemplate[] =
+constexpr std::string_view kLoginBody = "<p>Logged in as {{user}}</p>";
+
+constexpr std::string_view kLogoutBody = "<p>Logged out.</p>";
+
+constexpr std::string_view kCatalogBody =
+    "<p>{{events}} events</p><ul>{{#hles}}<li><a href='/hle?id={{hle_id}}'>"
+    "HLE {{hle_id}}</a></li>{{/hles}}</ul>";
+
+// The HLE header, then one analysis row per ANA.
+constexpr std::string_view kHleBody =
     "<div class='hle'><h2>HLE {{hle_id}} ({{event_type}})</h2>"
     "<table><tr><td>time</td><td>{{t_start}} .. {{t_end}} s</td></tr>"
     "<tr><td>energy</td><td>{{e_min}} .. {{e_max}} keV</td></tr>"
     "<tr><td>peak rate</td><td>{{peak_rate}} /s</td></tr>"
     "<tr><td>photons</td><td>{{photon_count}}</td></tr>"
     "<tr><td>calibration</td><td>v{{calibration}}</td></tr></table>"
-    "<p>{{analysis_count}} analyses, {{catalog_count}} catalog entries</p>";
-
-constexpr const char kAnaRowTemplate[] =
+    "<p>{{analysis_count}} analyses, {{catalog_count}} catalog entries</p>"
     "{{#analyses}}<div class='ana'><a href='/ana?id={{ana_id}}'>"
     "{{routine}}</a> <span class='params'>{{parameters}}</span> "
     "<img src='/image?item={{image_item}}' width='128'></div>{{/analyses}}";
 
-std::string RenderPage(const std::string& title, const std::string& inner) {
-  TemplateContext header_ctx;
-  header_ctx.Set("title", title);
-  std::string out =
-      RenderTemplate(kPageHeader, header_ctx).value_or("<html><body>");
-  out += inner;
-  out += kPageFooter;
-  return out;
+constexpr std::string_view kAnaBody =
+    "<div class='ana-detail'><h2>{{routine}} on HLE {{hle_id}}</h2>"
+    "<p>parameters: {{parameters}}</p><p>status: {{status}}</p>"
+    "<img src='/image?item={{image_item}}'>"
+    "<pre class='log'>{{log_excerpt}}</pre>"
+    "<p><a href='/hle?id={{hle_id}}'>back to HLE</a></p></div>";
+
+constexpr std::string_view kAnalysisExistsBody =
+    "<p>Identical analysis already available: "
+    "<a href='/ana?id={{ana_id}}'>ANA {{ana_id}}</a></p>";
+
+constexpr std::string_view kAnalysisDoneBody =
+    "<p>{{routine}} finished; result stored as "
+    "<a href='/ana?id={{ana_id}}'>ANA {{ana_id}}</a></p>";
+
+// The image link's {{t_lo}}/{{t_hi}} are top-level slots the servlet does
+// not set, so they render empty.
+constexpr std::string_view kExploreBody =
+    "<p>{{events}} events, {{clusters}} clusters</p>"
+    "<img src='/explore?format=image&t_lo={{t_lo}}&t_hi={{t_hi}}'>"
+    "<table><tr><th>time</th><th>energy</th><th>events</th></tr>"
+    "{{#extents}}<tr><td>{{t_lo}}..{{t_hi}} s</td>"
+    "<td>{{e_lo}}..{{e_hi}}</td><td>{{n}}</td></tr>{{/extents}}"
+    "</table>";
+
+constexpr std::string_view kQueryBody =
+    "<p>{{row_count}} rows</p><pre>{{header}}\n"
+    "{{#rows}}{{line}}\n{{/rows}}</pre>";
+
+constexpr std::string_view kStatusBody =
+    "<h2>Node {{node}} ({{requests}} requests)</h2>"
+    "<h3>Archives</h3><ul>{{#archives}}<li>#{{id}} {{type}} "
+    "{{root}}: {{online}}</li>{{/archives}}</ul>"
+    "<h3>Usage</h3><ul>{{#usage}}<li>{{op}}: {{count}}</li>"
+    "{{/usage}}</ul>"
+    "<h3>Product cache</h3><p>{{cache_entries}} persisted "
+    "entries</p>"
+    "<h3>Metrics</h3><table>{{#metrics}}<tr><td>{{metric}}</td>"
+    "<td>{{kind}}</td><td>{{value}}</td></tr>{{/metrics}}</table>";
+
+Result<Template> CompilePage(std::string_view body) {
+  std::string text(kPageHeader);
+  text += body;
+  text += kPageFooter;
+  return Template::Compile(text);
+}
+
+// A compiled page and its title slot.
+class Page {
+ public:
+  explicit Page(Template tmpl)
+      : template_(std::move(tmpl)), title_(template_.Slot("title")) {}
+
+  int Slot(std::string_view name) const { return template_.Slot(name); }
+  int Slot(std::initializer_list<std::string_view> path,
+           std::string_view name) const {
+    return template_.Slot(path, name);
+  }
+  int Section(std::string_view name) const {
+    return template_.Section(name);
+  }
+
+  // Values with the title set; `title` must outlive Render.
+  TemplateValues NewValues(std::string_view title) const {
+    TemplateValues values = template_.NewValues();
+    values.Set(title_, title);
+    return values;
+  }
+  HttpResponse Render(const TemplateValues& values) const {
+    HttpResponse response;
+    template_.Render(values, &response.body);
+    return response;
+  }
+
+ private:
+  Template template_;
+  int title_;
+};
+
+// A result-set cell's text, viewed in place; a non-text cell reads empty.
+std::string_view TextCell(const db::Value& cell) {
+  return cell.type() == db::ValueType::kText ? std::string_view(cell.text())
+                                             : std::string_view();
 }
 
 dm::Session BrowseSession(dm::DataManager* dm, WebServer* server,
@@ -71,6 +157,9 @@ dm::Session BrowseSession(dm::DataManager* dm, WebServer* server,
 
 class LoginServlet : public Servlet {
  public:
+  explicit LoginServlet(Template page)
+      : page_(std::move(page)), user_(page_.Slot("user")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     std::string user = request.GetQuery("user");
@@ -81,30 +170,42 @@ class LoginServlet : public Servlet {
     if (!profile.ok()) {
       return HttpResponse::Forbidden(profile.status().ToString());
     }
-    HttpResponse response;
-    std::string token = server->IssueToken(profile.value());
-    response.set_cookies["hedc_session"] = token;
-    response.body = RenderPage(
-        "Welcome", "<p>Logged in as " + HtmlEscape(user) + "</p>");
+    TemplateValues values = page_.NewValues("Welcome");
+    values.Set(user_, user);
+    HttpResponse response = page_.Render(values);
+    response.set_cookies["hedc_session"] = server->IssueToken(profile.value());
     return response;
   }
+
+ private:
+  const Page page_;
+  const int user_;
 };
 
 class LogoutServlet : public Servlet {
  public:
+  explicit LogoutServlet(Template page) : page_(std::move(page)) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     std::string token = request.GetCookie("hedc_session");
     server->RevokeToken(token);
     dm->sessions().Invalidate(request.client_ip, token);
-    HttpResponse response;
-    response.body = RenderPage("Goodbye", "<p>Logged out.</p>");
-    return response;
+    return page_.Render(page_.NewValues("Goodbye"));
   }
+
+ private:
+  const Page page_;
 };
 
 class CatalogServlet : public Servlet {
  public:
+  explicit CatalogServlet(Template page)
+      : page_(std::move(page)),
+        events_(page_.Slot("events")),
+        hles_(page_.Section("hles")),
+        hle_id_(page_.Slot({"hles"}, "hle_id")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     dm::Session session =
@@ -116,24 +217,19 @@ class CatalogServlet : public Servlet {
     Result<std::vector<int64_t>> hles = dm->semantics().ListCatalogHles(
         session, catalog.value().catalog_id);
     if (!hles.ok()) return HttpResponse::NotFound(hles.status().ToString());
-
-    TemplateContext ctx;
-    for (int64_t hle_id : hles.value()) {
-      TemplateContext& row = ctx.AddRow("hles");
-      row.Set("hle_id", std::to_string(hle_id));
-    }
-    std::string list =
-        RenderTemplate("<ul>{{#hles}}<li><a href='/hle?id={{hle_id}}'>HLE "
-                       "{{hle_id}}</a></li>{{/hles}}</ul>",
-                       ctx)
-            .value_or("");
-    return HttpResponse{
-        200, "text/html",
-        RenderPage("Catalog " + name,
-                   StrFormat("<p>%zu events</p>", hles.value().size()) +
-                       list),
-        {}, {}};
+    const std::vector<int64_t>& ids = hles.value();
+    std::string title = "Catalog " + name;
+    TemplateValues values = page_.NewValues(title);
+    values.Set(events_, static_cast<int64_t>(ids.size()));
+    values.SetRows(hles_, ids.size(), [&](size_t i, TemplateValues* row) {
+      row->Set(hle_id_, ids[i]);
+    });
+    return page_.Render(values);
   }
+
+ private:
+  const Page page_;
+  const int events_, hles_, hle_id_;
 };
 
 // The §6.1 workload: HLE header/footer + one analysis template per ANA;
@@ -142,6 +238,25 @@ class CatalogServlet : public Servlet {
 // session/image lookups).
 class HlePageServlet : public Servlet {
  public:
+  explicit HlePageServlet(Template page)
+      : page_(std::move(page)),
+        hle_id_(page_.Slot("hle_id")),
+        event_type_(page_.Slot("event_type")),
+        t_start_(page_.Slot("t_start")),
+        t_end_(page_.Slot("t_end")),
+        e_min_(page_.Slot("e_min")),
+        e_max_(page_.Slot("e_max")),
+        peak_rate_(page_.Slot("peak_rate")),
+        photon_count_(page_.Slot("photon_count")),
+        calibration_(page_.Slot("calibration")),
+        analysis_count_(page_.Slot("analysis_count")),
+        catalog_count_(page_.Slot("catalog_count")),
+        analyses_(page_.Section("analyses")),
+        ana_id_(page_.Slot({"analyses"}, "ana_id")),
+        routine_(page_.Slot({"analyses"}, "routine")),
+        parameters_(page_.Slot({"analyses"}, "parameters")),
+        image_item_(page_.Slot({"analyses"}, "image_item")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     dm::Session session =
@@ -174,41 +289,51 @@ class HlePageServlet : public Servlet {
         dm->semantics().CountVisibleCatalogEntries(session, hle_id);
 
     const dm::HleRecord& record = hle.value();
-    TemplateContext ctx;
-    ctx.Set("hle_id", std::to_string(record.hle_id));
-    ctx.Set("event_type", record.event_type);
-    ctx.Set("t_start", StrFormat("%.2f", record.t_start));
-    ctx.Set("t_end", StrFormat("%.2f", record.t_end));
-    ctx.Set("e_min", StrFormat("%.1f", record.e_min));
-    ctx.Set("e_max", StrFormat("%.1f", record.e_max));
-    ctx.Set("peak_rate", StrFormat("%.1f", record.peak_rate));
-    ctx.Set("photon_count", std::to_string(record.photon_count));
-    ctx.Set("calibration", std::to_string(record.calibration_version));
-    ctx.Set("analysis_count",
-            n_ana.ok() ? n_ana.value().rows[0][0].AsText() : "0");
-    ctx.Set("catalog_count", n_catalog_entries.ok()
-                                 ? std::to_string(n_catalog_entries.value())
-                                 : "0");
-    std::string inner = RenderTemplate(kHleTemplate, ctx).value_or("");
-
-    TemplateContext list_ctx;
-    for (const dm::AnaRecord& ana : analyses.value()) {
-      TemplateContext& row = list_ctx.AddRow("analyses");
-      row.Set("ana_id", std::to_string(ana.ana_id));
-      row.Set("routine", ana.routine);
-      row.Set("parameters", ana.parameters);
-      row.Set("image_item", std::to_string(2000000000 + ana.ana_id));
-    }
-    inner += RenderTemplate(kAnaRowTemplate, list_ctx).value_or("");
-    return HttpResponse{200, "text/html",
-                        RenderPage(StrFormat("HLE %lld", (long long)hle_id),
-                                   inner),
-                        {}, {}};
+    std::string title = StrFormat("HLE %lld", (long long)hle_id);
+    TemplateValues values = page_.NewValues(title);
+    values.Set(hle_id_, record.hle_id);
+    values.Set(event_type_, record.event_type);
+    values.SetFixed(t_start_, record.t_start, 2);
+    values.SetFixed(t_end_, record.t_end, 2);
+    values.SetFixed(e_min_, record.e_min, 1);
+    values.SetFixed(e_max_, record.e_max, 1);
+    values.SetFixed(peak_rate_, record.peak_rate, 1);
+    values.Set(photon_count_, record.photon_count);
+    values.Set(calibration_, int64_t{record.calibration_version});
+    values.Set(analysis_count_,
+               n_ana.ok() ? n_ana.value().rows[0][0].AsInt() : 0);
+    values.Set(catalog_count_,
+               n_catalog_entries.ok() ? n_catalog_entries.value() : 0);
+    const std::vector<dm::AnaRecord>& anas = analyses.value();
+    values.SetRows(analyses_, anas.size(), [&](size_t i, TemplateValues* row) {
+      const dm::AnaRecord& ana = anas[i];
+      row->Set(ana_id_, ana.ana_id);
+      row->Set(routine_, ana.routine);
+      row->Set(parameters_, ana.parameters);
+      row->Set(image_item_, 2000000000 + ana.ana_id);
+    });
+    return page_.Render(values);
   }
+
+ private:
+  const Page page_;
+  const int hle_id_, event_type_, t_start_, t_end_, e_min_, e_max_,
+      peak_rate_, photon_count_, calibration_, analysis_count_,
+      catalog_count_;
+  const int analyses_, ana_id_, routine_, parameters_, image_item_;
 };
 
 class AnaPageServlet : public Servlet {
  public:
+  explicit AnaPageServlet(Template page)
+      : page_(std::move(page)),
+        routine_(page_.Slot("routine")),
+        hle_id_(page_.Slot("hle_id")),
+        parameters_(page_.Slot("parameters")),
+        status_(page_.Slot("status")),
+        image_item_(page_.Slot("image_item")),
+        log_excerpt_(page_.Slot("log_excerpt")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     dm::Session session =
@@ -223,22 +348,21 @@ class AnaPageServlet : public Servlet {
                                               (long long)ana_id));
     }
     const dm::AnaRecord& record = ana.value();
-    std::string inner = StrFormat(
-        "<div class='ana-detail'><h2>%s on HLE %lld</h2>"
-        "<p>parameters: %s</p><p>status: %s</p>"
-        "<img src='/image?item=%lld'>"
-        "<pre class='log'>%s</pre>"
-        "<p><a href='/hle?id=%lld'>back to HLE</a></p></div>",
-        HtmlEscape(record.routine).c_str(), (long long)record.hle_id,
-        HtmlEscape(record.parameters).c_str(),
-        HtmlEscape(record.status).c_str(),
-        (long long)(2000000000 + record.ana_id),
-        HtmlEscape(record.log_excerpt).c_str(), (long long)record.hle_id);
-    return HttpResponse{
-        200, "text/html",
-        RenderPage(StrFormat("Analysis %lld", (long long)ana_id), inner),
-        {}, {}};
+    std::string title = StrFormat("Analysis %lld", (long long)ana_id);
+    TemplateValues values = page_.NewValues(title);
+    values.Set(routine_, record.routine);
+    values.Set(hle_id_, record.hle_id);
+    values.Set(parameters_, record.parameters);
+    values.Set(status_, record.status);
+    values.Set(image_item_, 2000000000 + record.ana_id);
+    values.Set(log_excerpt_, record.log_excerpt);
+    return page_.Render(values);
   }
+
+ private:
+  const Page page_;
+  const int routine_, hle_id_, parameters_, status_, image_item_,
+      log_excerpt_;
 };
 
 class ImageServlet : public Servlet {
@@ -265,6 +389,13 @@ class ImageServlet : public Servlet {
 // analysis when present (§3.5), else drives the PL request workflow.
 class AnalyzeServlet : public Servlet {
  public:
+  AnalyzeServlet(Template exists_page, Template done_page)
+      : exists_page_(std::move(exists_page)),
+        done_page_(std::move(done_page)),
+        exists_ana_id_(exists_page_.Slot("ana_id")),
+        done_ana_id_(done_page_.Slot("ana_id")),
+        done_routine_(done_page_.Slot("routine")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     dm::Session session =
@@ -295,14 +426,9 @@ class AnalyzeServlet : public Servlet {
         dm->semantics().FindExistingAnalysis(session, hle_id, routine,
                                              params.Canonical());
     if (existing.ok() && existing.value().has_value()) {
-      HttpResponse response;
-      response.body = RenderPage(
-          "Analysis exists",
-          StrFormat("<p>Identical analysis already available: "
-                    "<a href='/ana?id=%lld'>ANA %lld</a></p>",
-                    (long long)existing.value()->ana_id,
-                    (long long)existing.value()->ana_id));
-      return response;
+      TemplateValues values = exists_page_.NewValues("Analysis exists");
+      values.Set(exists_ana_id_, existing.value()->ana_id);
+      return exists_page_.Render(values);
     }
 
     if (server->frontend() == nullptr) {
@@ -346,16 +472,15 @@ class AnalyzeServlet : public Servlet {
       return HttpResponse::NotFound("analysis failed: " +
                                     outcome.status.ToString());
     }
-    HttpResponse response;
-    response.body = RenderPage(
-        "Analysis complete",
-        StrFormat("<p>%s finished; result stored as "
-                  "<a href='/ana?id=%lld'>ANA %lld</a></p>",
-                  HtmlEscape(routine).c_str(),
-                  (long long)outcome.committed_ana_id,
-                  (long long)outcome.committed_ana_id));
-    return response;
+    TemplateValues values = done_page_.NewValues("Analysis complete");
+    values.Set(done_routine_, routine);
+    values.Set(done_ana_id_, outcome.committed_ana_id);
+    return done_page_.Render(values);
   }
+
+ private:
+  const Page exists_page_, done_page_;
+  const int exists_ana_id_, done_ana_id_, done_routine_;
 };
 
 // The "visual tools to graphically render the search space" (§1):
@@ -363,6 +488,17 @@ class AnalyzeServlet : public Servlet {
 // images (interactive database visualization, §6.3).
 class ExploreServlet : public Servlet {
  public:
+  explicit ExploreServlet(Template page)
+      : page_(std::move(page)),
+        events_(page_.Slot("events")),
+        clusters_(page_.Slot("clusters")),
+        extents_(page_.Section("extents")),
+        t_lo_(page_.Slot({"extents"}, "t_lo")),
+        t_hi_(page_.Slot({"extents"}, "t_hi")),
+        e_lo_(page_.Slot({"extents"}, "e_lo")),
+        e_hi_(page_.Slot({"extents"}, "e_hi")),
+        n_(page_.Slot({"extents"}, "n")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     dm::Session session =
@@ -403,38 +539,38 @@ class ExploreServlet : public Servlet {
     // HTML summary: per-cluster extents.
     auto extents = wavelet::BuildExtentPlot(
         points, static_cast<size_t>(bins), t_lo, hi, 0, max_energy);
-    TemplateContext ctx;
-    for (const wavelet::Extent& e : extents) {
-      TemplateContext& row = ctx.AddRow("extents");
-      row.Set("t_lo", StrFormat("%.1f", e.x_lo));
-      row.Set("t_hi", StrFormat("%.1f", e.x_hi));
-      row.Set("e_lo", StrFormat("%.1f", e.y_lo));
-      row.Set("e_hi", StrFormat("%.1f", e.y_hi));
-      row.Set("n", std::to_string(e.tuple_count));
-    }
-    std::string table =
-        RenderTemplate(
-            "<img src='/explore?format=image&t_lo={{t_lo}}&t_hi={{t_hi}}'>"
-            "<table><tr><th>time</th><th>energy</th><th>events</th></tr>"
-            "{{#extents}}<tr><td>{{t_lo}}..{{t_hi}} s</td>"
-            "<td>{{e_lo}}..{{e_hi}}</td><td>{{n}}</td></tr>{{/extents}}"
-            "</table>",
-            ctx)
-            .value_or("");
-    return HttpResponse{
-        200, "text/html",
-        RenderPage("Explore",
-                   StrFormat("<p>%zu events, %zu clusters</p>",
-                             points.size(), extents.size()) +
-                       table),
-        {}, {}};
+    TemplateValues values = page_.NewValues("Explore");
+    values.Set(events_, static_cast<int64_t>(points.size()));
+    values.Set(clusters_, static_cast<int64_t>(extents.size()));
+    values.SetRows(extents_, extents.size(),
+                   [&](size_t i, TemplateValues* row) {
+                     const wavelet::Extent& e = extents[i];
+                     row->SetFixed(t_lo_, e.x_lo, 1);
+                     row->SetFixed(t_hi_, e.x_hi, 1);
+                     row->SetFixed(e_lo_, e.y_lo, 1);
+                     row->SetFixed(e_hi_, e.y_hi, 1);
+                     row->Set(n_, e.tuple_count);
+                   });
+    return page_.Render(values);
   }
+
+ private:
+  const Page page_;
+  const int events_, clusters_;
+  const int extents_, t_lo_, t_hi_, e_lo_, e_hi_, n_;
 };
 
 // Predefined queries (§1): run a vetted named query with parameters
 // q0, q1, ... bound positionally.
 class QueryServlet : public Servlet {
  public:
+  explicit QueryServlet(Template page)
+      : page_(std::move(page)),
+        row_count_(page_.Slot("row_count")),
+        header_(page_.Slot("header")),
+        rows_(page_.Section("rows")),
+        line_(page_.Slot({"rows"}, "line")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     dm::Session session =
@@ -454,33 +590,34 @@ class QueryServlet : public Servlet {
                  ? HttpResponse::Forbidden(rs.status().ToString())
                  : HttpResponse::NotFound(rs.status().ToString());
     }
-    TemplateContext ctx;
+    // The column header and each row as one " | "-joined line.
+    std::vector<std::string> lines;
+    lines.reserve(rs.value().num_rows());
     for (const db::Row& row : rs.value().rows) {
-      TemplateContext& out_row = ctx.AddRow("rows");
-      std::string line;
+      std::string& line = lines.emplace_back();
       for (size_t i = 0; i < row.size(); ++i) {
         if (i > 0) line += " | ";
         line += row[i].AsText();
       }
-      out_row.Set("line", line);
     }
     std::string header;
     for (size_t i = 0; i < rs.value().columns.size(); ++i) {
       if (i > 0) header += " | ";
       header += rs.value().columns[i];
     }
-    std::string body =
-        RenderTemplate("<pre>" + HtmlEscape(header) +
-                           "\n{{#rows}}{{line}}\n{{/rows}}</pre>",
-                       ctx)
-            .value_or("");
-    return HttpResponse{
-        200, "text/html",
-        RenderPage("Query " + name,
-                   StrFormat("<p>%zu rows</p>", rs.value().num_rows()) +
-                       body),
-        {}, {}};
+    std::string title = "Query " + name;
+    TemplateValues values = page_.NewValues(title);
+    values.Set(row_count_, static_cast<int64_t>(rs.value().num_rows()));
+    values.Set(header_, header);
+    values.SetRows(rows_, lines.size(), [&](size_t i, TemplateValues* row) {
+      row->Set(line_, lines[i]);
+    });
+    return page_.Render(values);
   }
+
+ private:
+  const Page page_;
+  const int row_count_, header_, rows_, line_;
 };
 
 // --- progressive view delivery + approximate aggregates (§3.4, §6.3) ----
@@ -728,70 +865,85 @@ class ApproxServlet : public Servlet {
 // §4.1).
 class StatusServlet : public Servlet {
  public:
+  explicit StatusServlet(Template page)
+      : page_(std::move(page)),
+        node_(page_.Slot("node")),
+        requests_(page_.Slot("requests")),
+        cache_entries_(page_.Slot("cache_entries")),
+        archives_(page_.Section("archives")),
+        archive_id_(page_.Slot({"archives"}, "id")),
+        archive_type_(page_.Slot({"archives"}, "type")),
+        archive_root_(page_.Slot({"archives"}, "root")),
+        archive_online_(page_.Slot({"archives"}, "online")),
+        usage_(page_.Section("usage")),
+        usage_op_(page_.Slot({"usage"}, "op")),
+        usage_count_(page_.Slot({"usage"}, "count")),
+        metrics_(page_.Section("metrics")),
+        metric_name_(page_.Slot({"metrics"}, "metric")),
+        metric_kind_(page_.Slot({"metrics"}, "kind")),
+        metric_value_(page_.Slot({"metrics"}, "value")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     dm::UserProfile profile = server->ProfileFor(request);
     if (!profile.is_super) {
       return HttpResponse::Forbidden("status page requires a super account");
     }
-    TemplateContext ctx;
-    ctx.Set("node", dm->name());
-    ctx.Set("requests",
-            std::to_string(dm->requests_handled()));
-    for (const archive::ArchiveManager::Info& info :
-         dm->io().archives()->ListArchives()) {
-      TemplateContext& row = ctx.AddRow("archives");
-      row.Set("id", std::to_string(info.archive_id));
-      row.Set("type", archive::ArchiveTypeName(info.type));
-      row.Set("root", info.root);
-      row.Set("online", info.online ? "online" : "OFFLINE");
-    }
+    TemplateValues values = page_.NewValues("Status");
+    values.Set(node_, dm->name());
+    values.Set(requests_, dm->requests_handled());
+    std::vector<archive::ArchiveManager::Info> archives =
+        dm->io().archives()->ListArchives();
+    values.SetRows(archives_, archives.size(),
+                   [&](size_t i, TemplateValues* row) {
+                     const archive::ArchiveManager::Info& info = archives[i];
+                     row->Set(archive_id_, info.archive_id);
+                     row->Set(archive_type_,
+                              archive::ArchiveTypeName(info.type));
+                     row->Set(archive_root_, info.root);
+                     row->Set(archive_online_,
+                              info.online ? "online" : "OFFLINE");
+                   });
     Result<db::ResultSet> usage = dm->database()->Execute(
         "SELECT operation, COUNT(*) FROM usage_stats GROUP BY operation");
     if (usage.ok()) {
-      for (size_t i = 0; i < usage.value().num_rows(); ++i) {
-        TemplateContext& row = ctx.AddRow("usage");
-        row.Set("op", usage.value().rows[i][0].AsText());
-        row.Set("count", usage.value().rows[i][1].AsText());
-      }
+      const std::vector<db::Row>& rows = usage.value().rows;
+      values.SetRows(usage_, rows.size(), [&](size_t i, TemplateValues* row) {
+        row->Set(usage_op_, TextCell(rows[i][0]));
+        row->Set(usage_count_, rows[i][1].AsInt());
+      });
     }
     // Derived-product cache directory (operational schema).
     Result<db::ResultSet> cache_rows = dm->database()->Execute(
         "SELECT COUNT(*) FROM product_cache");
-    ctx.Set("cache_entries",
-            cache_rows.ok() && cache_rows.value().num_rows() > 0
-                ? cache_rows.value().rows[0][0].AsText()
-                : "0");
+    values.Set(cache_entries_,
+               cache_rows.ok() && cache_rows.value().num_rows() > 0
+                   ? cache_rows.value().rows[0][0].AsInt()
+                   : 0);
     // Metrics section from the operational schema: refresh the mirror,
     // then render the snapshot rows.
     dm->MirrorMetrics();
     Result<db::ResultSet> metrics = dm->database()->Execute(
         "SELECT metric, kind, value FROM metric_snapshots ORDER BY metric");
     if (metrics.ok()) {
-      for (size_t i = 0; i < metrics.value().num_rows(); ++i) {
-        TemplateContext& row = ctx.AddRow("metrics");
-        row.Set("metric", metrics.value().rows[i][0].AsText());
-        row.Set("kind", metrics.value().rows[i][1].AsText());
-        row.Set("value",
-                StrFormat("%.1f", metrics.value().rows[i][2].AsReal()));
-      }
+      const std::vector<db::Row>& rows = metrics.value().rows;
+      values.SetRows(metrics_, rows.size(),
+                     [&](size_t i, TemplateValues* row) {
+                       row->Set(metric_name_, TextCell(rows[i][0]));
+                       row->Set(metric_kind_, TextCell(rows[i][1]));
+                       row->SetFixed(metric_value_, rows[i][2].AsReal(), 1);
+                     });
     }
-    std::string inner =
-        RenderTemplate(
-            "<h2>Node {{node}} ({{requests}} requests)</h2>"
-            "<h3>Archives</h3><ul>{{#archives}}<li>#{{id}} {{type}} "
-            "{{root}}: {{online}}</li>{{/archives}}</ul>"
-            "<h3>Usage</h3><ul>{{#usage}}<li>{{op}}: {{count}}</li>"
-            "{{/usage}}</ul>"
-            "<h3>Product cache</h3><p>{{cache_entries}} persisted "
-            "entries</p>"
-            "<h3>Metrics</h3><table>{{#metrics}}<tr><td>{{metric}}</td>"
-            "<td>{{kind}}</td><td>{{value}}</td></tr>{{/metrics}}</table>",
-            ctx)
-            .value_or("");
-    return HttpResponse{200, "text/html", RenderPage("Status", inner),
-                        {}, {}};
+    return page_.Render(values);
   }
+
+ private:
+  const Page page_;
+  const int node_, requests_, cache_entries_;
+  const int archives_, archive_id_, archive_type_, archive_root_,
+      archive_online_;
+  const int usage_, usage_op_, usage_count_;
+  const int metrics_, metric_name_, metric_kind_, metric_value_;
 };
 
 // Text exposition of the process-wide registry; also refreshes the
@@ -837,20 +989,36 @@ Counter* WebServer::StatusCounter(int code) {
   return LookupStatusCounter(code);
 }
 
-void WebServer::RegisterStandardServlets() {
-  Register("/login", std::make_unique<LoginServlet>());
-  Register("/logout", std::make_unique<LogoutServlet>());
-  Register("/catalog", std::make_unique<CatalogServlet>());
-  Register("/hle", std::make_unique<HlePageServlet>());
-  Register("/ana", std::make_unique<AnaPageServlet>());
+Status WebServer::RegisterStandardServlets() {
+  // Compile every page before registering any servlet.
+  HEDC_ASSIGN_OR_RETURN(Template login, CompilePage(kLoginBody));
+  HEDC_ASSIGN_OR_RETURN(Template logout, CompilePage(kLogoutBody));
+  HEDC_ASSIGN_OR_RETURN(Template catalog, CompilePage(kCatalogBody));
+  HEDC_ASSIGN_OR_RETURN(Template hle, CompilePage(kHleBody));
+  HEDC_ASSIGN_OR_RETURN(Template ana, CompilePage(kAnaBody));
+  HEDC_ASSIGN_OR_RETURN(Template analysis_exists,
+                        CompilePage(kAnalysisExistsBody));
+  HEDC_ASSIGN_OR_RETURN(Template analysis_done,
+                        CompilePage(kAnalysisDoneBody));
+  HEDC_ASSIGN_OR_RETURN(Template explore, CompilePage(kExploreBody));
+  HEDC_ASSIGN_OR_RETURN(Template query, CompilePage(kQueryBody));
+  HEDC_ASSIGN_OR_RETURN(Template status, CompilePage(kStatusBody));
+  Register("/login", std::make_unique<LoginServlet>(std::move(login)));
+  Register("/logout", std::make_unique<LogoutServlet>(std::move(logout)));
+  Register("/catalog", std::make_unique<CatalogServlet>(std::move(catalog)));
+  Register("/hle", std::make_unique<HlePageServlet>(std::move(hle)));
+  Register("/ana", std::make_unique<AnaPageServlet>(std::move(ana)));
   Register("/image", std::make_unique<ImageServlet>());
-  Register("/analyze", std::make_unique<AnalyzeServlet>());
-  Register("/explore", std::make_unique<ExploreServlet>());
-  Register("/query", std::make_unique<QueryServlet>());
-  Register("/status", std::make_unique<StatusServlet>());
+  Register("/analyze",
+           std::make_unique<AnalyzeServlet>(std::move(analysis_exists),
+                                            std::move(analysis_done)));
+  Register("/explore", std::make_unique<ExploreServlet>(std::move(explore)));
+  Register("/query", std::make_unique<QueryServlet>(std::move(query)));
+  Register("/status", std::make_unique<StatusServlet>(std::move(status)));
   Register("/metrics", std::make_unique<MetricsServlet>());
   Register("/view", std::make_unique<ViewServlet>());
   Register("/approx", std::make_unique<ApproxServlet>());
+  return Status::Ok();
 }
 
 WebServer::DeliveryOptions WebServer::DeliveryOptions::FromConfig(

@@ -155,6 +155,31 @@ TEST_F(DmTest, QuerySpecRendersSql) {
   ASSERT_EQ(params.size(), 2u);
 }
 
+TEST_F(DmTest, QuerySpecRendersJoin) {
+  QuerySpec spec("catalog_members");
+  spec.Join("hle", "catalog_members.hle_id", "hle.hle_id")
+      .Select("catalog_members.hle_id")
+      .Select("hle.is_public")
+      .Where("catalog_members.catalog_id", CondOp::kEq, db::Value::Int(7))
+      .OrderBy("catalog_members.hle_id");
+  std::vector<db::Value> params;
+  auto sql = spec.ToSql(&params);
+  ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+  EXPECT_EQ(sql.value(),
+            "SELECT catalog_members.hle_id, hle.is_public FROM "
+            "catalog_members JOIN hle ON catalog_members.hle_id = hle.hle_id "
+            "WHERE catalog_members.catalog_id = ? ORDER BY "
+            "catalog_members.hle_id");
+  ASSERT_EQ(params.size(), 1u);
+
+  QuerySpec bad_join("catalog_members");
+  bad_join.Join("hle", "catalog_members.hle_id", "hle.hle_id OR 1 = 1");
+  EXPECT_FALSE(bad_join.ToSql(&params).ok());
+  QuerySpec bad_qualifier("hle");
+  bad_qualifier.Select("hle.a.b");
+  EXPECT_FALSE(bad_qualifier.ToSql(&params).ok());
+}
+
 TEST_F(DmTest, QuerySpecRejectsInjection) {
   std::vector<db::Value> params;
   EXPECT_FALSE(QuerySpec("hle; DROP TABLE hle").ToSql(&params).ok());
@@ -358,6 +383,39 @@ TEST_F(DmTest, CatalogListingKeepsVisibilityRules) {
                   .ok());
   EXPECT_EQ(list(root_), (Ids{alice_private, bob_public}));
   EXPECT_EQ(list(bob_), (Ids{bob_public}));
+}
+
+// The listing is one catalog_members JOIN hle query however many members
+// the catalog has. In one catalog: another user's private HLE (hidden
+// from alice, listed for its owner and root) and a member whose HLE row
+// was deleted behind the semantic layer's back (listed for no one).
+TEST_F(DmTest, CatalogListingIsOneJoinOverDeletedAndPrivateMembers) {
+  HleRecord hle;
+  hle.event_type = "flare";
+  int64_t bob_private = dm_->semantics().CreateHle(bob_, hle).value();
+  hle.is_public = true;
+  int64_t alice_public = dm_->semantics().CreateHle(alice_, hle).value();
+  int64_t doomed = dm_->semantics().CreateHle(alice_, hle).value();
+  int64_t catalog_id =
+      dm_->semantics().CreateCatalog(bob_, "bobs", "", true).value();
+  for (int64_t hle_id : {doomed, alice_public, bob_private}) {
+    ASSERT_TRUE(dm_->semantics().AddToCatalog(bob_, catalog_id, hle_id).ok());
+  }
+  ASSERT_TRUE(db_.Execute("DELETE FROM hle WHERE hle_id = ?",
+                          {db::Value::Int(doomed)})
+                  .ok());
+
+  auto list = [&](const Session& session) {
+    int64_t queries = dm_->io().queries_executed();
+    std::vector<int64_t> ids =
+        dm_->semantics().ListCatalogHles(session, catalog_id).value();
+    EXPECT_EQ(dm_->io().queries_executed() - queries, 1);
+    return ids;
+  };
+  using Ids = std::vector<int64_t>;
+  EXPECT_EQ(list(alice_), (Ids{alice_public}));
+  EXPECT_EQ(list(bob_), (Ids{bob_private, alice_public}));
+  EXPECT_EQ(list(root_), (Ids{bob_private, alice_public}));
 }
 
 auto Tie(const HleRecord& r) {

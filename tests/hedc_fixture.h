@@ -4,6 +4,8 @@
 #ifndef HEDC_TESTS_HEDC_FIXTURE_H_
 #define HEDC_TESTS_HEDC_FIXTURE_H_
 
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 
 #include "core/clock.h"
@@ -92,7 +94,12 @@ class HedcStack {
 
     web_server = std::make_unique<web::WebServer>(data_manager.get(),
                                                   frontend.get());
-    web_server->RegisterStandardServlets();
+    Status registered = web_server->RegisterStandardServlets();
+    if (!registered.ok()) {
+      std::fprintf(stderr, "page templates: %s\n",
+                   registered.ToString().c_str());
+      std::abort();
+    }
   }
 
   dm::Session Login(const std::string& user, const std::string& password,
