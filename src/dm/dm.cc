@@ -7,22 +7,10 @@ DataManager::DataManager(std::string name, db::Database* db,
                          archive::NameMapper* mapper, Clock* clock,
                          Options options)
     : name_(std::move(name)), db_(db), clock_(clock) {
-  pool_ = std::make_unique<db::ConnectionPool>(db_, clock_, options.pool);
-  io_ = std::make_unique<IoLayer>(db_, pool_.get(), archives, mapper);
+  io_ = std::make_unique<IoLayer>(db_, archives, mapper);
   semantics_ = std::make_unique<SemanticLayer>(io_.get(), clock_);
   sessions_ = std::make_unique<SessionManager>(clock_, options.sessions);
   users_ = std::make_unique<UserManager>(db_);
-}
-
-void DataManager::AddPeer(DataManager* peer) {
-  if (peer != this) peers_.push_back(peer);
-}
-
-DataManager* DataManager::Route(bool force_local) {
-  if (force_local || peers_.empty()) return this;
-  size_t n = peers_.size() + 1;
-  size_t pick = route_counter_.fetch_add(1, std::memory_order_relaxed) % n;
-  return pick == 0 ? this : peers_[pick - 1];
 }
 
 Status DataManager::LogOperational(const std::string& component,

@@ -1,23 +1,19 @@
 // DataManager: the DM component facade (§5.2, §5.4).
 //
-// Wires the I/O layer, semantic layer, sessions, users and connection
-// pools into one component, and implements call redirection: a DM node
-// keeps a list of peers and can route work to them ("In general, the
-// calling methods do not know where the code is actually executed, but
-// can use overwrites to, e.g., force local execution.").
+// Wires the I/O layer, semantic layer, sessions and users into one
+// component. Call redirection (§5.4) lives outside it: a web server's
+// NodeRouter (WebServer::set_node_router) picks the node for a request.
 #ifndef HEDC_DM_DM_H_
 #define HEDC_DM_DM_H_
 
 #include <atomic>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "archive/archive.h"
 #include "archive/name_mapper.h"
 #include "core/clock.h"
 #include "core/metrics.h"
-#include "db/connection.h"
 #include "db/database.h"
 #include "dm/io_layer.h"
 #include "dm/semantic_layer.h"
@@ -29,7 +25,13 @@ namespace hedc::dm {
 class DataManager {
  public:
   struct Options {
-    db::ConnectionPool::Options pool;
+    // Read by nothing: the DM has no connection pool. perfbench still
+    // assigns pool.connection_setup_cost, so the field stays until the
+    // next change to perfbench drops that line with it.
+    struct Pool {
+      Micros connection_setup_cost = 0;
+    };
+    Pool pool;
     SessionManager::Options sessions;
   };
 
@@ -49,15 +51,7 @@ class DataManager {
   SemanticLayer& semantics() { return *semantics_; }
   SessionManager& sessions() { return *sessions_; }
   UserManager& users() { return *users_; }
-  db::ConnectionPool& pool() { return *pool_; }
   db::Database* database() { return db_; }
-
-  // --- call redirection (§5.4) ----------------------------------------
-  void AddPeer(DataManager* peer);
-  size_t num_peers() const { return peers_.size(); }
-  // Picks the execution node for the next call: round-robin over self and
-  // peers. `force_local` is the per-call overwrite.
-  DataManager* Route(bool force_local = false);
 
   // Operational logging into the op_logs table.
   Status LogOperational(const std::string& component,
@@ -80,14 +74,11 @@ class DataManager {
   db::Database* db_;
   Clock* clock_;
 
-  std::unique_ptr<db::ConnectionPool> pool_;
   std::unique_ptr<IoLayer> io_;
   std::unique_ptr<SemanticLayer> semantics_;
   std::unique_ptr<SessionManager> sessions_;
   std::unique_ptr<UserManager> users_;
 
-  std::vector<DataManager*> peers_;
-  std::atomic<size_t> route_counter_{0};
   std::atomic<int64_t> requests_handled_{0};
   IdGenerator log_ids_{1};
   IdGenerator snap_ids_{1};

@@ -4,10 +4,9 @@
 
 namespace hedc::dm {
 
-IoLayer::IoLayer(db::Database* db, db::ConnectionPool* pool,
-                 archive::ArchiveManager* archives,
+IoLayer::IoLayer(db::Database* db, archive::ArchiveManager* archives,
                  archive::NameMapper* mapper)
-    : db_(db), pool_(pool), archives_(archives), mapper_(mapper) {
+    : db_(db), archives_(archives), mapper_(mapper) {
   MetricsRegistry* metrics = MetricsRegistry::Default();
   files_read_metric_ = metrics->GetCounter("io.files_read");
   files_written_metric_ = metrics->GetCounter("io.files_written");
@@ -15,31 +14,19 @@ IoLayer::IoLayer(db::Database* db, db::ConnectionPool* pool,
   bytes_written_metric_ = metrics->GetCounter("io.bytes_written");
 }
 
-void IoLayer::RouteTable(const std::string& table, db::Database* target,
-                         db::ConnectionPool* target_pool) {
-  routes_[ToLower(table)] = {target, target_pool};
+void IoLayer::RouteTable(const std::string& table, db::Database* target) {
+  routes_[ToLower(table)] = target;
 }
 
 db::Database* IoLayer::DatabaseFor(const std::string& table) const {
   auto it = routes_.find(ToLower(table));
-  return it == routes_.end() ? db_ : it->second.first;
+  return it == routes_.end() ? db_ : it->second;
 }
 
 Result<db::ResultSet> IoLayer::Query(const QuerySpec& spec) {
   std::vector<db::Value> params;
   HEDC_ASSIGN_OR_RETURN(std::string sql, spec.ToSql(&params));
   queries_.fetch_add(1, std::memory_order_relaxed);
-  auto it = routes_.find(ToLower(spec.table()));
-  db::ConnectionPool* pool = it == routes_.end() ? pool_ : it->second.second;
-  if (pool != nullptr) {
-    db::PooledConnection conn = pool->Acquire(db::PoolKind::kQuery);
-    Result<db::ResultSet> result = conn->Execute(sql, params);
-    // "Connections are immediately released by sessions after the result
-    // set has been copied" (§5.3) — PooledConnection does that on scope
-    // exit; Release() documents the intent.
-    conn.Release();
-    return result;
-  }
   return DatabaseFor(spec.table())->Execute(sql, params);
 }
 
@@ -47,12 +34,6 @@ Result<db::ResultSet> IoLayer::Update(const std::string& table,
                                       std::string_view sql,
                                       const std::vector<db::Value>& params) {
   updates_.fetch_add(1, std::memory_order_relaxed);
-  auto it = routes_.find(ToLower(table));
-  db::ConnectionPool* pool = it == routes_.end() ? pool_ : it->second.second;
-  if (pool != nullptr) {
-    db::PooledConnection conn = pool->Acquire(db::PoolKind::kUpdate);
-    return conn->Execute(sql, params);
-  }
   return DatabaseFor(table)->Execute(sql, params);
 }
 

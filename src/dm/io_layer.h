@@ -19,7 +19,6 @@
 #include "archive/name_mapper.h"
 #include "core/metrics.h"
 #include "core/status.h"
-#include "db/connection.h"
 #include "db/database.h"
 #include "dm/query_spec.h"
 
@@ -29,20 +28,21 @@ class IoLayer {
  public:
   // `db` is the default metadata DBMS; `archives` and `mapper` serve the
   // file side. All pointers are borrowed and must outlive the layer.
-  IoLayer(db::Database* db, db::ConnectionPool* pool,
-          archive::ArchiveManager* archives, archive::NameMapper* mapper);
+  IoLayer(db::Database* db, archive::ArchiveManager* archives,
+          archive::NameMapper* mapper);
 
   // --- vertical partitioning -------------------------------------------
   // Routes all accesses for `table` to another DBMS (e.g. "separate
   // processing from browsing clients", §5.2).
-  void RouteTable(const std::string& table, db::Database* target,
-                  db::ConnectionPool* target_pool);
+  void RouteTable(const std::string& table, db::Database* target);
   db::Database* DatabaseFor(const std::string& table) const;
 
   // --- database access --------------------------------------------------
-  // Executes a verified QuerySpec through the query connection pool.
+  // Both run directly on DatabaseFor(table): the engine is embedded, so
+  // there is no connection to open or pool (§5.3).
+  // Executes a verified QuerySpec.
   Result<db::ResultSet> Query(const QuerySpec& spec);
-  // Raw SQL update path through the update pool (inserts/updates/deletes).
+  // Raw SQL update path (inserts/updates/deletes).
   Result<db::ResultSet> Update(const std::string& table,
                                std::string_view sql,
                                const std::vector<db::Value>& params);
@@ -88,11 +88,9 @@ class IoLayer {
 
  private:
   db::Database* db_;
-  db::ConnectionPool* pool_;
   archive::ArchiveManager* archives_;
   archive::NameMapper* mapper_;
-  std::map<std::string, std::pair<db::Database*, db::ConnectionPool*>>
-      routes_;
+  std::map<std::string, db::Database*> routes_;
 
   std::atomic<int64_t> queries_{0};
   std::atomic<int64_t> updates_{0};

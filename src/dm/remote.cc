@@ -9,7 +9,7 @@ namespace {
 
 enum class RmiOp : uint8_t {
   kQuery = 1,       // sql + params -> ResultSet
-  kExecute = 2,     // sql + params -> ResultSet (update pool)
+  kExecute = 2,     // sql + params -> ResultSet (DML)
   kReadFile = 3,    // item_id -> bytes
   kLog = 4,         // component + message -> ok
 };

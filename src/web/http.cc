@@ -1,8 +1,34 @@
 #include "web/http.h"
 
 #include "core/strings.h"
+#include "web/template.h"
 
 namespace hedc::web {
+
+namespace {
+
+HttpResponse ErrorPage(int status_code, std::string_view text) {
+  HttpResponse r;
+  r.status_code = status_code;
+  r.body = "<html><body><h1>" + std::to_string(status_code) + "</h1><p>";
+  HtmlEscape(text, &r.body);
+  r.body += "</p></body></html>";
+  return r;
+}
+
+}  // namespace
+
+HttpResponse HttpResponse::NotFound(std::string_view what) {
+  return ErrorPage(404, what);
+}
+
+HttpResponse HttpResponse::Forbidden(std::string_view why) {
+  return ErrorPage(403, why);
+}
+
+HttpResponse HttpResponse::BadRequest(std::string_view why) {
+  return ErrorPage(400, why);
+}
 
 std::map<std::string, std::string> ParseQueryString(const std::string& qs) {
   std::map<std::string, std::string> out;

@@ -8,6 +8,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hedc::web {
@@ -42,24 +43,10 @@ struct HttpResponse {
   std::vector<uint8_t> binary_body;  // images
   std::map<std::string, std::string> set_cookies;
 
-  static HttpResponse NotFound(const std::string& what) {
-    HttpResponse r;
-    r.status_code = 404;
-    r.body = "<html><body><h1>404</h1><p>" + what + "</p></body></html>";
-    return r;
-  }
-  static HttpResponse Forbidden(const std::string& why) {
-    HttpResponse r;
-    r.status_code = 403;
-    r.body = "<html><body><h1>403</h1><p>" + why + "</p></body></html>";
-    return r;
-  }
-  static HttpResponse BadRequest(const std::string& why) {
-    HttpResponse r;
-    r.status_code = 400;
-    r.body = "<html><body><h1>400</h1><p>" + why + "</p></body></html>";
-    return r;
-  }
+  // Error pages. The text is HTML-escaped: it often carries request text.
+  static HttpResponse NotFound(std::string_view what);
+  static HttpResponse Forbidden(std::string_view why);
+  static HttpResponse BadRequest(std::string_view why);
 
   size_t TotalBytes() const { return body.size() + binary_body.size(); }
 };

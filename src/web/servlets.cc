@@ -1,6 +1,7 @@
 // Standard servlets: login/logout, catalog browsing, HLE pages, analysis
 // pages, image download, analysis submission, progressive view delivery,
 // approximate aggregates.
+#include <charconv>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -72,8 +73,6 @@ constexpr std::string_view kAnalysisDoneBody =
     "<p>{{routine}} finished; result stored as "
     "<a href='/ana?id={{ana_id}}'>ANA {{ana_id}}</a></p>";
 
-// The image link's {{t_lo}}/{{t_hi}} are top-level slots the servlet does
-// not set, so they render empty.
 constexpr std::string_view kExploreBody =
     "<p>{{events}} events, {{clusters}} clusters</p>"
     "<img src='/explore?format=image&t_lo={{t_lo}}&t_hi={{t_hi}}'>"
@@ -140,6 +139,16 @@ class Page {
 std::string_view TextCell(const db::Value& cell) {
   return cell.type() == db::ValueType::kText ? std::string_view(cell.text())
                                              : std::string_view();
+}
+
+// `v` in fixed notation with the fewest digits ParseDouble reads back as
+// `v` (an exponent's '+' would decode as a space in a query string).
+std::string QueryDouble(double v) {
+  char buf[512];  // holds any double in fixed notation
+  auto [end, ec] =
+      std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::fixed);
+  (void)ec;
+  return std::string(buf, end);
 }
 
 dm::Session BrowseSession(dm::DataManager* dm, WebServer* server,
@@ -492,6 +501,8 @@ class ExploreServlet : public Servlet {
       : page_(std::move(page)),
         events_(page_.Slot("events")),
         clusters_(page_.Slot("clusters")),
+        range_lo_(page_.Slot("t_lo")),
+        range_hi_(page_.Slot("t_hi")),
         extents_(page_.Section("extents")),
         t_lo_(page_.Slot({"extents"}, "t_lo")),
         t_hi_(page_.Slot({"extents"}, "t_hi")),
@@ -542,6 +553,10 @@ class ExploreServlet : public Servlet {
     TemplateValues values = page_.NewValues("Explore");
     values.Set(events_, static_cast<int64_t>(points.size()));
     values.Set(clusters_, static_cast<int64_t>(extents.size()));
+    // The image link asks for the range this page shows.
+    std::string range_lo = QueryDouble(t_lo), range_hi = QueryDouble(t_hi);
+    values.Set(range_lo_, range_lo);
+    values.Set(range_hi_, range_hi);
     values.SetRows(extents_, extents.size(),
                    [&](size_t i, TemplateValues* row) {
                      const wavelet::Extent& e = extents[i];
@@ -556,7 +571,7 @@ class ExploreServlet : public Servlet {
 
  private:
   const Page page_;
-  const int events_, clusters_;
+  const int events_, clusters_, range_lo_, range_hi_;
   const int extents_, t_lo_, t_hi_, e_lo_, e_hi_, n_;
 };
 
@@ -1060,9 +1075,9 @@ HttpResponse WebServer::Dispatch(const HttpRequest& request) {
   route.requests->Add();
   // Call redirection: the request may execute on a peer DM node (§5.4).
   // A cluster router (when installed) owns the choice; otherwise the
-  // primary node's peer round-robin decides.
+  // request runs on this server's own node.
   dm::DataManager* node = node_router_ ? node_router_(request) : nullptr;
-  if (node == nullptr) node = dm_->Route();
+  if (node == nullptr) node = dm_;
   node->CountRequest();
   Micros start = node->clock()->Now();
   HttpResponse response = [&] {

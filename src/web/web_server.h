@@ -95,8 +95,8 @@ class WebServer {
 
   // Cluster dispatch: when set, picks the DM node each request executes
   // on (e.g. cluster::ClusterRunner::RouteInProcess keyed by the session
-  // cookie) instead of the primary node's peer round-robin. Returning
-  // nullptr falls back to the default route. Set before serving traffic;
+  // cookie) instead of the server's own DM node. Returning nullptr runs
+  // the request on the server's own node. Set before serving traffic;
   // not synchronized against in-flight dispatches.
   using NodeRouter = std::function<dm::DataManager*(const HttpRequest&)>;
   void set_node_router(NodeRouter router) { node_router_ = std::move(router); }

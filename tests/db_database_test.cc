@@ -6,11 +6,9 @@
 #include <optional>
 #include <thread>
 
-#include "core/clock.h"
 #include "core/metrics.h"
 #include "db/blob_store.h"
 #include "db/checkpoint.h"
-#include "db/connection.h"
 #include "db/database.h"
 
 namespace hedc::db {
@@ -342,45 +340,6 @@ TEST_F(DatabaseTest, PreparedStatementReexecution) {
     ASSERT_EQ(r.value().num_rows(), 1u);
     EXPECT_EQ(r.value().rows[0][0].AsText(), i % 2 == 0 ? "alice" : "bob");
   }
-}
-
-TEST(ConnectionPoolTest, PoolingAvoidsSetupCost) {
-  Database db;
-  ASSERT_TRUE(db.Execute("CREATE TABLE t (a INT)").ok());
-  VirtualClock clock;
-  ConnectionPool::Options opts;
-  opts.query_pool_size = 2;
-  opts.update_pool_size = 1;
-  opts.connection_setup_cost = 1000;
-  ConnectionPool pool(&db, &clock, opts);
-  Micros after_warmup = clock.Now();
-  EXPECT_EQ(after_warmup, 3000);  // the pools are filled up front
-  EXPECT_EQ(pool.connections_created(), 3);
-  for (int i = 0; i < 10; ++i) {
-    PooledConnection conn = pool.Acquire(PoolKind::kQuery);
-    ASSERT_TRUE(conn.valid());
-    ASSERT_TRUE(conn->Execute("SELECT COUNT(*) FROM t").ok());
-  }
-  EXPECT_EQ(clock.Now(), after_warmup);  // no additional setup cost
-  EXPECT_EQ(pool.connections_created(), 3);
-}
-
-TEST(ConnectionPoolTest, SeparatePoolsDoNotInterfere) {
-  Database db;
-  VirtualClock clock;
-  ConnectionPool::Options opts;
-  opts.query_pool_size = 1;
-  opts.update_pool_size = 1;
-  ConnectionPool pool(&db, &clock, opts);
-  PooledConnection q = pool.Acquire(PoolKind::kQuery);
-  // The update pool must still be available while the query pool is
-  // exhausted (split pools, §5.3).
-  EXPECT_EQ(pool.available(PoolKind::kQuery), 0u);
-  EXPECT_EQ(pool.available(PoolKind::kUpdate), 1u);
-  PooledConnection u = pool.Acquire(PoolKind::kUpdate);
-  EXPECT_TRUE(u.valid());
-  q.Release();
-  EXPECT_EQ(pool.available(PoolKind::kQuery), 1u);
 }
 
 TEST(BlobStoreTest, PutGetDelete) {

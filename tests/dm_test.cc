@@ -1,8 +1,11 @@
 // DM component tests: schema, users, sessions, query spec, I/O layer,
-// semantic layer, processes, redirection.
+// semantic layer, processes.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "core/clock.h"
 #include "dm/dm.h"
@@ -645,27 +648,26 @@ TEST_F(DmTest, IoLayerRoutesTables) {
   db::Database other;
   ASSERT_TRUE(other.Execute("CREATE TABLE special (a INT)").ok());
   ASSERT_TRUE(other.Execute("INSERT INTO special VALUES (7)").ok());
-  dm_->io().RouteTable("special", &other, nullptr);
+  // The default database has the table too, so a write that ignored the
+  // route would succeed there.
+  ASSERT_TRUE(db_.Execute("CREATE TABLE special (a INT)").ok());
+  dm_->io().RouteTable("special", &other);
   QuerySpec spec("special");
   auto rs = dm_->io().Query(spec);
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
   EXPECT_EQ(rs.value().num_rows(), 1u);
   EXPECT_EQ(dm_->io().DatabaseFor("special"), &other);
   EXPECT_EQ(dm_->io().DatabaseFor("hle"), &db_);
-}
 
-TEST_F(DmTest, RedirectionRoundRobins) {
-  DataManager peer("dm1", &db_, &archives_, mapper_.get(), &clock_,
-                   DataManager::Options{});
-  dm_->AddPeer(&peer);
-  std::map<DataManager*, int> counts;
-  for (int i = 0; i < 10; ++i) ++counts[dm_->Route()];
-  EXPECT_EQ(counts[dm_.get()], 5);
-  EXPECT_EQ(counts[&peer], 5);
-  // Force-local overwrite.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(dm_->Route(/*force_local=*/true), dm_.get());
-  }
+  auto inserted = dm_->io().Update("SPECIAL", "INSERT INTO special VALUES (?)",
+                                   {db::Value::Int(8)});
+  ASSERT_TRUE(inserted.ok()) << inserted.status().ToString();
+  auto in_other = other.Execute("SELECT a FROM special WHERE a = 8");
+  ASSERT_TRUE(in_other.ok());
+  EXPECT_EQ(in_other.value().num_rows(), 1u);
+  auto in_default = db_.Execute("SELECT COUNT(*) FROM special");
+  ASSERT_TRUE(in_default.ok());
+  EXPECT_EQ(in_default.value().rows[0][0].AsInt(), 0);
 }
 
 TEST_F(DmTest, OperationalLogPersisted) {
@@ -677,6 +679,55 @@ TEST_F(DmTest, OperationalLogPersisted) {
 }
 
 // --- process layer -----------------------------------------------------
+
+// The I/O layer runs every statement straight on its database, from as
+// many threads as the reactor has loops: point reads and usage_stats-style
+// audit inserts on one DataManager must neither fail nor lose a row.
+class DmStressTest : public DmTest {};
+
+TEST_F(DmStressTest, ConcurrentIoLayerReadsAndAuditInserts) {
+  constexpr int kThreads = 8;
+  constexpr int kInsertsPerThread = 150;
+  std::atomic<int> errors{0};
+  std::atomic<int> missing{0};
+  int64_t updates_before = dm_->io().updates_executed();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      IoLayer& io = dm_->io();
+      for (int i = 0; i < kInsertsPerThread; ++i) {
+        int64_t id = int64_t{t} * kInsertsPerThread + i;
+        auto inserted = io.Update(
+            "usage_stats", "INSERT INTO usage_stats VALUES (?, ?, ?, ?, ?)",
+            {db::Value::Int(id), db::Value::Real(i * 0.5),
+             db::Value::Int(t), db::Value::Text("/catalog"),
+             db::Value::Real(0.25)});
+        if (!inserted.ok()) ++errors;
+        // This thread's own row is visible to its next read.
+        auto own = io.Query(QuerySpec("usage_stats")
+                                .Where("stat_id", CondOp::kEq,
+                                       db::Value::Int(id)));
+        if (!own.ok()) {
+          ++errors;
+        } else if (own.value().num_rows() != 1) {
+          ++missing;
+        }
+        auto count = io.Query(QuerySpec("usage_stats").CountOnly());
+        if (!count.ok()) ++errors;
+        auto hles = io.Query(QuerySpec("hle").Limit(5));
+        if (!hles.ok()) ++errors;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(errors.load(), 0);
+  EXPECT_EQ(missing.load(), 0);
+  auto total = db_.Execute("SELECT COUNT(*) FROM usage_stats");
+  ASSERT_TRUE(total.ok());
+  EXPECT_EQ(total.value().rows[0][0].AsInt(), kThreads * kInsertsPerThread);
+  EXPECT_EQ(dm_->io().updates_executed() - updates_before,
+            kThreads * kInsertsPerThread);
+}
 
 class ProcessTest : public DmTest {
  protected:

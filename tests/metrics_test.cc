@@ -244,7 +244,7 @@ TEST_F(MetricsE2eTest, MetricsServletExposesAllTiers) {
   for (const char* needle :
        {"namemap_resolutions", "namemap_db_queries", "namemap_resolve_us",
         "wal_fsyncs", "wal_fsync_us", "db_query_us", "db_update_us",
-        "db_pool_wait_us", "db_rows_scanned", "db_rows_matched",
+        "db_rows_scanned", "db_rows_matched",
         "dm_sessions_creates", "dm_sessions_get_us",
         "pl_estimate_us", "pl_execute_us", "pl_deliver_us", "pl_commit_us",
         "pl_invoke_attempts", "web_latency_us_analyze",

@@ -633,6 +633,25 @@ TEST_F(WebStackTest, CatalogPageListsEvents) {
   }
 }
 
+TEST_F(WebStackTest, ErrorPagesEscapeRequestText) {
+  HttpResponse response = stack_.web_server->Dispatch(
+      MakeRequest("/catalog?name=<script>x</script>"));
+  ASSERT_EQ(response.status_code, 404);
+  EXPECT_NE(response.body.find("&lt;script&gt;x&lt;/script&gt;"),
+            std::string::npos)
+      << response.body;
+  EXPECT_EQ(response.body.find("<script>"), std::string::npos);
+}
+
+TEST_F(WebStackTest, ExploreImageLinkCarriesRange) {
+  HttpResponse response = stack_.web_server->Dispatch(
+      MakeRequest("/explore?t_lo=12.5&t_hi=3600"));
+  ASSERT_EQ(response.status_code, 200) << response.body;
+  EXPECT_NE(response.body.find("/explore?format=image&t_lo=12.5&t_hi=3600'"),
+            std::string::npos)
+      << response.body;
+}
+
 TEST_F(WebStackTest, HlePageShowsEventDetails) {
   ASSERT_FALSE(stack_.hle_ids.empty());
   HttpRequest request = MakeRequest(
@@ -936,18 +955,6 @@ TEST(WebUsageStatsTest, UsageRowsAccumulateAcrossRestarts) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(WebStackTest, RedirectionSpreadsAcrossPeers) {
-  // A peer DM node sharing the same DBMS/archives.
-  dm::DataManager peer("dm1", &stack_.db, &stack_.archives,
-                       stack_.mapper.get(), &stack_.clock,
-                       dm::DataManager::Options{});
-  stack_.data_manager->AddPeer(&peer);
-  int64_t before_peer = peer.requests_handled();
-  for (int i = 0; i < 10; ++i) {
-    stack_.web_server->Dispatch(MakeRequest("/catalog?name=standard"));
-  }
-  EXPECT_EQ(peer.requests_handled() - before_peer, 5);
-}
 
 
 // Golden pages: every templated page, rendered from fixed data, must match
