@@ -106,7 +106,6 @@ struct Stack {
     }
     directory.Register("host0", manager.get(), "local");
     pl::ProductCache::Options cache_options;
-    cache_options.persist = false;
     cache_options.metric_prefix = prefix;
     cache = std::make_unique<pl::ProductCache>(nullptr, cache_options);
     pl::Frontend::Options fe_options;

@@ -49,7 +49,6 @@ StreamCorder::StreamCorder(dm::DataManager* server,
   // derived-product cache over its local DM, so repeated local analyses
   // are served from storage and survive a client restart.
   pl::ProductCache::Options pc_options;
-  pc_options.enabled = options_.product_cache_enabled;
   pc_options.capacity_bytes = options_.product_cache_capacity_bytes;
   pc_options.metric_prefix = "client.product_cache";
   product_cache_ =

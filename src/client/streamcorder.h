@@ -41,10 +41,9 @@ class StreamCorder {
     // Cache strategy: v1 = path cache, v2 = local-DB cache.
     int cache_version = 2;
     uint64_t cache_capacity_bytes = 256 * 1024 * 1024;
-    // Local derived-product cache over the local DM clone: repeated
-    // AnalyzeLocally calls for the same (routine, params, unit@version)
-    // reuse the stored product instead of recomputing.
-    bool product_cache_enabled = true;
+    // Capacity of the local derived-product cache over the local DM
+    // clone: repeated AnalyzeLocally calls for the same (routine, params,
+    // unit@version) reuse the stored product instead of recomputing.
     uint64_t product_cache_capacity_bytes = 64 * 1024 * 1024;
   };
 

@@ -77,9 +77,6 @@ struct ExecOptions {
   int64_t morsel_rows = Table::kDefaultRowsPerMorsel;
   int scan_threads = 4;     // max parallelism of one full scan
   int join_partitions = 8;  // hash-join build partitions
-  // Cost-based join order (largest estimated input drives, smallest
-  // builds first); off = FROM order.
-  bool join_planner = true;
 };
 
 class Database {

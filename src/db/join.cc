@@ -336,17 +336,12 @@ Status PlanJoin(const SelectStmt& stmt, const JoinSchema& js,
                                      opts.zone_maps);
   }
 
-  // Join order. With the planner on, the largest estimated input drives
-  // (probe side streams, smaller sides build hash tables) and build
-  // steps greedily take the smallest connectable estimate; with it off,
-  // FROM order is preserved (table 0 drives).
-  if (opts.join_planner) {
-    plan->driver = static_cast<size_t>(
-        std::max_element(plan->est.begin(), plan->est.end()) -
-        plan->est.begin());
-  } else {
-    plan->driver = 0;
-  }
+  // Join order: the largest estimated input drives (probe side streams,
+  // smaller sides build hash tables) and build steps greedily take the
+  // smallest connectable estimate.
+  plan->driver = static_cast<size_t>(
+      std::max_element(plan->est.begin(), plan->est.end()) -
+      plan->est.begin());
 
   uint32_t avail = 1u << plan->driver;
   plan->step_of_table.assign(n, -1);
@@ -368,12 +363,7 @@ Status PlanJoin(const SelectStmt& stmt, const JoinSchema& js,
         }
       }
       if (!connectable) continue;
-      if (best == n) {
-        best = t;
-      } else if (opts.join_planner && plan->est[t] < plan->est[best]) {
-        best = t;
-      }
-      if (!opts.join_planner) break;  // FROM order: first connectable
+      if (best == n || plan->est[t] < plan->est[best]) best = t;
     }
     if (best == n) {
       return Status::Unimplemented(

@@ -153,7 +153,7 @@ Result<int64_t> Frontend::Submit(ProcessingRequest request) {
   retained_photons_->Add(static_cast<int64_t>(slot->request.photons.size()));
   slot->outcome.state = RequestState::kQueued;
   slot->outcome.submitted_at = clock_->Now();
-  if (product_cache_ != nullptr && product_cache_->enabled()) {
+  if (product_cache_ != nullptr) {
     slot->cache_key = MakeProductCacheKey(
         slot->request.routine, slot->request.params,
         slot->request.input_units);

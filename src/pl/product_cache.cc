@@ -50,6 +50,8 @@ ProductCacheKey MakeProductCacheKey(const std::string& routine,
 namespace {
 
 constexpr uint32_t kProductMagic = 0x48504331;  // "HPC1"
+// Archive holding the encoded blobs of persisted entries.
+constexpr int64_t kBlobArchiveId = 1;
 
 }  // namespace
 
@@ -166,16 +168,6 @@ Result<analysis::AnalysisProduct> DecodeProduct(
   return product;
 }
 
-ProductCache::Options ProductCache::Options::FromConfig(
-    const Config& config) {
-  Options options;
-  options.enabled = config.GetBool("product_cache.enabled", true);
-  options.capacity_bytes = static_cast<uint64_t>(config.GetInt(
-      "product_cache.capacity_bytes",
-      static_cast<int64_t>(options.capacity_bytes)));
-  return options;
-}
-
 ProductCache::ProductCache(dm::DataManager* dm, Options options)
     : dm_(dm), options_(std::move(options)) {
   MetricsRegistry* metrics = MetricsRegistry::Default();
@@ -216,7 +208,7 @@ std::vector<std::pair<uint64_t, int64_t>> ProductCache::EvictForLocked(
 }
 
 Status ProductCache::LoadFromDm() {
-  if (dm_ == nullptr || !options_.persist) return Status::Ok();
+  if (dm_ == nullptr) return Status::Ok();
   HEDC_ASSIGN_OR_RETURN(db::ResultSet rows,
                         dm_->io().Query(dm::QuerySpec("product_cache")));
   std::lock_guard<std::mutex> lock(mu_);
@@ -253,7 +245,7 @@ Status ProductCache::LoadFromDm() {
 }
 
 bool ProductCache::Peek(const ProductCacheKey& key) const {
-  if (!options_.enabled || !key.valid) return false;
+  if (!key.valid) return false;
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.count(key.hash) > 0 || flights_.count(key.hash) > 0;
 }
@@ -277,7 +269,7 @@ Result<std::vector<uint8_t>> ProductCache::LoadBlob(int64_t item_id) {
 ProductCache::Ticket ProductCache::Admit(const ProductCacheKey& key) {
   Ticket ticket;
   ticket.key = key;
-  if (!options_.enabled || !key.valid) return ticket;  // kDisabled
+  if (!key.valid) return ticket;  // kDisabled
   std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     auto it = entries_.find(key.hash);
@@ -367,7 +359,7 @@ Result<int64_t> ProductCache::Persist(const ProductCacheKey& key,
   }
   int64_t item_id = BlobItemId(seq);
   HEDC_RETURN_IF_ERROR(dm_->io().WriteItemFile(
-      item_id, options_.blob_archive_id, "pcache", entry->bytes));
+      item_id, kBlobArchiveId, "pcache", entry->bytes));
   std::string unit_csv, version_csv;
   for (size_t i = 0; i < key.inputs.size(); ++i) {
     if (i > 0) {
@@ -400,7 +392,7 @@ Result<int64_t> ProductCache::Persist(const ProductCacheKey& key,
 }
 
 void ProductCache::DeletePersisted(uint64_t hash, int64_t item_id) {
-  if (dm_ == nullptr || !options_.persist) return;
+  if (dm_ == nullptr) return;
   dm_->io().Update("product_cache",
                    "DELETE FROM product_cache WHERE cache_key = ?",
                    {db::Value::Int(static_cast<int64_t>(hash))});
@@ -433,7 +425,7 @@ void ProductCache::CompleteSuccess(const Ticket& ticket,
   shared.cost_seconds = cost_seconds;
 
   bool cacheable = entry.size_bytes <= options_.capacity_bytes;
-  if (cacheable && dm_ != nullptr && options_.persist) {
+  if (cacheable && dm_ != nullptr) {
     Result<int64_t> item = Persist(ticket.key, &entry);
     // Persistence failure degrades to a memory-only entry.
     if (item.ok()) entry.item_id = item.value();

@@ -43,7 +43,6 @@
 #include <vector>
 
 #include "analysis/routine.h"
-#include "core/config.h"
 #include "core/metrics.h"
 #include "core/status.h"
 
@@ -88,17 +87,8 @@ Result<analysis::AnalysisProduct> DecodeProduct(
 class ProductCache {
  public:
   struct Options {
-    bool enabled = true;
     uint64_t capacity_bytes = 64ull << 20;
-    // Archive holding the encoded blobs (persisted entries only).
-    int64_t blob_archive_id = 1;
-    // Persist entries through the DM (product_cache table + blob). Off
-    // for purely local caches without durable state.
-    bool persist = true;
     std::string metric_prefix = "product_cache";
-
-    // Reads product_cache.enabled / product_cache.capacity_bytes.
-    static Options FromConfig(const Config& config);
   };
 
   // What a hit or a completed flight delivers: the encoded product plus
@@ -110,7 +100,7 @@ class ProductCache {
   };
 
   enum class Role {
-    kDisabled,  // cache off or key invalid: run the pre-cache path
+    kDisabled,  // key without lineage: run the uncached path
     kHit,       // entry served; `hit` is filled
     kLeader,    // run the execution, then CompleteSuccess/CompleteFailure
     kFollower,  // Await() the leader's flight
@@ -171,7 +161,6 @@ class ProductCache {
   // flight (0 when idle).
   size_t WaitersFor(const ProductCacheKey& key) const;
 
-  bool enabled() const { return options_.enabled; }
   uint64_t bytes_cached() const;
   size_t entry_count() const;
   const Options& options() const { return options_; }

@@ -4,7 +4,6 @@ namespace hedc::pl {
 
 IdlServerManager::IdlServerManager(std::string host_name, Options options)
     : host_name_(std::move(host_name)), options_(options) {
-  workers_ = std::make_unique<ThreadPool>(options_.worker_threads);
   MetricsRegistry* metrics = MetricsRegistry::Default();
   attempts_ = metrics->GetCounter("pl.invoke.attempts");
   retries_ = metrics->GetCounter("pl.invoke.retries");
@@ -16,8 +15,6 @@ void IdlServerManager::CountRestart() {
   restarts_.fetch_add(1, std::memory_order_relaxed);
   restart_counter_->Add();
 }
-
-IdlServerManager::~IdlServerManager() { workers_->Shutdown(); }
 
 Status IdlServerManager::AddServer(std::unique_ptr<IdlServer> server) {
   if (server->state() == ServerState::kStopped) {
@@ -98,23 +95,6 @@ Result<analysis::AnalysisProduct> IdlServerManager::Invoke(
   }
   failures_->Add();
   return last_error;
-}
-
-std::future<Result<analysis::AnalysisProduct>> IdlServerManager::InvokeAsync(
-    std::string routine, rhessi::PhotonList photons,
-    analysis::AnalysisParams params) {
-  auto task = std::make_shared<
-      std::packaged_task<Result<analysis::AnalysisProduct>()>>(
-      [this, routine = std::move(routine), photons = std::move(photons),
-       params = std::move(params)] {
-        return Invoke(routine, photons, params);
-      });
-  std::future<Result<analysis::AnalysisProduct>> future = task->get_future();
-  if (!workers_->Submit([task] { (*task)(); })) {
-    // Pool shut down: run inline so the future is always satisfied.
-    (*task)();
-  }
-  return future;
 }
 
 }  // namespace hedc::pl

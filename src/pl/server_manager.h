@@ -1,21 +1,20 @@
 // IDL server manager (§5.1): owns the interpreters of one processing
-// host, provides synchronous and asynchronous invocation and the fault
-// handling around them — crashed interpreters are restarted and the call
-// retried; repeated failure surfaces to the caller. "IDL server managers
-// can be dynamically added and removed as needed without halting the
-// system."
+// host, provides invocation and the fault handling around it — crashed
+// interpreters are restarted and the call retried; repeated failure
+// surfaces to the caller. Invoke is synchronous and safe to call from
+// concurrent threads; asynchronous execution is Frontend::Submit/Wait,
+// whose dispatcher threads call Invoke. "IDL server managers can be
+// dynamically added and removed as needed without halting the system."
 #ifndef HEDC_PL_SERVER_MANAGER_H_
 #define HEDC_PL_SERVER_MANAGER_H_
 
 #include <atomic>
-#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "core/metrics.h"
-#include "core/thread_pool.h"
 #include "pl/idl_server.h"
 
 namespace hedc::pl {
@@ -24,11 +23,9 @@ class IdlServerManager {
  public:
   struct Options {
     int max_retries = 2;  // restart-and-retry attempts after a crash
-    size_t worker_threads = 2;
   };
 
   IdlServerManager(std::string host_name, Options options);
-  ~IdlServerManager();
 
   const std::string& host_name() const { return host_name_; }
 
@@ -45,11 +42,6 @@ class IdlServerManager {
       const std::string& routine, const rhessi::PhotonList& photons,
       const analysis::AnalysisParams& params);
 
-  // Asynchronous invocation on the manager's worker pool.
-  std::future<Result<analysis::AnalysisProduct>> InvokeAsync(
-      std::string routine, rhessi::PhotonList photons,
-      analysis::AnalysisParams params);
-
   int64_t restarts() const {
     return restarts_.load(std::memory_order_relaxed);
   }
@@ -62,7 +54,6 @@ class IdlServerManager {
   Options options_;
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<IdlServer>> servers_;
-  std::unique_ptr<ThreadPool> workers_;
   // Atomic: Invoke restarts crashed interpreters outside mu_.
   std::atomic<int64_t> restarts_{0};
 

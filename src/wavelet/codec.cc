@@ -12,11 +12,6 @@ namespace {
 constexpr uint32_t kCodecMagic = 0x48575631;        // "HWV1"
 constexpr uint32_t kProgressiveMagic = 0x48575633;  // "HWV3"
 
-// Streams travel over HTTP now, so header lengths are attacker
-// controlled: cap the coefficient-array allocation before trusting a
-// decoded varint (4M doubles = 32 MB, far above any real view).
-constexpr uint64_t kMaxPaddedLen = 1ull << 22;
-
 bool IsPow2(uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 // Resolution level of a coefficient index in the fully-decomposed Haar
@@ -28,11 +23,12 @@ size_t LevelOfIndex(size_t index) {
   return level;  // == floor(log2(index)) + 1 for index >= 1
 }
 
-size_t LevelCount(size_t padded_len) {
+constexpr size_t LevelCount(size_t padded_len) {
   size_t levels = 1;
   while ((1ull << (levels - 1)) < padded_len) ++levels;
   return levels;  // log2(padded_len) + 1
 }
+static_assert(LevelCount(kMaxPaddedLen) - 1 == kMaxLevelIndex);
 
 struct Entry {
   uint32_t index;

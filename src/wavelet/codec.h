@@ -23,13 +23,24 @@
 #ifndef HEDC_WAVELET_CODEC_H_
 #define HEDC_WAVELET_CODEC_H_
 
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "core/status.h"
 
 namespace hedc::wavelet {
+
+// Streams travel over HTTP, so header lengths are attacker controlled:
+// decoders cap the coefficient-array allocation at this many doubles
+// (4M = 32 MB, far above any real view) before trusting a varint.
+inline constexpr uint64_t kMaxPaddedLen = 1ull << 22;
+// Largest resolution-level index of any decodable HWV3 stream (level 0
+// is the DC coefficient, so a 2^k-coefficient stream has levels 0..k).
+// Every level at or above a stream's last one selects the same prefix.
+inline constexpr size_t kMaxLevelIndex = std::countr_zero(kMaxPaddedLen);
 
 struct CodecOptions {
   // Quantization step: coefficients are stored as round(c / step).

@@ -686,17 +686,32 @@ Result<std::vector<uint8_t>> BuildViewPrefix(dm::DataManager* dm,
                                       static_cast<size_t>(level));
 }
 
+// Resolution /view serves when the request names none: the full stream.
+constexpr int64_t kDefaultViewResolution = -1;
+// Resolution /approx reads when the request names none: coarse prefixes
+// answer dashboard aggregates within their error bars.
+constexpr int64_t kApproxDefaultResolution = 3;
+// Reservoir capacity of /approx's raw-photon sampling fallback.
+constexpr size_t kApproxReservoirSize = 256;
+
 // Serves a per-resolution prefix through the derived-product cache,
 // keyed on (routine "__view_prefix__", {resolution, kind},
 // unit@calibration_version): a cached coarse prefix is returned without
-// re-reading or re-slicing the stored view (web.view.builds counts the
-// real builds), and recalibration invalidates every resolution of the
-// unit at once through the ordinary lineage hook.
+// re-reading or re-slicing the stored view (`builds` counts the real
+// builds), and recalibration invalidates every resolution of the unit at
+// once through the ordinary lineage hook. Levels that select the same
+// bytes share one key: every negative level is the full stream, and no
+// stream has a level above wavelet::kMaxLevelIndex, so request text
+// cannot fill the cache with copies.
 Result<std::vector<uint8_t>> FetchViewPrefix(dm::DataManager* dm,
                                              WebServer* server,
+                                             Counter* builds,
                                              int64_t unit_id,
                                              const std::string& kind,
                                              int64_t level) {
+  level = level < 0 ? -1
+                    : std::min(level,
+                               static_cast<int64_t>(wavelet::kMaxLevelIndex));
   HEDC_ASSIGN_OR_RETURN(UnitMeta meta, LookupUnit(dm, unit_id));
   pl::ProductCache* cache = server->frontend() != nullptr
                                 ? server->frontend()->product_cache()
@@ -724,7 +739,7 @@ Result<std::vector<uint8_t>> FetchViewPrefix(dm::DataManager* dm,
     }
   }
 
-  MetricsRegistry::Default()->GetCounter("web.view.builds")->Add();
+  builds->Add();
   Result<std::vector<uint8_t>> prefix =
       BuildViewPrefix(dm, unit_id, kind, level);
   if (ticket.role == pl::ProductCache::Role::kLeader) {
@@ -745,20 +760,23 @@ Result<std::vector<uint8_t>> FetchViewPrefix(dm::DataManager* dm,
 
 // /view?unit=ID[&resolution=R][&kind=count|energy]: progressive wavelet
 // delivery. Ships the prefix of the unit's stored HWV3 stream covering
-// resolution levels 0..R; absent R uses wavelet.default_resolution
-// (-1 = full fidelity). Clients decode any prefix with
-// DecodeSignalPrefix and refine coarse-to-fine by re-requesting at
-// higher R — each refinement is a cache-served byte slice, never a
-// rebuild.
+// resolution levels 0..R; absent R (or any R < 0) ships the full stream.
+// Clients decode any prefix with DecodeSignalPrefix and refine
+// coarse-to-fine by re-requesting at higher R — each refinement is a
+// cache-served byte slice, never a rebuild.
 class ViewServlet : public Servlet {
  public:
+  ViewServlet()
+      : builds_(MetricsRegistry::Default()->GetCounter("web.view.builds")),
+        bytes_(MetricsRegistry::Default()->GetCounter("web.view.bytes")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
     int64_t unit_id = 0;
     if (!ParseInt64(request.GetQuery("unit"), &unit_id)) {
       return HttpResponse::BadRequest("unit required");
     }
-    int64_t level = server->delivery_options().default_view_resolution;
+    int64_t level = kDefaultViewResolution;
     std::string resolution = request.GetQuery("resolution");
     if (!resolution.empty() && !ParseInt64(resolution, &level)) {
       return HttpResponse::BadRequest("bad resolution");
@@ -768,18 +786,20 @@ class ViewServlet : public Servlet {
       return HttpResponse::BadRequest("kind must be count or energy");
     }
     Result<std::vector<uint8_t>> prefix =
-        FetchViewPrefix(dm, server, unit_id, kind, level);
+        FetchViewPrefix(dm, server, builds_, unit_id, kind, level);
     if (!prefix.ok()) {
       return HttpResponse::NotFound(prefix.status().ToString());
     }
-    MetricsRegistry::Default()
-        ->GetCounter("web.view.bytes")
-        ->Add(static_cast<int64_t>(prefix.value().size()));
+    bytes_->Add(static_cast<int64_t>(prefix.value().size()));
     HttpResponse response;
     response.content_type = "application/x-hedc-wavelet";
     response.binary_body = std::move(prefix).value();
     return response;
   }
+
+ private:
+  Counter* const builds_;  // web.view.builds
+  Counter* const bytes_;   // web.view.bytes
 };
 
 // /approx?unit=ID[&agg=count|sum][&t_lo=..][&t_hi=..][&resolution=R]:
@@ -792,12 +812,13 @@ class ViewServlet : public Servlet {
 // (probabilistic ~95% bars, method "reservoir").
 class ApproxServlet : public Servlet {
  public:
+  ApproxServlet()
+      : builds_(MetricsRegistry::Default()->GetCounter("web.view.builds")),
+        requests_(
+            MetricsRegistry::Default()->GetCounter("web.approx.requests")) {}
+
   HttpResponse Handle(const HttpRequest& request, dm::DataManager* dm,
                       WebServer* server) override {
-    const WebServer::DeliveryOptions& opts = server->delivery_options();
-    if (!opts.approx_enabled) {
-      return HttpResponse::Forbidden("approximate aggregates disabled");
-    }
     int64_t unit_id = 0;
     if (!ParseInt64(request.GetQuery("unit"), &unit_id)) {
       return HttpResponse::BadRequest("unit required");
@@ -814,7 +835,7 @@ class ApproxServlet : public Servlet {
     ParseDouble(request.GetQuery("t_lo"), &t_lo);
     ParseDouble(request.GetQuery("t_hi"), &t_hi);
     if (t_hi < t_lo) return HttpResponse::BadRequest("inverted time range");
-    int64_t level = opts.approx_default_resolution;
+    int64_t level = kApproxDefaultResolution;
     std::string resolution = request.GetQuery("resolution");
     if (!resolution.empty() && !ParseInt64(resolution, &level)) {
       return HttpResponse::BadRequest("bad resolution");
@@ -824,7 +845,7 @@ class ApproxServlet : public Servlet {
     analysis::ApproxAnswer answer;
     std::string method;
     Result<std::vector<uint8_t>> prefix =
-        FetchViewPrefix(dm, server, unit_id, kind, level);
+        FetchViewPrefix(dm, server, builds_, unit_id, kind, level);
     if (prefix.ok()) {
       double span = domain_hi - domain_lo;
       Result<analysis::ApproxAnswer> from_prefix =
@@ -850,8 +871,7 @@ class ApproxServlet : public Servlet {
         return HttpResponse::NotFound(unit.status().ToString());
       }
       analysis::ReservoirSampler sampler(
-          static_cast<size_t>(std::max<int64_t>(opts.approx_reservoir_size,
-                                                1)),
+          kApproxReservoirSize,
           /*seed=*/static_cast<uint64_t>(unit_id) * 1000003 +
               static_cast<uint64_t>(meta.value().calibration_version));
       for (const rhessi::PhotonEvent& p : unit.value().photons) {
@@ -861,7 +881,7 @@ class ApproxServlet : public Servlet {
                             : sampler.EstimateCountInRange(t_lo, t_hi);
       method = "reservoir";
     }
-    MetricsRegistry::Default()->GetCounter("web.approx.requests")->Add();
+    requests_->Add();
     HttpResponse response;
     response.content_type = "application/json";
     response.body = StrFormat(
@@ -873,6 +893,10 @@ class ApproxServlet : public Servlet {
         static_cast<long long>(level), method.c_str());
     return response;
   }
+
+ private:
+  Counter* const builds_;    // web.view.builds
+  Counter* const requests_;  // web.approx.requests
 };
 
 // Admin status page: archives, usage statistics, operational state
@@ -983,7 +1007,10 @@ Counter* LookupStatusCounter(int code) {
 }  // namespace
 
 WebServer::WebServer(dm::DataManager* dm, pl::Frontend* frontend)
-    : dm_(dm), frontend_(frontend) {
+    : dm_(dm),
+      frontend_(frontend),
+      usage_failed_(
+          MetricsRegistry::Default()->GetCounter("web.usage_stats.failed")) {
   // Continue past the usage rows of an earlier process on a recovered
   // database; reusing their stat_ids would fail every audit insert.
   Result<db::ResultSet> max_id =
@@ -1036,19 +1063,6 @@ Status WebServer::RegisterStandardServlets() {
   return Status::Ok();
 }
 
-WebServer::DeliveryOptions WebServer::DeliveryOptions::FromConfig(
-    const Config& config) {
-  DeliveryOptions out;
-  out.default_view_resolution =
-      config.GetInt("wavelet.default_resolution", out.default_view_resolution);
-  out.approx_enabled = config.GetBool("approx.enabled", out.approx_enabled);
-  out.approx_default_resolution =
-      config.GetInt("approx.resolution", out.approx_default_resolution);
-  out.approx_reservoir_size =
-      config.GetInt("approx.reservoir_size", out.approx_reservoir_size);
-  return out;
-}
-
 void WebServer::Register(const std::string& path,
                          std::unique_ptr<Servlet> servlet) {
   MetricsRegistry* metrics = MetricsRegistry::Default();
@@ -1086,19 +1100,16 @@ HttpResponse WebServer::Dispatch(const HttpRequest& request) {
     return route.servlet->Handle(request, node, this);
   }();
   StatusCounter(response.status_code)->Add();
-  if (record_usage_) {
-    // Operational section: usage statistics / audit trail (§4.1).
-    dm::UserProfile profile = ProfileFor(request);
-    Result<db::ResultSet> recorded = node->io().Update(
-        "usage_stats", "INSERT INTO usage_stats VALUES (?, ?, ?, ?, ?)",
-        {db::Value::Int(stat_counter_.fetch_add(1)),
-         db::Value::Real(static_cast<double>(start) / kMicrosPerSecond),
-         db::Value::Int(profile.user_id), db::Value::Text(request.path),
-         db::Value::Real(
-             static_cast<double>(node->clock()->Now() - start) /
-             kMicrosPerMilli)});
-    if (!recorded.ok()) metrics->GetCounter("web.usage_stats.failed")->Add();
-  }
+  // Operational section: usage statistics / audit trail (§4.1).
+  dm::UserProfile profile = ProfileFor(request);
+  Result<db::ResultSet> recorded = node->io().Update(
+      "usage_stats", "INSERT INTO usage_stats VALUES (?, ?, ?, ?, ?)",
+      {db::Value::Int(stat_counter_.fetch_add(1)),
+       db::Value::Real(static_cast<double>(start) / kMicrosPerSecond),
+       db::Value::Int(profile.user_id), db::Value::Text(request.path),
+       db::Value::Real(static_cast<double>(node->clock()->Now() - start) /
+                       kMicrosPerMilli)});
+  if (!recorded.ok()) usage_failed_->Add();
   return response;
 }
 

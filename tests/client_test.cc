@@ -221,18 +221,6 @@ TEST_F(StreamCorderTest, LocalAnalysisUsesProductCache) {
   EXPECT_EQ(client.product_cache().entry_count(), 2u);
 }
 
-TEST_F(StreamCorderTest, ProductCacheDisabledByOption) {
-  StreamCorder::Options options;
-  options.cache_version = 2;
-  options.product_cache_enabled = false;
-  StreamCorder client(stack_.data_manager.get(), session_, options);
-  analysis::AnalysisParams params;
-  params.SetInt("bins", 16);
-  ASSERT_TRUE(client.AnalyzeLocally(1, "histogram", params).ok());
-  ASSERT_TRUE(client.AnalyzeLocally(1, "histogram", params).ok());
-  EXPECT_EQ(client.product_cache().entry_count(), 0u);
-}
-
 TEST_F(StreamCorderTest, MirrorHleForOfflineWork) {
   ASSERT_FALSE(stack_.hle_ids.empty());
   StreamCorder client = MakeClient(2);

@@ -377,8 +377,8 @@ TEST_F(JoinTest, TableAccessesTickScanCounters) {
   EXPECT_EQ(indexed.stats_matched, indexed.matched);
 }
 
-// Every interesting query, executed under each knob combination, must
-// produce identical rows (joins and grouped aggregation are
+// Every interesting query, executed with 8 and with 1 build partitions,
+// must produce identical rows (joins and grouped aggregation are
 // deterministic: driver order x build insertion order).
 TEST_F(JoinTest, RowAndVectorizedModesAgree) {
   const std::vector<std::string> queries = {
@@ -396,21 +396,11 @@ TEST_F(JoinTest, RowAndVectorizedModesAgree) {
       "entries.archive_id = archives.archive_id ORDER BY entries.bytes "
       "LIMIT 20",
   };
-  struct Knobs {
-    bool planner;
-    int partitions;
-  };
-  const std::vector<Knobs> combos = {
-      {true, 8},
-      {true, 1},
-      {false, 8},
-  };
   for (const std::string& sql : queries) {
     std::vector<std::vector<Row>> results;
-    for (const Knobs& k : combos) {
+    for (int partitions : {8, 1}) {
       ExecOptions opts = db_.exec_options();
-      opts.join_planner = k.planner;
-      opts.join_partitions = k.partitions;
+      opts.join_partitions = partitions;
       db_.set_exec_options(opts);
       auto r = db_.Execute(sql);
       ASSERT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
@@ -421,7 +411,7 @@ TEST_F(JoinTest, RowAndVectorizedModesAgree) {
       for (size_t i = 0; i < results[0].size(); ++i) {
         for (size_t j = 0; j < results[0][i].size(); ++j) {
           EXPECT_EQ(results[c][i][j].Compare(results[0][i][j]), 0)
-              << sql << " combo " << c << " row " << i << " col " << j;
+              << sql << " run " << c << " row " << i << " col " << j;
         }
       }
     }
@@ -456,30 +446,20 @@ TEST_F(JoinTest, ExplainRendersGroupAggregateStage) {
 }
 
 TEST_F(JoinTest, PlannerOffDrivesFromFirstTable) {
-  // With the cost-based planner off, FROM order wins: archives (4 rows)
-  // drives and the 200-row entries side is built.
-  ExecOptions opts = db_.exec_options();
-  opts.join_planner = false;
-  db_.set_exec_options(opts);
-  auto plan = ExplainSelect(
-      &db_,
-      "SELECT entries.entry_id FROM archives JOIN entries ON "
-      "entries.archive_id = archives.archive_id");
-  ASSERT_TRUE(plan.ok()) << plan.status().ToString();
-  EXPECT_NE(plan.value().ToString().find("HASH JOIN build entries"),
-            std::string::npos)
-      << plan.value().ToString();
-  opts.join_planner = true;
-  db_.set_exec_options(opts);
-  // Planner on flips the build side back to archives.
-  auto plan2 = ExplainSelect(
-      &db_,
-      "SELECT entries.entry_id FROM archives JOIN entries ON "
-      "entries.archive_id = archives.archive_id");
-  ASSERT_TRUE(plan2.ok());
-  EXPECT_NE(plan2.value().ToString().find("HASH JOIN build archives"),
-            std::string::npos)
-      << plan2.value().ToString();
+  // The join order does not follow the FROM clause: whichever table is
+  // named first, entries (200 rows) drives and the 4-row archives side is
+  // built.
+  for (const char* sql :
+       {"SELECT entries.entry_id FROM archives JOIN entries ON "
+        "entries.archive_id = archives.archive_id",
+        "SELECT entries.entry_id FROM entries JOIN archives ON "
+        "entries.archive_id = archives.archive_id"}) {
+    auto plan = ExplainSelect(&db_, sql);
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    EXPECT_NE(plan.value().ToString().find("HASH JOIN build archives"),
+              std::string::npos)
+        << sql << "\n" << plan.value().ToString();
+  }
 }
 
 // Joined SELECTs race INSERT/UPDATE/DELETE on both joined tables. Run

@@ -7,7 +7,6 @@
 #include <chrono>
 #include <thread>
 
-#include "core/config.h"
 #include "core/content_hash.h"
 #include "pl/frontend.h"
 #include "pl/product_cache.h"
@@ -104,7 +103,6 @@ struct MiniPl {
           server_options));
     }
     directory.Register("host0", manager.get(), "local");
-    cache_options.persist = false;
     cache = std::make_unique<ProductCache>(nullptr, cache_options);
     Frontend::Options fe_options;
     fe_options.dispatcher_threads = dispatchers;
@@ -226,7 +224,6 @@ TEST(ProductCodecTest, DetectsCorruption) {
 
 TEST(ProductCacheTest, LeaderHitAndCounters) {
   ProductCache::Options options;
-  options.persist = false;
   options.metric_prefix = "pc_unit_leaderhit";
   ProductCache cache(nullptr, options);
   analysis::AnalysisParams params;
@@ -254,7 +251,6 @@ TEST(ProductCacheTest, LeaderHitAndCounters) {
 
 TEST(ProductCacheTest, FollowerReceivesLeaderResult) {
   ProductCache::Options options;
-  options.persist = false;
   options.metric_prefix = "pc_unit_follower";
   ProductCache cache(nullptr, options);
   analysis::AnalysisParams params;
@@ -282,7 +278,6 @@ TEST(ProductCacheTest, FollowerReceivesLeaderResult) {
 
 TEST(ProductCacheTest, FailureFailsWaitersAndDoesNotPoison) {
   ProductCache::Options options;
-  options.persist = false;
   options.metric_prefix = "pc_unit_failure";
   ProductCache cache(nullptr, options);
   analysis::AnalysisParams params;
@@ -307,35 +302,28 @@ TEST(ProductCacheTest, FailureFailsWaitersAndDoesNotPoison) {
 }
 
 TEST(ProductCacheTest, DisabledAdmitsNothing) {
+  // A key without input units has no lineage to invalidate by, so the
+  // cache neither admits nor serves it: the request runs uncached.
   ProductCache::Options options;
-  options.enabled = false;
-  options.persist = false;
   options.metric_prefix = "pc_unit_disabled";
   ProductCache cache(nullptr, options);
   analysis::AnalysisParams params;
-  ProductCacheKey key = MakeProductCacheKey("imaging", params, {{1, 1}});
+  ProductCacheKey key = MakeProductCacheKey("imaging", params, {});
+  ASSERT_FALSE(key.valid);
   EXPECT_EQ(cache.Admit(key).role, ProductCache::Role::kDisabled);
   EXPECT_FALSE(cache.Peek(key));
-}
-
-TEST(ProductCacheTest, OptionsFromConfig) {
-  Config config;
-  config.Set("product_cache.enabled", "false");
-  config.Set("product_cache.capacity_bytes", "12345");
-  ProductCache::Options options = ProductCache::Options::FromConfig(config);
-  EXPECT_FALSE(options.enabled);
-  EXPECT_EQ(options.capacity_bytes, 12345u);
-  ProductCache::Options defaults =
-      ProductCache::Options::FromConfig(Config{});
-  EXPECT_TRUE(defaults.enabled);
-  EXPECT_EQ(defaults.capacity_bytes, 64ull << 20);
+  EXPECT_EQ(cache.Admit(key).role, ProductCache::Role::kDisabled);
+  EXPECT_EQ(cache.entry_count(), 0u);
+  EXPECT_EQ(MetricsRegistry::Default()
+                ->GetCounter("pc_unit_disabled.misses")
+                ->Value(),
+            0);
 }
 
 // --- GDSF eviction --------------------------------------------------------
 
 TEST(ProductCacheTest, GdsfEvictsCheapBulkyFirst) {
   ProductCache::Options options;
-  options.persist = false;
   options.metric_prefix = "pc_unit_gdsf";
   // Sized so two of the three products fit but not all three.
   analysis::AnalysisProduct bulky_cheap = MakeProduct("imaging", 4096);
@@ -372,7 +360,6 @@ TEST(ProductCacheTest, GdsfEvictsCheapBulkyFirst) {
 
 TEST(ProductCacheTest, OversizedProductDeliveredButNotAdmitted) {
   ProductCache::Options options;
-  options.persist = false;
   options.metric_prefix = "pc_unit_oversize";
   options.capacity_bytes = 64;  // smaller than any encoded product
   ProductCache cache(nullptr, options);
@@ -393,7 +380,6 @@ TEST(ProductCacheTest, OversizedProductDeliveredButNotAdmitted) {
 
 TEST(ProductCacheTest, InvalidateUnitDropsDependents) {
   ProductCache::Options options;
-  options.persist = false;
   options.metric_prefix = "pc_unit_invalidate";
   ProductCache cache(nullptr, options);
   analysis::AnalysisParams params;
@@ -440,9 +426,8 @@ TEST(ProductCacheFrontendTest, WarmHitSkipsExecution) {
 
 TEST(ProductCacheFrontendTest, DisabledCacheRestoresPrePrPath) {
   std::atomic<int> runs{0};
-  Config config;
-  config.Set("product_cache.enabled", "false");
-  MiniPl pl(2, 2, &runs, nullptr, ProductCache::Options::FromConfig(config));
+  MiniPl pl(2, 2, &runs);
+  pl.frontend->set_product_cache(nullptr);
 
   for (int i = 0; i < 2; ++i) {
     Result<int64_t> id = pl.frontend->Submit(pl.Request());
@@ -450,7 +435,7 @@ TEST(ProductCacheFrontendTest, DisabledCacheRestoresPrePrPath) {
     EXPECT_EQ(pl.frontend->Wait(id.value()).state,
               RequestState::kDelivered);
   }
-  // Differential: with the cache off, both requests execute.
+  // Differential: with no cache attached, both requests execute.
   EXPECT_EQ(runs.load(), 2);
   EXPECT_EQ(pl.cache->entry_count(), 0u);
 }
@@ -745,7 +730,6 @@ TEST_F(ProductCacheStackTest, RestartRecoversPersistedEntries) {
 
 TEST(ProductCacheStressTest, ConcurrentAdmitCompleteInvalidate) {
   ProductCache::Options options;
-  options.persist = false;
   options.metric_prefix = "pc_stress_mixed";
   options.capacity_bytes = 512 * 1024;
   ProductCache cache(nullptr, options);

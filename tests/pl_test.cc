@@ -2,6 +2,11 @@
 // directory, predictor, 4-phase front end.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include "core/clock.h"
 #include "core/metrics.h"
 #include "pl/frontend.h"
@@ -136,18 +141,6 @@ TEST_F(PlTest, ManagerAddRemoveServers) {
   EXPECT_EQ(manager.idle_servers(), 2);
   ASSERT_TRUE(manager.RemoveServer().ok());
   EXPECT_EQ(manager.num_servers(), 1u);
-}
-
-TEST_F(PlTest, ManagerAsyncInvocation) {
-  IdlServerManager manager("host0", {});
-  ASSERT_TRUE(manager.AddServer(MakeServer("a")).ok());
-  ASSERT_TRUE(manager.AddServer(MakeServer("b")).ok());
-  analysis::AnalysisParams params;
-  params.SetInt("bins", 8);
-  auto f1 = manager.InvokeAsync("histogram", SmallPhotons(), params);
-  auto f2 = manager.InvokeAsync("lightcurve", SmallPhotons(), {});
-  EXPECT_TRUE(f1.get().ok());
-  EXPECT_TRUE(f2.get().ok());
 }
 
 TEST_F(PlTest, DirectoryTracksOnlineServices) {
@@ -325,9 +318,10 @@ TEST_F(FrontendTest, FinishedRequestsReleaseTheirPhotons) {
   EXPECT_EQ(frontend.GetState(ids[2]).value(), RequestState::kFailed);
 }
 
-// Fault-injection hammer: many concurrent invocations against seeded
-// crashy interpreters. Every future must be satisfied (success or error)
-// and the retry/restart accounting must balance regardless of scheduling.
+// Fault-injection hammer: concurrent invocations from several threads
+// against seeded crashy interpreters. Every call must return (success or
+// error) and the retry/restart accounting must balance regardless of
+// scheduling.
 TEST_F(PlTest, StressFaultInjectionConcurrentInvokes) {
   MetricsRegistry* metrics = MetricsRegistry::Default();
   int64_t attempts0 = metrics->GetCounter("pl.invoke.attempts")->Value();
@@ -337,9 +331,6 @@ TEST_F(PlTest, StressFaultInjectionConcurrentInvokes) {
 
   IdlServerManager::Options options;
   options.max_retries = 6;
-  // Workers <= interpreters guarantees AcquireIdle never comes up empty,
-  // which keeps the attempts == requests + retries invariant exact.
-  options.worker_threads = 3;
   IdlServerManager manager("host0", options);
   uint64_t seed = 11;
   for (const char* name : {"idl0", "idl1", "idl2"}) {
@@ -349,17 +340,31 @@ TEST_F(PlTest, StressFaultInjectionConcurrentInvokes) {
     ASSERT_TRUE(manager.AddServer(MakeServer(name, flaky)).ok());
   }
 
+  // Callers <= interpreters guarantees AcquireIdle never comes up empty,
+  // which keeps the attempts == requests + retries invariant exact.
+  constexpr int kThreads = 3;
   constexpr int kRequests = 40;
   rhessi::PhotonList photons = SmallPhotons();
-  std::vector<std::future<Result<analysis::AnalysisProduct>>> futures;
-  futures.reserve(kRequests);
-  for (int i = 0; i < kRequests; ++i) {
-    futures.push_back(manager.InvokeAsync("histogram", photons, {}));
+  std::atomic<int> next{0};
+  std::vector<std::optional<Result<analysis::AnalysisProduct>>> results(
+      kRequests);
+  std::vector<std::thread> callers;
+  callers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    callers.emplace_back([&] {
+      for (int i = next.fetch_add(1); i < kRequests; i = next.fetch_add(1)) {
+        results[static_cast<size_t>(i)] =
+            manager.Invoke("histogram", photons, {});
+      }
+    });
   }
+  for (std::thread& caller : callers) caller.join();
+
   int successes = 0;
   int failures = 0;
-  for (auto& future : futures) {
-    Result<analysis::AnalysisProduct> result = future.get();
+  for (const auto& slot : results) {
+    ASSERT_TRUE(slot.has_value());
+    const Result<analysis::AnalysisProduct>& result = *slot;
     if (result.ok()) {
       ++successes;
     } else {
@@ -380,8 +385,8 @@ TEST_F(PlTest, StressFaultInjectionConcurrentInvokes) {
       metrics->GetCounter("pl.invoke.retries")->Value() - retries0;
   int64_t restarts =
       metrics->GetCounter("pl.interpreter.restarts")->Value() - restarts0;
-  // Each request pays exactly 1 + its retries attempts (3 interpreters at
-  // 4 workers: acquisition never fails outright).
+  // Each request pays exactly 1 + its retries attempts (3 interpreters,
+  // 3 callers: acquisition never fails outright).
   EXPECT_EQ(attempts, kRequests + retries);
   // The manager's own restart count and the process counter agree.
   EXPECT_EQ(restarts, manager.restarts());

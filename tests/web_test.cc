@@ -446,6 +446,25 @@ TEST_F(WebStackTest, ViewPrefixCacheHitSkipsRebuild) {
                 .status_code,
             200);
   EXPECT_EQ(ViewBuilds(), before + 2);
+
+  // Out-of-range levels select the same bytes as the range's ends, so
+  // they share their cache entries: every negative level is the full
+  // stream, every level past the codec's largest is that level.
+  size_t entries = stack_.product_cache->entry_count();
+  for (const auto& [a, b] :
+       {std::pair<int64_t, int64_t>{-1, -7},
+        std::pair<int64_t, int64_t>{1000, int64_t{1} << 40}}) {
+    HttpResponse first_of_pair = stack_.web_server->Dispatch(
+        MakeRequest("/view?unit=1&resolution=" + std::to_string(a)));
+    HttpResponse second_of_pair = stack_.web_server->Dispatch(
+        MakeRequest("/view?unit=1&resolution=" + std::to_string(b)));
+    ASSERT_EQ(first_of_pair.status_code, 200) << a;
+    ASSERT_EQ(second_of_pair.status_code, 200) << b;
+    EXPECT_EQ(first_of_pair.binary_body, second_of_pair.binary_body)
+        << a << " vs " << b;
+  }
+  EXPECT_EQ(ViewBuilds(), before + 4);
+  EXPECT_EQ(stack_.product_cache->entry_count(), entries + 2);
 }
 
 TEST_F(WebStackTest, RecalibrationInvalidatesEveryViewResolution) {
@@ -614,12 +633,6 @@ TEST_F(WebStackTest, ApproxFallsBackToReservoirAndHonorsDisableKnob) {
   EXPECT_GT(bound, 0);
   // ~95% bars from a seeded reservoir: deterministic for this fixture.
   EXPECT_LE(std::abs(estimate - exact_count), bound) << response.body;
-
-  // approx.enabled=false turns the endpoint off entirely.
-  web::WebServer::DeliveryOptions off;
-  off.approx_enabled = false;
-  stack_.web_server->set_delivery_options(off);
-  EXPECT_EQ(stack_.web_server->Dispatch(request).status_code, 403);
 }
 
 TEST_F(WebStackTest, CatalogPageListsEvents) {
