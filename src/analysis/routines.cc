@@ -2,6 +2,7 @@
 // spectrogram, histogram.
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "analysis/routine.h"
 #include "core/strings.h"
@@ -75,22 +76,36 @@ double WindowEnd(const AnalysisParams& params) {
   return params.GetDouble("t_end", 1e18);
 }
 
-// Selects photons inside the requested time/energy window.
-rhessi::PhotonList Window(const rhessi::PhotonList& photons,
-                          const AnalysisParams& params) {
-  double t0 = WindowStart(params);
-  double t1 = WindowEnd(params);
-  double e0 = params.GetDouble("e_min", rhessi::kMinEnergyKev);
-  double e1 = params.GetDouble("e_max", rhessi::kMaxEnergyKev);
-  rhessi::PhotonList out;
-  for (const rhessi::PhotonEvent& p : photons) {
-    if (p.time_sec >= t0 && p.time_sec < t1 && p.energy_kev >= e0 &&
-        p.energy_kev < e1) {
-      out.push_back(p);
-    }
+// The time/energy window every standard routine selects from `params`.
+// Routines test each photon in place instead of copying the selection.
+class Window {
+ public:
+  explicit Window(const AnalysisParams& params)
+      : t0_(WindowStart(params)),
+        t1_(WindowEnd(params)),
+        e0_(params.GetDouble("e_min", rhessi::kMinEnergyKev)),
+        e1_(params.GetDouble("e_max", rhessi::kMaxEnergyKev)) {}
+
+  bool Contains(const rhessi::PhotonEvent& p) const {
+    return p.time_sec >= t0_ && p.time_sec < t1_ && p.energy_kev >= e0_ &&
+           p.energy_kev < e1_;
   }
-  return out;
-}
+
+  // The first and last selected photons in list order (the earliest and
+  // latest of a time-sorted list); both null when none is selected.
+  std::pair<const rhessi::PhotonEvent*, const rhessi::PhotonEvent*> Ends(
+      const rhessi::PhotonList& photons) const {
+    auto first = std::find_if(photons.begin(), photons.end(),
+                              [this](const auto& p) { return Contains(p); });
+    if (first == photons.end()) return {nullptr, nullptr};
+    auto last = std::find_if(photons.rbegin(), photons.rend(),
+                             [this](const auto& p) { return Contains(p); });
+    return {&*first, &*last};
+  }
+
+ private:
+  double t0_, t1_, e0_, e1_;
+};
 
 // Lightcurve: photon counts per time bin.
 class LightcurveRoutine : public AnalysisRoutine {
@@ -101,30 +116,34 @@ class LightcurveRoutine : public AnalysisRoutine {
                               const AnalysisParams& params) const override {
     double bin = params.GetDouble("bin_sec", 1.0);
     if (bin <= 0) return Status::InvalidArgument("bin_sec must be positive");
-    rhessi::PhotonList selected = Window(photons, params);
+    const Window window(params);
+    auto [first, last] = window.Ends(photons);
     AnalysisProduct product;
     product.routine = name();
     Series series;
-    if (!selected.empty()) {
-      double t0 = selected.front().time_sec;
-      double t1 = selected.back().time_sec;
+    size_t selected = 0;
+    if (first != nullptr) {
+      double t0 = first->time_sec;
+      double t1 = last->time_sec;
       size_t bins = static_cast<size_t>((t1 - t0) / bin) + 1;
       series.x.resize(bins);
       series.y.assign(bins, 0.0);
       for (size_t i = 0; i < bins; ++i) {
         series.x[i] = t0 + static_cast<double>(i) * bin;
       }
-      for (const rhessi::PhotonEvent& p : selected) {
+      for (const rhessi::PhotonEvent& p : photons) {
+        if (!window.Contains(p)) continue;
+        ++selected;
         size_t b = static_cast<size_t>((p.time_sec - t0) / bin);
         if (b >= bins) b = bins - 1;
         series.y[b] += 1.0;
       }
     }
     product.rendered = RenderSeries(series);
-    product.metadata["photons"] = std::to_string(selected.size());
+    product.metadata["photons"] = std::to_string(selected);
     product.metadata["bin_sec"] = StrFormat("%.6g", bin);
     product.series = std::move(series);
-    product.log = StrFormat("lightcurve over %zu photons", selected.size());
+    product.log = StrFormat("lightcurve over %zu photons", selected);
     return product;
   }
 
@@ -146,7 +165,7 @@ class HistogramRoutine : public AnalysisRoutine {
     if (bins <= 0 || bins > 100000) {
       return Status::InvalidArgument("bins out of range");
     }
-    rhessi::PhotonList selected = Window(photons, params);
+    const Window window(params);
     double e0 = std::max(params.GetDouble("e_min", rhessi::kMinEnergyKev),
                          rhessi::kMinEnergyKev);
     double e1 = params.GetDouble("e_max", rhessi::kMaxEnergyKev);
@@ -160,7 +179,10 @@ class HistogramRoutine : public AnalysisRoutine {
                                           (static_cast<double>(i) + 0.5) /
                                           static_cast<double>(bins));
     }
-    for (const rhessi::PhotonEvent& p : selected) {
+    size_t selected = 0;
+    for (const rhessi::PhotonEvent& p : photons) {
+      if (!window.Contains(p)) continue;
+      ++selected;
       double le = std::log(std::max<double>(p.energy_kev, e0));
       int64_t b = static_cast<int64_t>((le - log_lo) / (log_hi - log_lo) *
                                        static_cast<double>(bins));
@@ -170,10 +192,10 @@ class HistogramRoutine : public AnalysisRoutine {
     AnalysisProduct product;
     product.routine = name();
     product.rendered = RenderSeries(series);
-    product.metadata["photons"] = std::to_string(selected.size());
+    product.metadata["photons"] = std::to_string(selected);
     product.metadata["bins"] = std::to_string(bins);
     product.series = std::move(series);
-    product.log = StrFormat("histogram over %zu photons", selected.size());
+    product.log = StrFormat("histogram over %zu photons", selected);
     return product;
   }
 
@@ -195,19 +217,23 @@ class SpectrogramRoutine : public AnalysisRoutine {
     if (t_bins <= 0 || e_bins <= 0 || t_bins * e_bins > 64 * 1024 * 1024) {
       return Status::InvalidArgument("spectrogram bins out of range");
     }
-    rhessi::PhotonList selected = Window(photons, params);
+    const Window window(params);
+    auto [first, last] = window.Ends(photons);
     AnalysisProduct product;
     product.routine = name();
     Image image;
     image.width = static_cast<size_t>(t_bins);
     image.height = static_cast<size_t>(e_bins);
     image.pixels.assign(image.width * image.height, 0.0);
-    if (!selected.empty()) {
-      double t0 = selected.front().time_sec;
-      double t1 = selected.back().time_sec + 1e-9;
+    size_t selected = 0;
+    if (first != nullptr) {
+      double t0 = first->time_sec;
+      double t1 = last->time_sec + 1e-9;
       double log_lo = std::log(rhessi::kMinEnergyKev);
       double log_hi = std::log(rhessi::kMaxEnergyKev);
-      for (const rhessi::PhotonEvent& p : selected) {
+      for (const rhessi::PhotonEvent& p : photons) {
+        if (!window.Contains(p)) continue;
+        ++selected;
         size_t bx = std::min(
             static_cast<size_t>((p.time_sec - t0) / (t1 - t0) *
                                 static_cast<double>(t_bins)),
@@ -222,9 +248,9 @@ class SpectrogramRoutine : public AnalysisRoutine {
       }
     }
     product.rendered = RenderImage(image);
-    product.metadata["photons"] = std::to_string(selected.size());
+    product.metadata["photons"] = std::to_string(selected);
     product.image = std::move(image);
-    product.log = StrFormat("spectrogram over %zu photons", selected.size());
+    product.log = StrFormat("spectrogram over %zu photons", selected);
     return product;
   }
 
@@ -251,7 +277,7 @@ class ImagingRoutine : public AnalysisRoutine {
     if (npix <= 0 || npix > 2048) {
       return Status::InvalidArgument("pixels out of range");
     }
-    rhessi::PhotonList selected = Window(photons, params);
+    const Window window(params);
     double fov = params.GetDouble("fov_arcsec", 128.0);
 
     Image image;
@@ -268,7 +294,10 @@ class ImagingRoutine : public AnalysisRoutine {
 
     double half = fov / 2.0;
     double pix_size = fov / static_cast<double>(npix);
-    for (const rhessi::PhotonEvent& p : selected) {
+    size_t selected = 0;
+    for (const rhessi::PhotonEvent& p : photons) {
+      if (!window.Contains(p)) continue;
+      ++selected;
       // Spin phase at arrival and the collimator's modulation direction.
       double phase = 2.0 * M_PI *
                      std::fmod(p.time_sec, rhessi::kSpinPeriodSec) /
@@ -291,12 +320,12 @@ class ImagingRoutine : public AnalysisRoutine {
     AnalysisProduct product;
     product.routine = name();
     product.rendered = RenderImage(image);
-    product.metadata["photons"] = std::to_string(selected.size());
+    product.metadata["photons"] = std::to_string(selected);
     product.metadata["pixels"] = std::to_string(npix);
     product.metadata["peak"] = StrFormat("%.6g", image.MaxPixel());
     product.image = std::move(image);
     product.log = StrFormat("back-projection of %zu photons onto %lldx%lld",
-                            selected.size(), static_cast<long long>(npix),
+                            selected, static_cast<long long>(npix),
                             static_cast<long long>(npix));
     return product;
   }

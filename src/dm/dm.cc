@@ -1,5 +1,7 @@
 #include "dm/dm.h"
 
+#include "core/strings.h"
+
 namespace hedc::dm {
 
 DataManager::DataManager(std::string name, db::Database* db,
@@ -11,6 +13,32 @@ DataManager::DataManager(std::string name, db::Database* db,
   semantics_ = std::make_unique<SemanticLayer>(io_.get(), clock_);
   sessions_ = std::make_unique<SessionManager>(clock_, options.sessions);
   users_ = std::make_unique<UserManager>(db_);
+}
+
+Result<std::shared_ptr<const rhessi::RawDataUnit>> DataManager::ReadRawUnit(
+    int64_t unit_id) {
+  HEDC_ASSIGN_OR_RETURN(
+      db::ResultSet row,
+      io_->DatabaseFor("raw_units")
+          ->Execute("SELECT calibration_version FROM raw_units "
+                    "WHERE unit_id = ?",
+                    {db::Value::Int(unit_id)}));
+  if (row.num_rows() == 0) {
+    return Status::NotFound(StrFormat("unknown raw unit %lld",
+                                      static_cast<long long>(unit_id)));
+  }
+  int version = static_cast<int>(row.Get(0, "calibration_version").AsInt());
+  if (std::shared_ptr<const rhessi::RawDataUnit> cached =
+          raw_unit_cache_.Find(unit_id, version)) {
+    return cached;
+  }
+  HEDC_ASSIGN_OR_RETURN(std::vector<uint8_t> packed,
+                        io_->ReadItemFile(unit_id));
+  HEDC_ASSIGN_OR_RETURN(rhessi::RawDataUnit unit,
+                        rhessi::RawDataUnit::Unpack(packed));
+  auto shared = std::make_shared<const rhessi::RawDataUnit>(std::move(unit));
+  raw_unit_cache_.Insert(unit_id, shared);
+  return shared;
 }
 
 Status DataManager::LogOperational(const std::string& component,

@@ -16,6 +16,7 @@
 #include "core/metrics.h"
 #include "db/database.h"
 #include "dm/io_layer.h"
+#include "dm/raw_unit_cache.h"
 #include "dm/semantic_layer.h"
 #include "dm/session.h"
 #include "dm/users.h"
@@ -52,6 +53,18 @@ class DataManager {
   SessionManager& sessions() { return *sessions_; }
   UserManager& users() { return *users_; }
   db::Database* database() { return db_; }
+  RawUnitCache& raw_unit_cache() { return raw_unit_cache_; }
+
+  // The decoded raw unit `unit_id`, shared with other readers. The unit's
+  // calibration version comes from its raw_units row; a cached decode at
+  // that version is returned as is. Otherwise the file is read and fully
+  // unpacked (every CRC, count and varint check runs) and cached under
+  // its header's version, so a unit read while RecalibrateUnit has
+  // rewritten the file but not yet the row carries the version of the
+  // photons it holds. kNotFound without a raw_units row; a read or
+  // decode error is returned and caches nothing.
+  Result<std::shared_ptr<const rhessi::RawDataUnit>> ReadRawUnit(
+      int64_t unit_id);
 
   // Operational logging into the op_logs table.
   Status LogOperational(const std::string& component,
@@ -78,6 +91,7 @@ class DataManager {
   std::unique_ptr<SemanticLayer> semantics_;
   std::unique_ptr<SessionManager> sessions_;
   std::unique_ptr<UserManager> users_;
+  RawUnitCache raw_unit_cache_;
 
   std::atomic<int64_t> requests_handled_{0};
   IdGenerator log_ids_{1};

@@ -23,6 +23,10 @@ Frontend::Committer MakeDmCommitter(dm::DataManager* dm,
     record.e_min = request.params.GetDouble("e_min", 0);
     record.e_max = request.params.GetDouble("e_max", 0);
     record.pixels = request.params.GetInt("pixels", 0);
+    // Lineage: the calibration version of the photons analysed.
+    if (request.input_units.size() == 1) {
+      record.calibration_version = request.input_units[0].calibration_version;
+    }
     auto photons_it = product.metadata.find("photons");
     if (photons_it != product.metadata.end()) {
       int64_t n = 0;

@@ -42,13 +42,23 @@ Status IdlServer::Restart() {
   return Start();
 }
 
+bool IdlServer::TryClaim() {
+  ServerState expected = ServerState::kIdle;
+  return state_.compare_exchange_strong(expected, ServerState::kBusy);
+}
+
 Result<analysis::AnalysisProduct> IdlServer::Invoke(
     const std::string& routine, const rhessi::PhotonList& photons,
     const analysis::AnalysisParams& params) {
-  ServerState expected = ServerState::kIdle;
-  if (!state_.compare_exchange_strong(expected, ServerState::kBusy)) {
-    return Status::Unavailable(name_ + " is " + ServerStateName(expected));
+  if (!TryClaim()) {
+    return Status::Unavailable(name_ + " is " + ServerStateName(state_));
   }
+  return InvokeClaimed(routine, photons, params);
+}
+
+Result<analysis::AnalysisProduct> IdlServer::InvokeClaimed(
+    const std::string& routine, const rhessi::PhotonList& photons,
+    const analysis::AnalysisParams& params) {
   ++invocations_;
 
   const analysis::AnalysisRoutine* impl = registry_->Get(routine);

@@ -59,6 +59,15 @@ class IdlServer {
                                            const rhessi::PhotonList& photons,
                                            const analysis::AnalysisParams& params);
 
+  // Claims an idle interpreter for one call (idle -> busy); false if it
+  // is not idle. The claimer then calls InvokeClaimed exactly once.
+  bool TryClaim();
+  // Invoke on an interpreter this caller claimed: same results, and the
+  // interpreter ends idle again or crashed.
+  Result<analysis::AnalysisProduct> InvokeClaimed(
+      const std::string& routine, const rhessi::PhotonList& photons,
+      const analysis::AnalysisParams& params);
+
   int64_t invocations() const { return invocations_; }
   int64_t crashes() const { return crashes_; }
 

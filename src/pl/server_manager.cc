@@ -54,14 +54,12 @@ int IdlServerManager::idle_servers() const {
 IdlServer* IdlServerManager::AcquireIdle() {
   std::lock_guard<std::mutex> lock(mu_);
   for (auto& server : servers_) {
-    if (server->state() == ServerState::kIdle) return server.get();
     if (server->state() == ServerState::kCrashed) {
       // Opportunistic recovery: restart crashed interpreters on the way.
-      if (server->Restart().ok()) {
-        CountRestart();
-        return server.get();
-      }
+      if (!server->Restart().ok()) continue;
+      CountRestart();
     }
+    if (server->TryClaim()) return server.get();
   }
   return nullptr;
 }
@@ -80,7 +78,7 @@ Result<analysis::AnalysisProduct> IdlServerManager::Invoke(
     attempts_->Add();
     if (attempt > 0) retries_->Add();
     Result<analysis::AnalysisProduct> result =
-        server->Invoke(routine, photons, params);
+        server->InvokeClaimed(routine, photons, params);
     if (result.ok()) return result;
     last_error = result.status();
     if (last_error.code() == StatusCode::kNotFound ||
@@ -88,8 +86,18 @@ Result<analysis::AnalysisProduct> IdlServerManager::Invoke(
       failures_->Add();
       return last_error;  // not recoverable by retry
     }
-    if (server->state() == ServerState::kCrashed) {
-      if (server->Restart().ok()) CountRestart();
+    {
+      // Under mu_, and only while the manager still holds it: once it
+      // crashed, another Invoke may have restarted, run and released it,
+      // and RemoveServer may have dropped it.
+      std::lock_guard<std::mutex> lock(mu_);
+      for (const auto& held : servers_) {
+        if (held.get() == server &&
+            server->state() == ServerState::kCrashed &&
+            server->Restart().ok()) {
+          CountRestart();
+        }
+      }
     }
     // kTimeout/kUnavailable: retry on a (restarted) interpreter.
   }

@@ -47,6 +47,8 @@ class IdlServerManager {
   }
 
  private:
+  // Claims an idle interpreter (restarting a crashed one on the way)
+  // under mu_, so no two concurrent Invokes can pick the same one.
   IdlServer* AcquireIdle();
   void CountRestart();
 

@@ -443,17 +443,12 @@ class AnalyzeServlet : public Servlet {
     if (server->frontend() == nullptr) {
       return HttpResponse::NotFound("processing logic not attached");
     }
-    // Fetch the raw photons of the event's unit and window them.
-    Result<std::vector<uint8_t>> packed =
-        dm->io().ReadItemFile(hle.value().unit_id);
-    if (!packed.ok()) {
-      return HttpResponse::NotFound("raw unit unavailable: " +
-                                    packed.status().ToString());
-    }
-    Result<rhessi::RawDataUnit> unit =
-        rhessi::RawDataUnit::Unpack(packed.value());
+    // Fetch the decoded raw photons of the event's unit and window them.
+    Result<std::shared_ptr<const rhessi::RawDataUnit>> unit =
+        dm->ReadRawUnit(hle.value().unit_id);
     if (!unit.ok()) {
-      return HttpResponse::NotFound(unit.status().ToString());
+      return HttpResponse::NotFound("raw unit unavailable: " +
+                                    unit.status().ToString());
     }
 
     pl::ProcessingRequest processing;
@@ -464,15 +459,13 @@ class AnalyzeServlet : public Servlet {
     // Photon lineage for the derived-product cache: the event's raw unit
     // at its current calibration version.
     processing.input_units = {
-        {hle.value().unit_id, unit.value().calibration_version}};
+        {hle.value().unit_id, unit.value()->calibration_version}};
     // Pass only the HLE's window. The routines select the same window
     // from `params`, so cutting a time-sorted list changes no product.
-    if (unit.value().time_sorted) {
-      processing.photons =
-          analysis::CutToTimeWindow(unit.value().photons, params);
-    } else {
-      processing.photons = std::move(unit.value().photons);
-    }
+    processing.photons =
+        unit.value()->time_sorted
+            ? analysis::CutToTimeWindow(unit.value()->photons, params)
+            : unit.value()->photons;
     Result<int64_t> id = server->frontend()->Submit(std::move(processing));
     if (!id.ok()) return HttpResponse::NotFound(id.status().ToString());
     pl::RequestOutcome outcome = server->frontend()->Wait(id.value());
@@ -861,12 +854,8 @@ class ApproxServlet : public Servlet {
     if (method.empty()) {
       // No view (or an undecodable one): one sequential pass over the
       // raw photons through a fixed-size reservoir.
-      Result<std::vector<uint8_t>> packed = dm->io().ReadItemFile(unit_id);
-      if (!packed.ok()) {
-        return HttpResponse::NotFound(packed.status().ToString());
-      }
-      Result<rhessi::RawDataUnit> unit =
-          rhessi::RawDataUnit::Unpack(packed.value());
+      Result<std::shared_ptr<const rhessi::RawDataUnit>> unit =
+          dm->ReadRawUnit(unit_id);
       if (!unit.ok()) {
         return HttpResponse::NotFound(unit.status().ToString());
       }
@@ -874,7 +863,7 @@ class ApproxServlet : public Servlet {
           kApproxReservoirSize,
           /*seed=*/static_cast<uint64_t>(unit_id) * 1000003 +
               static_cast<uint64_t>(meta.value().calibration_version));
-      for (const rhessi::PhotonEvent& p : unit.value().photons) {
+      for (const rhessi::PhotonEvent& p : unit.value()->photons) {
         sampler.Add(p.time_sec, p.energy_kev);
       }
       answer = agg == "sum" ? sampler.EstimateSumInRange(t_lo, t_hi)

@@ -4,13 +4,21 @@
 #include <cmath>
 
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <initializer_list>
+#include <map>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "analysis/approx.h"
 #include "analysis/routine.h"
+#include "core/content_hash.h"
 #include "core/rng.h"
+#include "core/strings.h"
+#include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
 #include "wavelet/codec.h"
 
@@ -210,6 +218,119 @@ TEST(TimeWindowTest, CutListGivesByteIdenticalProducts) {
   EXPECT_EQ(static_cast<int64_t>(cut.size()),
             rhessi::CountInWindow(photons, params.GetDouble("t_start", 0),
                                   params.GetDouble("t_end", 0), 0, 1e9));
+}
+
+// Digest of every field of a product: the rendered bytes, the series or
+// image values bit for bit, the metadata and the log.
+uint64_t ProductDigest(const AnalysisProduct& product) {
+  uint64_t h = Fnv1a64(product.routine);
+  for (const auto& [key, value] : product.metadata) {
+    h = Fnv1a64(key, h);
+    h = Fnv1a64(value, h);
+  }
+  h = Fnv1a64(product.log, h);
+  h = Fnv1a64(product.rendered.data(), product.rendered.size(), h);
+  auto doubles = [&h](const std::vector<double>& v) {
+    h = Fnv1a64(v.data(), v.size() * sizeof(double), h);
+  };
+  if (product.series) {
+    h = Fnv1a64("series", h);
+    doubles(product.series->x);
+    doubles(product.series->y);
+  }
+  if (product.image) {
+    h = Fnv1a64(StrFormat("image %zux%zu", product.image->width,
+                          product.image->height),
+                h);
+    doubles(product.image->pixels);
+  }
+  return h;
+}
+
+// Golden routine products: the four standard routines over one seeded raw
+// unit, for windows inside it, at its edges, empty and inverted, and for
+// several energy bounds, must keep their digests in
+// tests/data/routine_golden.txt. Run with HEDC_UPDATE_GOLDEN=1 to rewrite
+// the file after an intended product change.
+TEST(RoutineGoldenTest, ProductsMatchCheckedInDigests) {
+  rhessi::TelemetryOptions options;
+  options.duration_sec = 120;
+  options.flares_per_hour = 60;
+  options.seed = 17;
+  std::vector<rhessi::RawDataUnit> units = rhessi::SegmentIntoUnits(
+      rhessi::GenerateTelemetry(options).photons, 1u << 20, 1);
+  ASSERT_EQ(units.size(), 1u);
+  // The unit as the repository serves it: packed and unpacked again.
+  Result<rhessi::RawDataUnit> unit =
+      rhessi::RawDataUnit::Unpack(units[0].Pack());
+  ASSERT_TRUE(unit.ok());
+  const rhessi::PhotonList& photons = unit.value().photons;
+  ASSERT_GT(photons.size(), 5000u);
+  const double first = photons.front().time_sec;
+  const double last = photons.back().time_sec;
+  const double mid = photons[photons.size() / 2].time_sec;
+  const std::pair<const char*, std::pair<double, double>> windows[] = {
+      {"inside", {first + 10.25, first + 70.5}},
+      {"edges", {first, last}},
+      {"around", {first - 5, last + 5}},
+      {"empty_before", {first - 10, first - 1}},
+      {"empty_gap", {mid, mid}},
+      {"inverted", {mid + 5, mid - 5}}};
+  // e_min/e_max; an empty pair keeps the routine defaults.
+  const std::pair<const char*, std::pair<const char*, const char*>>
+      energies[] = {{"all", {"", ""}},
+                    {"band", {"6", "50"}},
+                    {"narrow", {"25", "25.5"}},
+                    {"below_floor", {"1", "12"}},
+                    {"inverted", {"100", "10"}}};
+  const std::pair<const char*, std::map<std::string, std::string>>
+      routines[] = {{"lightcurve", {{"bin_sec", "0.5"}}},
+                    {"spectrogram", {{"t_bins", "32"}, {"e_bins", "16"}}},
+                    {"histogram", {{"bins", "24"}}},
+                    {"imaging", {{"pixels", "6"}}}};
+
+  auto registry = CreateStandardRegistry();
+  std::map<std::string, std::string> actual;
+  for (const auto& [routine, routine_params] : routines) {
+    for (const auto& [window, bounds] : windows) {
+      for (const auto& [band, e] : energies) {
+        AnalysisParams params(routine_params);
+        params.SetDouble("t_start", bounds.first);
+        params.SetDouble("t_end", bounds.second);
+        if (*e.first != '\0') params.Set("e_min", e.first);
+        if (*e.second != '\0') params.Set("e_max", e.second);
+        std::string name = StrFormat("%s/%s/%s", routine, window, band);
+        Result<AnalysisProduct> product =
+            registry->Get(routine)->Run(photons, params);
+        ASSERT_TRUE(product.ok()) << name;
+        actual[name] = StrFormat(
+            "%016llx",
+            static_cast<unsigned long long>(ProductDigest(product.value())));
+      }
+    }
+  }
+
+  const std::string path =
+      std::string(HEDC_TEST_DATA_DIR) + "/routine_golden.txt";
+  if (std::getenv("HEDC_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    for (const auto& [name, digest] : actual) {
+      out << name << ' ' << digest << '\n';
+    }
+    ASSERT_TRUE(out.good()) << path;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::map<std::string, std::string> expected;
+  std::string name, digest;
+  while (in >> name >> digest) expected[name] = digest;
+  EXPECT_EQ(expected.size(), actual.size());
+  for (const auto& [case_name, want] : expected) {
+    auto it = actual.find(case_name);
+    ASSERT_NE(it, actual.end()) << case_name;
+    EXPECT_EQ(it->second, want) << case_name;
+  }
 }
 
 TEST(ImagingTest, PointSourceReconstruction) {

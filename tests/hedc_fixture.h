@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 
 #include "core/clock.h"
 #include "dm/dm.h"
@@ -23,7 +24,8 @@ namespace hedc::testing {
 class HedcStack {
  public:
   explicit HedcStack(uint64_t telemetry_seed = 5,
-                     double telemetry_duration = 1200) {
+                     double telemetry_duration = 1200,
+                     size_t photons_per_unit = 200000) {
     dm::CreateFullSchema(&db);
     archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
                       std::make_unique<archive::DiskArchive>());
@@ -56,7 +58,7 @@ class HedcStack {
     telemetry_options.seed = telemetry_seed;
     telemetry = rhessi::GenerateTelemetry(telemetry_options);
     for (const rhessi::RawDataUnit& unit :
-         rhessi::SegmentIntoUnits(telemetry.photons, 200000, 1)) {
+         rhessi::SegmentIntoUnits(telemetry.photons, photons_per_unit, 1)) {
       auto report = process->LoadRawUnit(import_session, unit.Pack());
       if (report.ok()) {
         for (int64_t hle : report.value().hle_ids) hle_ids.push_back(hle);
@@ -86,9 +88,18 @@ class HedcStack {
       product_cache->InvalidateAna(ana_id);
     });
 
+    // Commits are serialized: db::Database holds one transaction at a
+    // time, so two dispatchers committing at once would fail CreateAna's
+    // Begin with "transaction already open".
     frontend = std::make_unique<pl::Frontend>(
         &directory, predictor.get(), &clock,
-        pl::MakeDmCommitter(data_manager.get(), import_session, 1),
+        [inner = pl::MakeDmCommitter(data_manager.get(), import_session, 1),
+         mu = std::make_shared<std::mutex>()](
+            const pl::ProcessingRequest& request,
+            const analysis::AnalysisProduct& product) {
+          std::lock_guard<std::mutex> lock(*mu);
+          return inner(request, product);
+        },
         pl::Frontend::Options{});
     frontend->set_product_cache(product_cache.get());
 

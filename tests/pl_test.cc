@@ -143,6 +143,64 @@ TEST_F(PlTest, ManagerAddRemoveServers) {
   EXPECT_EQ(manager.num_servers(), 1u);
 }
 
+// Concurrent crash-free invokes never collide on one interpreter: the
+// manager claims the interpreter it picks, so no call loses a race and
+// burns a retry while another interpreter is idle.
+TEST_F(PlTest, ConcurrentInvokesClaimDistinctInterpreters) {
+  // A routine that returns at once keeps the interpreters contended.
+  class CountRoutine : public analysis::AnalysisRoutine {
+   public:
+    std::string name() const override { return "count"; }
+    Result<analysis::AnalysisProduct> Run(
+        const rhessi::PhotonList& photons,
+        const analysis::AnalysisParams&) const override {
+      analysis::AnalysisProduct product;
+      product.metadata["photons"] = std::to_string(photons.size());
+      return product;
+    }
+    double EstimateWorkUnits(size_t photon_count,
+                             const analysis::AnalysisParams&) const override {
+      return static_cast<double>(photon_count);
+    }
+  };
+  registry_->Register(std::make_unique<CountRoutine>());
+  MetricsRegistry* metrics = MetricsRegistry::Default();
+  Counter* retries = metrics->GetCounter("pl.invoke.retries");
+  IdlServerManager manager("host0", {});
+  for (const char* name : {"idl0", "idl1", "idl2"}) {
+    ASSERT_TRUE(manager.AddServer(MakeServer(name)).ok());
+  }
+  rhessi::PhotonList photons = SmallPhotons();
+  int64_t retries0 = retries->Value();
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 3; ++t) {
+    callers.emplace_back([&] {
+      for (int i = 0; i < 2000; ++i) {
+        if (!manager.Invoke("count", photons, {}).ok()) ++failures;
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(retries->Value() - retries0, 0);
+  EXPECT_EQ(manager.idle_servers(), 3);
+}
+
+TEST_F(PlTest, ManagerKeepsBusyInterpreterOnRemove) {
+  IdlServerManager manager("host0", {});
+  auto server = MakeServer("a");
+  IdlServer* a = server.get();
+  ASSERT_TRUE(manager.AddServer(std::move(server)).ok());
+  ASSERT_TRUE(a->TryClaim());
+  EXPECT_FALSE(a->TryClaim());
+  EXPECT_FALSE(manager.RemoveServer().ok());
+  EXPECT_EQ(manager.num_servers(), 1u);
+  ASSERT_TRUE(a->InvokeClaimed("histogram", SmallPhotons(), {}).ok());
+  EXPECT_EQ(a->state(), ServerState::kIdle);
+  EXPECT_TRUE(manager.RemoveServer().ok());
+}
+
 TEST_F(PlTest, DirectoryTracksOnlineServices) {
   GlobalDirectory directory;
   IdlServerManager m1("host0", {}), m2("host1", {});
