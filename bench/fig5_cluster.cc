@@ -5,12 +5,12 @@
 // rows) projects the paper's scale-out curve; this harness measures what
 // the code in src/cluster actually does. It boots N ClusterNodes with
 // ClusterOptions defaults, each a full DM stack behind a TcpRmiServer on
-// the runner's shared reactor (one event loop per core, FromConfig of an
-// empty Config), and drives closed-loop clients through RoutedDmPool over
-// loopback TCP with the deterministic cluster workload. Nothing is
-// injected: no sleeps, no floors, no modeled capacity. All N nodes run
-// in one process on one host, so the curve shows how the routed path
-// shares that host's cores, not how separate hosts would scale.
+// the runner's shared reactor (one thread per core over one epoll set,
+// FromConfig of an empty Config), and drives closed-loop clients through
+// RoutedDmPool over loopback TCP with the deterministic cluster workload.
+// Nothing is injected: no sleeps, no floors, no modeled capacity. All N
+// nodes run in one process on one host, so the curve shows how the routed
+// path shares that host's cores, not how separate hosts would scale.
 //
 // Emits BENCH_cluster_scaleout.json with measured cluster_nodes_{1,2,4,8}
 // rows; bench/validate_bench_json.py prints their speedups next to the

@@ -9,7 +9,7 @@
 // latency. The claim under test is *flatness*: p99 at 10,000 open
 // connections must stay within 2x of p99 at 100 (enforced on
 // BENCH_c10k.json by bench/validate_bench_json.py), i.e. idle
-// connections cost the loop nothing. A thread-per-connection server
+// connections cost the reactor nothing. A thread-per-connection server
 // cannot run this bench at all — 10k blocked threads exhaust the default
 // thread limits long before the fd limit bites.
 //

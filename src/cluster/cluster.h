@@ -8,7 +8,8 @@
 // MembershipRegistry, and routes session keys to nodes through a
 // SessionRouter (least_loaded or consistent_hash; see routing.h). Every
 // node is served by the runner's one reactor, so N nodes in one process
-// share that reactor's event loops (one per core) and the host's cores.
+// share that reactor's threads (one per core, any of which serves any
+// node's connection) and the host's cores.
 //
 // Two dispatch paths ride on top:
 //  * RouteInProcess — the web tier picks the DataManager a servlet runs
@@ -100,7 +101,7 @@ class ClusterRunner {
   ClusterOptions options_;
   Clock* clock_;
   MetricsRegistry* metrics_;
-  // One event loop serving every node's RMI port. Declared before nodes_
+  // One reactor serving every node's RMI port. Declared before nodes_
   // so it outlives them (each node's Stop drains its listener from this
   // reactor).
   std::unique_ptr<net::Reactor> shared_reactor_;

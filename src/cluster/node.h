@@ -28,7 +28,7 @@ struct NodeOptions {
   // Per-node WAL directory; empty = in-memory only (tests/benches).
   std::string wal_dir;
   // RMI transport tuning. The cluster runner points rmi.shared_reactor
-  // at its own reactor, so N nodes serve from one set of event loops
+  // at its own reactor, so N nodes serve from one set of reactor threads
   // instead of N thread armies; rmi.reactor.loops sizes that set, which
   // bounds how many calls the whole cluster executes at once.
   dm::TcpRmiServer::Options rmi;

@@ -9,8 +9,8 @@ namespace {
 // Per-connection state machine for [u32 len][payload][u32 crc32] frames on
 // the reactor. A hostile length or checksum mismatch drops the connection
 // without a response (peers observe kUnavailable on their next read); a
-// valid frame executes inline on the loop and always produces a response
-// frame.
+// valid frame executes inline on the reactor thread and always produces a
+// response frame.
 class RmiFrameProtocol : public net::ReactorProtocol {
  public:
   RmiFrameProtocol(RmiHandler* rmi, Counter* frames, Counter* oversized,

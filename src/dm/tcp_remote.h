@@ -7,10 +7,10 @@
 // reconnects lazily after any transport error, so a ResilientChannel
 // layered on top can simply retry.
 //
-// The server parses each connection with a frame state machine on one of
-// the reactor's event loops (net/reactor.h) and executes each frame inline
-// on that loop, so it holds C10K keep-alive connections without a thread
-// each. Many servers can share one Reactor (Options::shared_reactor),
+// The server parses each connection with a frame state machine on
+// whichever reactor thread takes its event (net/reactor.h) and executes
+// each frame inline on that thread, so it holds C10K keep-alive
+// connections without a thread each. Many servers can share one Reactor (Options::shared_reactor),
 // which is how a whole cluster's nodes serve without thread explosion.
 // Client-visible semantics are locked down by
 // tests/net_conformance_test.cc: framing errors drop the connection

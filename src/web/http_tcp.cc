@@ -184,7 +184,7 @@ std::vector<uint8_t> SerializeHttpResponse(const HttpResponse& response,
 }
 
 // Per-connection state machine: buffer -> ParseHttpRequest -> handler,
-// run inline on the loop -> serialized reply (close_after on
+// run inline on the reactor thread -> serialized reply (close_after on
 // "Connection: close"); malformed input gets a 400 and the connection
 // dropped.
 class HttpProtocol : public net::ReactorProtocol {

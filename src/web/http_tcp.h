@@ -6,7 +6,7 @@
 // real. HttpTcpServer wraps any handler (typically WebServer::Dispatch)
 // and, like dm::TcpRmiServer, serves on an epoll reactor (net/reactor.h):
 // a per-connection incremental HTTP parser and the handler both run on
-// the connection's event loop. The wire encoding is pinned by golden byte
+// the reactor thread serving the connection. The wire encoding is pinned by golden byte
 // transcripts in tests/net_conformance_test.cc.
 #ifndef HEDC_WEB_HTTP_TCP_H_
 #define HEDC_WEB_HTTP_TCP_H_

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdlib>
 #include <cstring>
@@ -70,13 +71,27 @@ class LatchRmi : public dm::RmiHandler {
   bool released_ = false;
 };
 
-// Records which thread ran each call.
-class ThreadRecordingRmi : public dm::RmiHandler {
+// Parks every call until released and records which thread ran it.
+class ParkingThreadRmi : public dm::RmiHandler {
  public:
   std::vector<uint8_t> Handle(const std::vector<uint8_t>& request) override {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     threads_.insert(std::this_thread::get_id());
+    ++parked_;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
     return request;
+  }
+  // True once `n` calls are parked at the same time; false after 5 s.
+  bool WaitForParked(int n) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5),
+                        [&] { return parked_ >= n; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
   }
   std::set<std::thread::id> threads() {
     std::lock_guard<std::mutex> lock(mu_);
@@ -85,6 +100,9 @@ class ThreadRecordingRmi : public dm::RmiHandler {
 
  private:
   std::mutex mu_;
+  std::condition_variable cv_;
+  int parked_ = 0;
+  bool released_ = false;
   std::set<std::thread::id> threads_;
 };
 
@@ -105,26 +123,36 @@ dm::TcpRmiServer::Options WithLoops(int loops) {
   return options;
 }
 
-// The acceptor hands each new connection to the loop with the fewest open
-// connections, so 4 keep-alive connections on 4 loops run their handlers
-// on 4 distinct threads.
+// Four handlers parked at once on a 4-thread reactor run on four distinct
+// reactor threads, none of them a caller's: every thread serves any
+// connection.
 TEST(ReactorLoopsTest, FourConnectionsRunOnFourLoops) {
-  ThreadRecordingRmi rmi;
+  ParkingThreadRmi rmi;
   MetricsRegistry metrics;
   dm::TcpRmiServer server(&rmi, &metrics, WithLoops(4));
   ASSERT_TRUE(server.Start().ok());
 
-  std::vector<std::unique_ptr<dm::TcpChannel>> channels;
+  std::vector<Status> statuses(4);
+  std::vector<std::thread::id> callers(4);
+  std::vector<std::thread> threads;
   for (int i = 0; i < 4; ++i) {
-    channels.push_back(
-        std::make_unique<dm::TcpChannel>("127.0.0.1", server.port()));
-    for (int call = 0; call < 3; ++call) {
-      ASSERT_TRUE(channels.back()->Call({static_cast<uint8_t>(i)}).ok());
-    }
+    threads.emplace_back([&, i] {
+      callers[i] = std::this_thread::get_id();
+      dm::TcpChannel channel("127.0.0.1", server.port(),
+                             /*recv_timeout=*/10 * kMicrosPerSecond);
+      statuses[i] = channel.Call({static_cast<uint8_t>(i)}).status();
+    });
   }
-  std::set<std::thread::id> threads = rmi.threads();
-  EXPECT_EQ(threads.size(), 4u);
-  EXPECT_EQ(threads.count(std::this_thread::get_id()), 0u);
+  EXPECT_TRUE(rmi.WaitForParked(4));
+  std::set<std::thread::id> served = rmi.threads();
+  rmi.Release();
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(served.size(), 4u);
+  EXPECT_EQ(served.count(std::this_thread::get_id()), 0u);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(served.count(callers[i]), 0u);
+    EXPECT_TRUE(statuses[i].ok()) << statuses[i].ToString();
+  }
   server.Stop();
 }
 
@@ -146,6 +174,35 @@ TEST(ReactorLoopsTest, ParkedHandlerDoesNotDelayOtherLoop) {
   dm::TcpChannel other("127.0.0.1", server.port(),
                        /*recv_timeout=*/kMicrosPerSecond);
   auto response = other.Call({1, 2, 3});
+  EXPECT_TRUE(response.ok()) << response.status().ToString();
+  rmi.latch.Release();
+  caller.join();
+  EXPECT_TRUE(parked.ok()) << parked.ToString();
+  server.Stop();
+}
+
+// No connection is stranded behind a parked handler while another thread
+// is idle. With A, B and C opened in that order on 2 threads, a reactor
+// that pins connections to threads (fewest open, ties round-robin) puts C
+// beside A, so C's call would wait for A's handler.
+TEST(ReactorLoopsTest, ParkedHandlerDoesNotStrandLaterConnection) {
+  ParkTaggedRmi rmi;
+  MetricsRegistry metrics;
+  dm::TcpRmiServer server(&rmi, &metrics, WithLoops(2));
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::unique_ptr<dm::TcpChannel>> conns;  // A, B, C
+  for (uint8_t i = 0; i < 3; ++i) {
+    conns.push_back(std::make_unique<dm::TcpChannel>(
+        "127.0.0.1", server.port(),
+        /*recv_timeout=*/(i == 0 ? 5 : 1) * kMicrosPerSecond));
+    ASSERT_TRUE(conns.back()->Call({i}).ok());  // connected, in order
+  }
+  Status parked;
+  std::thread caller(
+      [&] { parked = conns[0]->Call({ParkTaggedRmi::kPark}).status(); });
+  rmi.latch.WaitUntilEntered();
+  auto response = conns[2]->Call({7, 8, 9});
   EXPECT_TRUE(response.ok()) << response.status().ToString();
   rmi.latch.Release();
   caller.join();

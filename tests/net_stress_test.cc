@@ -1,13 +1,16 @@
 // Reactor stress lane (ctest label net-stress; runs under TSan in
 // scripts/verify.sh): connection churn raced against Stop/restart and
-// against CloseListener on 4 loops, a 1k-connection storm, and the
+// against CloseListener on 4 threads, the deadline sweep raced against
+// connections going idle and coming back, a 1k-connection storm, and the
 // chaos/resilience stack layered over the reactor transport. These are
-// the schedules where acceptor / loop / control-thread handoffs break if
-// the ownership rules in net/reactor.h are wrong.
+// the schedules where connection handoffs between reactor threads and the
+// control thread break if the ownership rules in net/reactor.h are wrong.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -150,6 +153,75 @@ TEST(NetStressTest, NoHandlerRunsAfterCloseListenerOnFourLoops) {
   }
   EXPECT_FALSE(reactor.running());
   EXPECT_EQ(metrics.GetGauge("net.conns_open")->Value(), 0);
+}
+
+// Echoes; a request whose first byte is kSlow first sleeps past the idle
+// deadline, so the sweep meets a connection busy that long.
+class SlowTaggedRmi : public dm::RmiHandler {
+ public:
+  static constexpr uint8_t kSlow = 0xFF;
+  std::vector<uint8_t> Handle(const std::vector<uint8_t>& request) override {
+    if (!request.empty() && request[0] == kSlow) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    }
+    return request;
+  }
+};
+
+// Clients on a 4-thread reactor with a 30 ms idle timeout go quiet for
+// 20-40 ms between calls, so the deadline sweep closes idle connections
+// just as their next request arrives, and meets connections whose handler
+// outlives the deadline. A call that finds its connection reaped
+// (kUnavailable) reconnects and retries. Every call must be answered,
+// with its own bytes, and the sweep must skip busy connections.
+TEST(NetStressTest, DeadlineSweepRacesIdleConnectionsComingBack) {
+  MetricsRegistry metrics;
+  net::Reactor::Options reactor_options;
+  reactor_options.loops = 4;
+  reactor_options.idle_timeout = 30 * kMicrosPerMilli;
+  reactor_options.metrics = &metrics;
+  net::Reactor reactor(reactor_options);
+  ASSERT_TRUE(reactor.Start().ok());
+  SlowTaggedRmi rmi;
+  dm::TcpRmiServer::Options options;
+  options.shared_reactor = &reactor;
+  dm::TcpRmiServer server(&rmi, &metrics, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 6;
+  constexpr int kCalls = 15;
+  std::atomic<int> answered{0};
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&, t] {
+      std::mt19937 rng(static_cast<uint32_t>(t));
+      std::uniform_int_distribution<int> quiet_ms(20, 40);
+      dm::TcpChannel channel("127.0.0.1", server.port(),
+                             /*recv_timeout=*/2 * kMicrosPerSecond);
+      for (int i = 0; i < kCalls; ++i) {
+        std::vector<uint8_t> request = {
+            i % 4 == 0 ? SlowTaggedRmi::kSlow : static_cast<uint8_t>(t),
+            static_cast<uint8_t>(i)};
+        Result<std::vector<uint8_t>> response =
+            Status::Unavailable("not called");
+        for (int attempt = 0; attempt < 5; ++attempt) {
+          response = channel.Call(request);
+          if (response.status().code() != StatusCode::kUnavailable) break;
+        }
+        ASSERT_TRUE(response.ok())
+            << "client " << t << " call " << i << ": "
+            << response.status().ToString();
+        EXPECT_EQ(response.value(), request);
+        answered.fetch_add(1, std::memory_order_relaxed);
+        std::this_thread::sleep_for(std::chrono::milliseconds(quiet_ms(rng)));
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  EXPECT_EQ(answered.load(), kClients * kCalls);
+  EXPECT_GT(metrics.GetCounter("net.timeouts")->Value(), 0);
+  reactor.Stop();
+  EXPECT_EQ(reactor.conns_open(), 0);
 }
 
 // 1k concurrent keep-alive connections on one loop, each making several
