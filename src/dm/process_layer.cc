@@ -10,24 +10,12 @@ namespace hedc::dm {
 ProcessLayer::ProcessLayer(DataManager* dm, int64_t raw_archive_id)
     : dm_(dm), raw_archive_id_(raw_archive_id) {}
 
-bool ProcessLayer::WriteViewFile(const rhessi::RawDataUnit& unit) {
-  // One 1024-bin signal per aggregate: photon counts for COUNT-style
-  // browse queries, summed keV for energy SUMs. Each is stored as a
+bool ProcessLayer::WriteViewFile(const rhessi::BinnedUnit& unit) {
+  // One signal per aggregate: photon counts for COUNT-style browse
+  // queries, summed keV for energy SUMs. Each is stored as a
   // prefix-decodable progressive stream, so any byte prefix of the HDU
   // serves a coarser resolution of the same view.
-  std::vector<double> counts(1024, 0.0);
-  std::vector<double> energies(1024, 0.0);
-  double lo = unit.t_start;
-  double hi = unit.t_stop + 1e-6;
-  if (hi <= lo) return false;
-  double width = (hi - lo) / static_cast<double>(counts.size());
-  for (const rhessi::PhotonEvent& p : unit.photons) {
-    if (p.time_sec < lo || p.time_sec >= hi) continue;
-    size_t b = static_cast<size_t>((p.time_sec - lo) / width);
-    if (b >= counts.size()) b = counts.size() - 1;
-    counts[b] += 1.0;
-    energies[b] += p.energy_kev;
-  }
+  if (unit.view_counts.empty()) return false;
 
   archive::FitsFile fits;
   fits.primary().SetCard("UNIT_ID", std::to_string(unit.unit_id),
@@ -35,8 +23,10 @@ bool ProcessLayer::WriteViewFile(const rhessi::RawDataUnit& unit) {
   fits.primary().SetCard("KIND", "wavelet-view", "");
   fits.primary().SetCard("CALVER", std::to_string(unit.calibration_version),
                          "calibration version the view derives from");
-  fits.AddHdu("VIEW").data = wavelet::EncodeSignalProgressive(counts);
-  fits.AddHdu("VIEW_E").data = wavelet::EncodeSignalProgressive(energies);
+  fits.AddHdu("VIEW").data =
+      wavelet::EncodeSignalProgressive(unit.view_counts);
+  fits.AddHdu("VIEW_E").data =
+      wavelet::EncodeSignalProgressive(unit.view_energies);
   std::vector<uint8_t> bytes = fits.Serialize();
 
   int64_t item_id = ViewItemId(unit.unit_id);
@@ -54,7 +44,7 @@ bool ProcessLayer::WriteViewFile(const rhessi::RawDataUnit& unit) {
 }
 
 Result<int64_t> ProcessLayer::InsertRawUnitTuple(
-    const rhessi::RawDataUnit& unit, size_t file_bytes) {
+    const rhessi::BinnedUnit& unit, size_t file_bytes) {
   HEDC_ASSIGN_OR_RETURN(
       db::ResultSet r,
       dm_->io().Update(
@@ -63,7 +53,7 @@ Result<int64_t> ProcessLayer::InsertRawUnitTuple(
           "'online')",
           {db::Value::Int(unit.unit_id), db::Value::Real(unit.t_start),
            db::Value::Real(unit.t_stop),
-           db::Value::Int(static_cast<int64_t>(unit.photons.size())),
+           db::Value::Int(static_cast<int64_t>(unit.num_photons)),
            db::Value::Int(unit.calibration_version),
            db::Value::Int(static_cast<int64_t>(file_bytes)),
            db::Value::Real(static_cast<double>(dm_->clock()->Now()) /
@@ -74,16 +64,16 @@ Result<int64_t> ProcessLayer::InsertRawUnitTuple(
 
 Result<DataLoadReport> ProcessLayer::LoadRawUnit(
     const Session& import_session, const std::vector<uint8_t>& packed) {
-  // Step 1: unpack & validate.
-  HEDC_ASSIGN_OR_RETURN(rhessi::RawDataUnit unit,
-                        rhessi::RawDataUnit::Unpack(packed));
+  // Step 1: unpack & validate, binning the photons as they decode.
+  HEDC_ASSIGN_OR_RETURN(rhessi::BinnedUnit unit,
+                        rhessi::UnpackBinned(packed));
   if (unit.unit_id <= 0) {
     return Status::InvalidArgument("raw unit has no id");
   }
 
   DataLoadReport report;
   report.unit_id = unit.unit_id;
-  report.photons = unit.photons.size();
+  report.photons = unit.num_photons;
   report.file_bytes = packed.size();
 
   // Compensation state.
@@ -123,7 +113,7 @@ Result<DataLoadReport> ProcessLayer::LoadRawUnit(
 
   // Step 3: event detection.
   std::vector<rhessi::DetectedEvent> events =
-      rhessi::DetectEvents(unit.photons);
+      rhessi::DetectEventsFromBins(unit.detection);
 
   // Step 4: HLEs + standard catalog.
   Result<CatalogRecord> standard =
@@ -180,7 +170,7 @@ Result<DataLoadReport> ProcessLayer::LoadRawUnit(
   dm_->LogOperational(
       "ProcessLayer",
       StrFormat("loaded unit %lld: %zu photons, %zu events",
-                static_cast<long long>(unit.unit_id), unit.photons.size(),
+                static_cast<long long>(unit.unit_id), unit.num_photons,
                 events.size()));
   return report;
 }
@@ -299,7 +289,8 @@ Result<DataLoadReport> ProcessLayer::RecalibrateUnit(
   if (unit_invalidator_) unit_invalidator_(unit_id);
   // Re-derive the progressive views from the recalibrated photons so a
   // post-invalidation prefix request rebuilds against fresh data.
-  WriteViewFile(new_unit);
+  rhessi::BinnedUnit binned = rhessi::BinUnit(new_unit);
+  WriteViewFile(binned);
 
   // Supersede HLEs derived from this unit: re-detect on the new photons.
   DataLoadReport report;
@@ -313,7 +304,7 @@ Result<DataLoadReport> ProcessLayer::RecalibrateUnit(
   HEDC_ASSIGN_OR_RETURN(db::ResultSet old_hles, dm_->io().Query(affected));
 
   std::vector<rhessi::DetectedEvent> events =
-      rhessi::DetectEvents(new_unit.photons);
+      rhessi::DetectEventsFromBins(binned.detection);
   for (size_t i = 0; i < old_hles.num_rows(); ++i) {
     int64_t old_id = old_hles.Get(i, "hle_id").AsInt();
     // The re-detected event overlapping the old HLE becomes its successor.

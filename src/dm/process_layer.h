@@ -38,10 +38,12 @@ class ProcessLayer {
 
   // Raw data preparation + event filtering + entity association +
   // catalog generation, as one workflow:
-  //  1. unpack & validate the packed raw unit,
+  //  1. unpack & validate the packed raw unit, decoding its photons
+  //     once straight into the detection and view bins (no photon list
+  //     is built; a unit whose photon times decrease is kCorruption),
   //  2. store the file, register its locations, insert the raw_units
   //     tuple,
-  //  3. run event detection over the photons,
+  //  3. run event detection over the detection bins,
   //  4. create an HLE per detected event (owned by the import session),
   //     made public, grouped into the "standard" catalog,
   //  5. write the wavelet-preprocessed view alongside (progressive
@@ -112,13 +114,14 @@ class ProcessLayer {
   }
 
  private:
-  Result<int64_t> InsertRawUnitTuple(const rhessi::RawDataUnit& unit,
+  Result<int64_t> InsertRawUnitTuple(const rhessi::BinnedUnit& unit,
                                      size_t file_bytes);
-  // Builds and stores the unit's progressive view file: a FITS-lite
-  // container with a "VIEW" HDU (photon counts per bin) and a "VIEW_E"
-  // HDU (summed keV per bin), both prefix-decodable HWV3 streams.
-  // Overwrites in place when the view item already exists (recalibration).
-  bool WriteViewFile(const rhessi::RawDataUnit& unit);
+  // Builds and stores the unit's progressive view file from its view
+  // bins: a FITS-lite container with a "VIEW" HDU (photon counts per bin)
+  // and a "VIEW_E" HDU (summed keV per bin), both prefix-decodable HWV3
+  // streams. Overwrites in place when the view item already exists
+  // (recalibration). Writes nothing when the unit has no view bins.
+  bool WriteViewFile(const rhessi::BinnedUnit& unit);
 
   DataManager* dm_;
   int64_t raw_archive_id_;

@@ -99,11 +99,6 @@ class TcpChannel : public ByteChannel {
   Result<std::vector<uint8_t>> Call(
       const std::vector<uint8_t>& request) override;
 
-  void set_recv_timeout(Micros timeout) {
-    std::lock_guard<std::mutex> lock(mu_);
-    recv_timeout_ = timeout;
-  }
-
  private:
   // Every transport error funnels through here before the next call may
   // reconnect, so an error can never strand the old fd (regression:
@@ -114,7 +109,7 @@ class TcpChannel : public ByteChannel {
   int port_;
 
   std::mutex mu_;
-  Micros recv_timeout_;
+  const Micros recv_timeout_;
   net::TcpSocket socket_;  // invalid when disconnected
 };
 

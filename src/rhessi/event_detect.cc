@@ -5,43 +5,68 @@
 
 namespace hedc::rhessi {
 
+void DetectionBinner::StoreBin(size_t bin, Sums sums, DetectionBins* bins) {
+  if (bin >= bins->counts.size()) {
+    bins->counts.resize(bin + 1, 0);
+    bins->energy_sum.resize(bin + 1, 0.0);
+    bins->hard_counts.resize(bin + 1, 0);
+  }
+  bins->counts[bin] += sums.count;
+  bins->energy_sum[bin] += sums.energy;
+  bins->hard_counts[bin] += sums.hard;
+}
+
+void DetectionBinner::FinishBins(size_t open, Sums sums, double t_last,
+                                 DetectionBins* bins) {
+  StoreBin(open, sums, bins);
+  double last = std::ceil(t_last / bins->bin_sec);
+  size_t num_bins = (last > 0 ? static_cast<size_t>(last) : 0) + 1;
+  if (num_bins > bins->counts.size()) {
+    bins->counts.resize(num_bins, 0);
+    bins->energy_sum.resize(num_bins, 0.0);
+    bins->hard_counts.resize(num_bins, 0);
+  }
+}
+
 std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
                                         const DetectOptions& options) {
-  std::vector<DetectedEvent> out;
-  if (photons.empty()) return out;
-
-  double t_end = photons.back().time_sec;
-  size_t num_bins =
-      static_cast<size_t>(std::ceil(t_end / options.bin_sec)) + 1;
-  std::vector<int64_t> counts(num_bins, 0);
-  std::vector<double> energy_sum(num_bins, 0.0);
-  std::vector<int64_t> hard_counts(num_bins, 0);
+  DetectionBinner binner(options.bin_sec);
+  DetectionBins bins;
   for (const PhotonEvent& p : photons) {
-    size_t b = static_cast<size_t>(p.time_sec / options.bin_sec);
-    if (b >= num_bins) b = num_bins - 1;
-    ++counts[b];
-    energy_sum[b] += p.energy_kev;
-    if (p.energy_kev > 100.0) ++hard_counts[b];
+    binner.Add(p.time_sec, p.energy_kev, &bins);
   }
+  binner.Finish(&bins);
+  return DetectEventsFromBins(bins, options);
+}
+
+std::vector<DetectedEvent> DetectEventsFromBins(const DetectionBins& bins,
+                                                const DetectOptions& options) {
+  std::vector<DetectedEvent> out;
+  const std::vector<int64_t>& counts = bins.counts;
+  const std::vector<double>& energy_sum = bins.energy_sum;
+  const std::vector<int64_t>& hard_counts = bins.hard_counts;
+  const size_t num_bins = counts.size();
+  const double bin_sec = bins.bin_sec;
+  if (num_bins == 0) return out;
 
   // Background estimate: median bin rate.
   std::vector<int64_t> sorted = counts;
   std::nth_element(sorted.begin(), sorted.begin() + sorted.size() / 2,
                    sorted.end());
   double background =
-      static_cast<double>(sorted[sorted.size() / 2]) / options.bin_sec;
-  if (background <= 0) background = 1.0 / options.bin_sec;
+      static_cast<double>(sorted[sorted.size() / 2]) / bin_sec;
+  if (background <= 0) background = 1.0 / bin_sec;
   double threshold = background * options.threshold_factor;
   double quiet_level = background * options.quiet_factor;
 
   size_t close_gap_bins = static_cast<size_t>(
-      std::max(1.0, options.close_gap_sec / options.bin_sec));
+      std::max(1.0, options.close_gap_sec / bin_sec));
 
   // Burst detection: open at threshold crossing, close after a sustained
   // sub-threshold gap.
   size_t i = 0;
   while (i < num_bins) {
-    double rate = static_cast<double>(counts[i]) / options.bin_sec;
+    double rate = static_cast<double>(counts[i]) / bin_sec;
     if (rate <= threshold) {
       ++i;
       continue;
@@ -50,7 +75,7 @@ std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
     size_t last_active = i;
     size_t j = i + 1;
     while (j < num_bins) {
-      double r = static_cast<double>(counts[j]) / options.bin_sec;
+      double r = static_cast<double>(counts[j]) / bin_sec;
       if (r > threshold) {
         last_active = j;
       } else if (j - last_active > close_gap_bins) {
@@ -59,8 +84,8 @@ std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
       ++j;
     }
     DetectedEvent event;
-    event.t_start = static_cast<double>(start) * options.bin_sec;
-    event.t_end = static_cast<double>(last_active + 1) * options.bin_sec;
+    event.t_start = static_cast<double>(start) * bin_sec;
+    event.t_end = static_cast<double>(last_active + 1) * bin_sec;
     int64_t total = 0, hard = 0;
     double e_sum = 0;
     double peak = 0;
@@ -69,7 +94,7 @@ std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
       hard += hard_counts[b];
       e_sum += energy_sum[b];
       peak = std::max(peak,
-                      static_cast<double>(counts[b]) / options.bin_sec);
+                      static_cast<double>(counts[b]) / bin_sec);
     }
     event.photon_count = total;
     event.peak_rate = peak;
@@ -88,12 +113,12 @@ std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
 
   // Quiet periods: sustained stretches below quiet_level.
   size_t quiet_min_bins = static_cast<size_t>(
-      options.quiet_min_duration_sec / options.bin_sec);
+      options.quiet_min_duration_sec / bin_sec);
   size_t run_start = 0;
   bool in_run = false;
   for (size_t b = 0; b <= num_bins; ++b) {
     bool quiet = b < num_bins &&
-                 static_cast<double>(counts[b]) / options.bin_sec <=
+                 static_cast<double>(counts[b]) / bin_sec <=
                      quiet_level;
     if (quiet && !in_run) {
       in_run = true;
@@ -103,8 +128,8 @@ std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
       if (b - run_start >= quiet_min_bins) {
         DetectedEvent event;
         event.kind = EventKind::kQuiet;
-        event.t_start = static_cast<double>(run_start) * options.bin_sec;
-        event.t_end = static_cast<double>(b) * options.bin_sec;
+        event.t_start = static_cast<double>(run_start) * bin_sec;
+        event.t_end = static_cast<double>(b) * bin_sec;
         out.push_back(event);
       }
     }

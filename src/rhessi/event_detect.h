@@ -8,6 +8,8 @@
 #ifndef HEDC_RHESSI_EVENT_DETECT_H_
 #define HEDC_RHESSI_EVENT_DETECT_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "rhessi/photon.h"
@@ -40,8 +42,71 @@ struct DetectOptions {
   double quiet_factor = 0.5;
 };
 
-// `photons` must be time-sorted. Background is estimated as the median
-// bin rate.
+// What detection reads of a photon list: per `bin_sec` time bin, the
+// photon count, the summed keV and the count above 100 keV. Bins run
+// from t = 0 to bin ceil(t_last / bin_sec), t_last being the last
+// photon's time; no photons means no bins.
+struct DetectionBins {
+  double bin_sec = 1.0;
+  std::vector<int64_t> counts;
+  std::vector<double> energy_sum;
+  std::vector<int64_t> hard_counts;
+};
+
+// Fills DetectionBins from photons added in time order. Sorted photons
+// hit one bin many times in a row, so the open bin's sums stay in the
+// binner and are stored in the bins when the bin changes; the sums are
+// added in photon order either way. A time before 0 counts in bin 0. The
+// bins are a separate object that the binner writes only when a bin
+// closes, so the per-photon state is the binner's few scalars.
+class DetectionBinner {
+ public:
+  explicit DetectionBinner(double bin_sec) : bin_sec_(bin_sec) {}
+
+  void Add(double time_sec, float energy_kev, DetectionBins* bins) {
+    double x = time_sec / bin_sec_;
+    size_t b = x > 0 ? static_cast<size_t>(x) : 0;
+    if (b != open_) {
+      if (open_ != kNone) StoreBin(open_, sums_, bins);
+      open_ = b;
+      sums_ = Sums{};
+    }
+    ++sums_.count;
+    sums_.energy += energy_kev;
+    if (energy_kev > 100.0) ++sums_.hard;
+    t_last_ = time_sec;
+  }
+
+  // Stores the open bin and pads the bins through bin
+  // ceil(t_last / bin_sec).
+  void Finish(DetectionBins* bins) const {
+    bins->bin_sec = bin_sec_;
+    if (open_ != kNone) FinishBins(open_, sums_, t_last_, bins);
+  }
+
+ private:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+  struct Sums {
+    int64_t count = 0;
+    double energy = 0;
+    int64_t hard = 0;
+  };
+  static void StoreBin(size_t bin, Sums sums, DetectionBins* bins);
+  static void FinishBins(size_t open, Sums sums, double t_last,
+                         DetectionBins* bins);
+
+  double bin_sec_;
+  size_t open_ = kNone;
+  Sums sums_;
+  double t_last_ = 0;
+};
+
+// Rate-threshold detection over finished bins (their own `bin_sec`; the
+// options' is not read). Background is estimated as the median bin rate.
+std::vector<DetectedEvent> DetectEventsFromBins(
+    const DetectionBins& bins, const DetectOptions& options = {});
+
+// Bins `photons`, which must be time-sorted, and detects over the bins.
 std::vector<DetectedEvent> DetectEvents(const PhotonList& photons,
                                         const DetectOptions& options = {});
 

@@ -13,6 +13,7 @@
 
 #include "archive/fits.h"
 #include "core/status.h"
+#include "rhessi/event_detect.h"
 #include "rhessi/photon.h"
 
 namespace hedc::rhessi {
@@ -37,6 +38,33 @@ struct RawDataUnit {
   std::vector<uint8_t> Pack() const;
   static Result<RawDataUnit> Unpack(const std::vector<uint8_t>& bytes);
 };
+
+// A unit's stored view has kViewBins time bins over
+// [t_start, t_stop + 1 µs).
+constexpr size_t kViewBins = 1024;
+
+// What loading a unit derives from its photons: its header fields, its
+// photon count, the detection bins, and the stored view's two signals
+// (photon counts and summed keV per view bin). The view signals are empty
+// when the header's time range is.
+struct BinnedUnit {
+  int64_t unit_id = 0;
+  double t_start = 0;
+  double t_stop = 0;
+  int calibration_version = 1;
+  size_t num_photons = 0;
+  DetectionBins detection;
+  std::vector<double> view_counts;
+  std::vector<double> view_energies;
+};
+
+// Bins a unit's photons, which must be time-sorted.
+BinnedUnit BinUnit(const RawDataUnit& unit);
+
+// Unpack and BinUnit in one pass over the encoded photons, without
+// building the photon list. Fails where Unpack fails, and with
+// kCorruption for a unit whose photon times decrease.
+Result<BinnedUnit> UnpackBinned(const std::vector<uint8_t>& bytes);
 
 // Splits telemetry into units of at most `max_photons_per_unit` photons,
 // cutting on the time axis. Unit ids start at `first_unit_id`.

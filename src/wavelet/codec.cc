@@ -14,15 +14,6 @@ constexpr uint32_t kProgressiveMagic = 0x48575633;  // "HWV3"
 
 bool IsPow2(uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
-// Resolution level of a coefficient index in the fully-decomposed Haar
-// layout: index 0 is the scaling (DC) coefficient (level 0); detail
-// level l >= 1 occupies indices [2^(l-1), 2^l).
-size_t LevelOfIndex(size_t index) {
-  size_t level = 0;
-  while ((1ull << level) <= index) ++level;
-  return level;  // == floor(log2(index)) + 1 for index >= 1
-}
-
 constexpr size_t LevelCount(size_t padded_len) {
   size_t levels = 1;
   while ((1ull << (levels - 1)) < padded_len) ++levels;
@@ -72,17 +63,25 @@ std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
       signal, options, &original_len, &padded_len, &dropped_energy);
   // Level-major order; best-first (decreasing magnitude) within a level
   // so even a prefix that splits a level is the best prefix of that
-  // length. Index is the tiebreak for a deterministic stream.
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) {
-              size_t la = LevelOfIndex(a.index), lb = LevelOfIndex(b.index);
-              if (la != lb) return la < lb;
-              double ma = std::fabs(a.value), mb = std::fabs(b.value);
-              if (ma != mb) return ma > mb;
-              return a.index < b.index;
-            });
-
+  // length. Index is the tiebreak for a deterministic stream. The entries
+  // arrive in index order, which is already level-major: level 0 is index
+  // 0 and detail level l >= 1 is [2^(l-1), 2^l). So only each level's run
+  // is sorted.
   size_t num_levels = LevelCount(padded_len);
+  std::vector<size_t> level_begin(num_levels + 1, entries.size());
+  auto run = entries.begin();
+  for (size_t level = 0; level < num_levels; ++level) {
+    level_begin[level] = static_cast<size_t>(run - entries.begin());
+    auto run_end = std::partition_point(
+        run, entries.end(),
+        [level](const Entry& e) { return e.index < (uint64_t{1} << level); });
+    std::sort(run, run_end, [](const Entry& a, const Entry& b) {
+      double ma = std::fabs(a.value), mb = std::fabs(b.value);
+      if (ma != mb) return ma > mb;
+      return a.index < b.index;
+    });
+    run = run_end;
+  }
 
   // Payload first: per-level record counts and end offsets feed the
   // header's table, and the retained-energy total is accumulated over
@@ -92,20 +91,17 @@ std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
   std::vector<uint64_t> level_counts(num_levels, 0);
   std::vector<uint64_t> level_ends(num_levels, 0);
   double retained_energy = 0;
-  size_t cursor = 0;
   for (size_t level = 0; level < num_levels; ++level) {
-    while (cursor < entries.size() &&
-           LevelOfIndex(entries[cursor].index) == level) {
-      const Entry& e = entries[cursor];
+    for (size_t i = level_begin[level]; i < level_begin[level + 1]; ++i) {
+      const Entry& e = entries[i];
       int64_t quantized =
           static_cast<int64_t>(std::llround(e.value / options.quant_step));
       payload.PutVarint(e.index);
       payload.PutSignedVarint(quantized);
       double dq = static_cast<double>(quantized) * options.quant_step;
       retained_energy += dq * dq;
-      ++level_counts[level];
-      ++cursor;
     }
+    level_counts[level] = level_begin[level + 1] - level_begin[level];
     level_ends[level] = payload.size();
   }
 

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
+#include <fstream>
+#include <map>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "core/clock.h"
+#include "core/content_hash.h"
+#include "core/strings.h"
 #include "dm/dm.h"
 #include "dm/hedc_schema.h"
 #include "dm/process_layer.h"
@@ -776,10 +781,38 @@ TEST_F(ProcessTest, LoadRawUnitCreatesEverything) {
 }
 
 TEST_F(ProcessTest, LoadRejectsGarbageWithoutSideEffects) {
-  std::vector<uint8_t> garbage = {1, 2, 3, 4};
-  EXPECT_FALSE(process_->LoadRawUnit(root_, garbage).ok());
-  auto unit_count = db_.Execute("SELECT COUNT(*) FROM raw_units");
-  EXPECT_EQ(unit_count.value().rows[0][0].AsInt(), 0);
+  const rhessi::RawDataUnit& unit = units_[0];
+  ASSERT_GT(unit.photons.size(), 100u);
+  // Photon times that step backwards once.
+  rhessi::RawDataUnit unsorted = unit;
+  std::swap(unsorted.photons[50].time_sec, unsorted.photons[60].time_sec);
+  // A header that declares one photon more than the payload holds.
+  archive::FitsFile miscounted = unit.ToFits();
+  miscounted.primary().SetCard(
+      "NPHOTONS", std::to_string(unit.photons.size() + 1), "photon count");
+  // A photon payload cut short inside an intact container.
+  archive::FitsFile truncated = unit.ToFits();
+  for (archive::FitsHdu& hdu : truncated.hdus()) {
+    if (hdu.name == "PHOTONS") hdu.data.resize(hdu.data.size() - 7);
+  }
+  const std::pair<const char*, std::vector<uint8_t>> inputs[] = {
+      {"garbage", {1, 2, 3, 4}},
+      {"unsorted", unsorted.Pack()},
+      {"miscounted", miscounted.Serialize()},
+      {"truncated", truncated.Serialize()}};
+  for (const auto& [name, packed] : inputs) {
+    SCOPED_TRACE(name);
+    Result<DataLoadReport> report = process_->LoadRawUnit(root_, packed);
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(report.status().code(), StatusCode::kCorruption)
+        << report.status().ToString();
+    auto unit_count = db_.Execute("SELECT COUNT(*) FROM raw_units");
+    EXPECT_EQ(unit_count.value().rows[0][0].AsInt(), 0);
+    auto hle_count = db_.Execute("SELECT COUNT(*) FROM hle");
+    EXPECT_EQ(hle_count.value().rows[0][0].AsInt(), 0);
+    EXPECT_TRUE(archives_.Get(1)->List().empty());
+    EXPECT_FALSE(dm_->io().ReadItemFile(unit.unit_id).ok());
+  }
 }
 
 TEST_F(ProcessTest, RelocationMovesFilesAndNamesOnly) {
@@ -842,6 +875,111 @@ TEST_F(ProcessTest, GenerateCatalogGroupsByType) {
                 .value()
                 .size(),
             count);
+}
+
+// Digest of every value of a result set, bit for bit, in row order.
+uint64_t RowsDigest(const db::ResultSet& rs) {
+  uint64_t h = kFnv1a64OffsetBasis;
+  for (const db::Row& row : rs.rows) {
+    for (const db::Value& v : row) {
+      uint8_t type = static_cast<uint8_t>(v.type());
+      h = Fnv1a64(&type, 1, h);
+      switch (v.type()) {
+        case db::ValueType::kInt: {
+          int64_t i = v.int_value();
+          h = Fnv1a64(&i, sizeof(i), h);
+          break;
+        }
+        case db::ValueType::kReal: {
+          double d = v.real_value();
+          h = Fnv1a64(&d, sizeof(d), h);
+          break;
+        }
+        case db::ValueType::kBool: {
+          uint8_t b = v.bool_value() ? 1 : 0;
+          h = Fnv1a64(&b, 1, h);
+          break;
+        }
+        case db::ValueType::kText:
+          h = Fnv1a64(v.text(), h);
+          break;
+        case db::ValueType::kBlob:
+          h = Fnv1a64(v.blob().data(), v.blob().size(), h);
+          break;
+        case db::ValueType::kNull:
+          break;
+      }
+    }
+  }
+  return h;
+}
+
+// Golden ingest: the units perfbench's ingest workload loads (second-seed
+// telemetry, 200k photons per unit, every unit after the first starting
+// well after t = 0) must keep, per unit, the digests in
+// tests/data/ingest_golden.txt of its view file bytes, of every field of
+// its HLE rows and of its raw_units tuple. Run with HEDC_UPDATE_GOLDEN=1
+// to rewrite the file after an intended change to what a load derives.
+TEST_F(DmTest, IngestGoldenDigests) {
+  ProcessLayer process(dm_.get(), /*raw_archive_id=*/1);
+  rhessi::TelemetryOptions options;
+  options.duration_sec = 7200;
+  options.flares_per_hour = 9;
+  options.saa_per_hour = 0;
+  options.seed = 5 * 1000003 + 17;
+  std::vector<rhessi::RawDataUnit> units = rhessi::SegmentIntoUnits(
+      rhessi::GenerateTelemetry(options).photons, 200000, 1);
+  ASSERT_GT(units.size(), 10u);
+  ASSERT_GT(units[1].t_start, 0.0);
+
+  std::map<std::string, std::string> actual;
+  auto hex = [](uint64_t h) {
+    return StrFormat("%016llx", static_cast<unsigned long long>(h));
+  };
+  for (const rhessi::RawDataUnit& unit : units) {
+    Result<DataLoadReport> report = process.LoadRawUnit(root_, unit.Pack());
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    const db::Value id = db::Value::Int(unit.unit_id);
+    const std::string prefix =
+        StrFormat("unit%02lld/", static_cast<long long>(unit.unit_id));
+    Result<std::vector<uint8_t>> view =
+        dm_->io().ReadItemFile(ProcessLayer::ViewItemId(unit.unit_id));
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    actual[prefix + "view"] =
+        hex(Fnv1a64(view.value().data(), view.value().size()));
+    auto hles =
+        db_.Execute("SELECT * FROM hle WHERE unit_id = ? ORDER BY hle_id", {id});
+    ASSERT_TRUE(hles.ok()) << hles.status().ToString();
+    actual[prefix + "hle_rows"] = std::to_string(hles.value().num_rows());
+    actual[prefix + "hle"] = hex(RowsDigest(hles.value()));
+    auto tuple =
+        db_.Execute("SELECT * FROM raw_units WHERE unit_id = ?", {id});
+    ASSERT_TRUE(tuple.ok()) << tuple.status().ToString();
+    ASSERT_EQ(tuple.value().num_rows(), 1u);
+    actual[prefix + "raw_units"] = hex(RowsDigest(tuple.value()));
+  }
+
+  const std::string path =
+      std::string(HEDC_TEST_DATA_DIR) + "/ingest_golden.txt";
+  if (std::getenv("HEDC_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary);
+    for (const auto& [name, digest] : actual) {
+      out << name << ' ' << digest << '\n';
+    }
+    ASSERT_TRUE(out.good()) << path;
+    return;
+  }
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing " << path;
+  std::map<std::string, std::string> expected;
+  std::string name, digest;
+  while (in >> name >> digest) expected[name] = digest;
+  EXPECT_EQ(expected.size(), actual.size());
+  for (const auto& [case_name, want] : expected) {
+    auto it = actual.find(case_name);
+    ASSERT_NE(it, actual.end()) << case_name;
+    EXPECT_EQ(it->second, want) << case_name;
+  }
 }
 
 }  // namespace

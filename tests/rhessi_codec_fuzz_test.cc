@@ -3,11 +3,14 @@
 // it (hzip, FITS-lite, the HPH1 photon list) must either reproduce the
 // unit exactly or fail with kCorruption — never crash or allocate what
 // the input cannot hold — under truncation, bit flips and hostile length
-// fields. Every input is seeded, so a failure reproduces.
+// fields. UnpackBinned, the one-pass decode that ingest uses, must bin
+// exactly what Unpack decodes or fail the same way. Every input is
+// seeded, so a failure reproduces.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "archive/compression.h"
@@ -16,6 +19,7 @@
 #include "core/crc32.h"
 #include "core/rng.h"
 #include "core/status.h"
+#include "rhessi/event_detect.h"
 #include "rhessi/photon.h"
 #include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
@@ -265,6 +269,25 @@ TEST(RawUnitCodecFuzzTest, TimeSortedReportsEveryNegativeDelta) {
     ASSERT_TRUE(DecodePhotons(EncodePhotons(photons), &time_sorted).ok());
     EXPECT_FALSE(time_sorted) << "backwards step at " << k;
   }
+  // Two forward deltas whose sum wraps past the largest time: the second
+  // time is below the first although no delta is negative.
+  for (size_t pad : {0, 32}) {
+    ByteBuffer bytes;
+    bytes.PutU32(0x48504831);
+    bytes.PutVarint(2);
+    for (int i = 0; i < 2; ++i) {
+      bytes.PutSignedVarint(INT64_MAX);
+      bytes.PutVarint(100);
+      bytes.PutU8(0);
+    }
+    std::vector<uint8_t> input = bytes.data();
+    input.resize(input.size() + pad, 0);
+    time_sorted = true;
+    Result<PhotonList> wrapped = DecodePhotons(input, &time_sorted);
+    ASSERT_TRUE(wrapped.ok()) << wrapped.status().ToString();
+    EXPECT_LT(wrapped.value()[1].time_sec, wrapped.value()[0].time_sec);
+    EXPECT_FALSE(time_sorted) << "pad " << pad;
+  }
 }
 
 // A varint whose 10th byte carries more than the 64th bit, both where the
@@ -319,6 +342,205 @@ TEST(RawUnitCodecFuzzTest, HzipFormDecodesLikePlainForm) {
     EXPECT_EQ(from_legacy.value().time_sorted,
               from_plain.value().time_sorted);
   }
+}
+
+// The reference for UnpackBinned: the bins as DetectEvents and the view
+// build computed them over a decoded photon list, one array update per
+// photon.
+BinnedUnit ReferenceBins(const RawDataUnit& unit) {
+  BinnedUnit out;
+  out.unit_id = unit.unit_id;
+  out.t_start = unit.t_start;
+  out.t_stop = unit.t_stop;
+  out.calibration_version = unit.calibration_version;
+  out.num_photons = unit.photons.size();
+  const PhotonList& photons = unit.photons;
+  if (!photons.empty()) {
+    DetectionBins& d = out.detection;
+    size_t num_bins =
+        static_cast<size_t>(std::ceil(photons.back().time_sec / d.bin_sec)) +
+        1;
+    d.counts.assign(num_bins, 0);
+    d.energy_sum.assign(num_bins, 0.0);
+    d.hard_counts.assign(num_bins, 0);
+    for (const PhotonEvent& p : photons) {
+      size_t b = static_cast<size_t>(p.time_sec / d.bin_sec);
+      if (b >= num_bins) b = num_bins - 1;
+      ++d.counts[b];
+      d.energy_sum[b] += p.energy_kev;
+      if (p.energy_kev > 100.0) ++d.hard_counts[b];
+    }
+  }
+  double lo = unit.t_start;
+  double hi = unit.t_stop + 1e-6;
+  if (hi <= lo) return out;
+  out.view_counts.assign(kViewBins, 0.0);
+  out.view_energies.assign(kViewBins, 0.0);
+  double width = (hi - lo) / static_cast<double>(kViewBins);
+  for (const PhotonEvent& p : photons) {
+    if (p.time_sec < lo || p.time_sec >= hi) continue;
+    size_t b = static_cast<size_t>((p.time_sec - lo) / width);
+    if (b >= kViewBins) b = kViewBins - 1;
+    out.view_counts[b] += 1.0;
+    out.view_energies[b] += p.energy_kev;
+  }
+  return out;
+}
+
+// Bit-for-bit equality of doubles (so -0.0 and NaN compare by bits).
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+void ExpectSameBins(const BinnedUnit& actual, const BinnedUnit& expected) {
+  EXPECT_EQ(actual.unit_id, expected.unit_id);
+  EXPECT_EQ(actual.t_start, expected.t_start);
+  EXPECT_EQ(actual.t_stop, expected.t_stop);
+  EXPECT_EQ(actual.calibration_version, expected.calibration_version);
+  EXPECT_EQ(actual.num_photons, expected.num_photons);
+  EXPECT_EQ(actual.detection.counts, expected.detection.counts);
+  EXPECT_TRUE(SameBits(actual.detection.energy_sum,
+                       expected.detection.energy_sum));
+  EXPECT_EQ(actual.detection.hard_counts, expected.detection.hard_counts);
+  EXPECT_TRUE(SameBits(actual.view_counts, expected.view_counts));
+  EXPECT_TRUE(SameBits(actual.view_energies, expected.view_energies));
+}
+
+void ExpectSameEvents(const std::vector<DetectedEvent>& a,
+                      const std::vector<DetectedEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].kind, b[i].kind);
+    EXPECT_EQ(a[i].t_start, b[i].t_start);
+    EXPECT_EQ(a[i].t_end, b[i].t_end);
+    EXPECT_EQ(a[i].peak_rate, b[i].peak_rate);
+    EXPECT_EQ(a[i].peak_energy_kev, b[i].peak_energy_kev);
+    EXPECT_EQ(a[i].photon_count, b[i].photon_count);
+  }
+}
+
+// The one-pass decode against Unpack + the list binning + DetectEvents:
+// identical bins and events when Unpack gives a time-sorted unit,
+// kCorruption when it gives an unsorted one, and Unpack's error code
+// otherwise. Returns whether the one-pass decode succeeded.
+bool ExpectOnePassMatchesUnpack(const std::vector<uint8_t>& bytes) {
+  Result<RawDataUnit> unpacked = RawDataUnit::Unpack(bytes);
+  Result<BinnedUnit> binned = UnpackBinned(bytes);
+  if (!unpacked.ok()) {
+    EXPECT_FALSE(binned.ok());
+    if (!binned.ok()) {
+      EXPECT_EQ(binned.status().code(), unpacked.status().code());
+    }
+    return false;
+  }
+  if (!unpacked.value().time_sorted) {
+    EXPECT_EQ(binned.status().code(), StatusCode::kCorruption);
+    return false;
+  }
+  EXPECT_TRUE(binned.ok()) << binned.status().ToString();
+  if (!binned.ok()) return false;
+  BinnedUnit expected = ReferenceBins(unpacked.value());
+  ExpectSameBins(binned.value(), expected);
+  ExpectSameBins(BinUnit(unpacked.value()), expected);
+  ExpectSameEvents(DetectEventsFromBins(binned.value().detection),
+                   DetectEvents(unpacked.value().photons));
+  ExpectSameEvents(DetectEventsFromBins(binned.value().detection),
+                   DetectEventsFromBins(expected.detection));
+  return true;
+}
+
+// Seeded sorted photon lists, as stored units: starting at and well after
+// t = 0, with header time ranges that match the photons, cut into them,
+// and are empty, and with photons on exact bin edges.
+TEST(RawUnitCodecFuzzTest, OnePassBinsMatchDecodedUnit) {
+  Rng rng(0xb1115);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(trial);
+    RawDataUnit unit;
+    unit.unit_id = 7 + trial;
+    unit.calibration_version = 1 + trial % 3;
+    double t = trial % 3 == 0 ? 0.0 : rng.Uniform(0, 5000);
+    size_t n = static_cast<size_t>(rng.UniformInt(0, 4000));
+    for (size_t i = 0; i < n; ++i) {
+      // Bursts of photons within one bin, gaps of several bins, and
+      // times on whole seconds.
+      int64_t step = rng.UniformInt(0, 9);
+      if (step == 0) {
+        t += rng.Uniform(2, 40);
+      } else if (step == 1) {
+        t = std::floor(t) + 1;
+      } else {
+        t += rng.Uniform(0, 0.02);
+      }
+      PhotonEvent p;
+      p.time_sec = t;
+      p.energy_kev = static_cast<float>(
+          rng.UniformInt(0, 3) == 0 ? rng.Uniform(100, 20000)
+                                    : rng.Uniform(3, 100));
+      p.detector = static_cast<uint8_t>(rng.UniformInt(0, 8));
+      p.segment = static_cast<uint8_t>(rng.UniformInt(0, 1));
+      unit.photons.push_back(p);
+    }
+    if (!unit.photons.empty()) {
+      unit.t_start = unit.photons.front().time_sec;
+      unit.t_stop = unit.photons.back().time_sec;
+      switch (trial % 4) {
+        case 1:  // a header range inside the photons
+          unit.t_start += (unit.t_stop - unit.t_start) / 4;
+          unit.t_stop -= (unit.t_stop - unit.t_start) / 4;
+          break;
+        case 2:  // an empty header range: no view bins
+          unit.t_stop = unit.t_start - 1;
+          break;
+        default:
+          break;
+      }
+    }
+    std::vector<uint8_t> packed = unit.Pack();
+    EXPECT_TRUE(ExpectOnePassMatchesUnpack(packed));
+    EXPECT_TRUE(ExpectOnePassMatchesUnpack(archive::Compress(packed)));
+  }
+}
+
+// Damaged photon payloads inside intact containers: bit flips, byte
+// overwrites, cuts and insertions. Many still decode, to other photons.
+TEST(RawUnitCodecFuzzTest, OnePassMatchesUnpackOnDamagedPayloads) {
+  RawDataUnit unit = MakeUnit(6, 20);
+  const std::vector<uint8_t> encoded = EncodePhotons(unit.photons);
+  Rng rng(0xda7a);
+  int decoded = 0;
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<uint8_t> damaged = encoded;
+    auto pos = [&]() {
+      return static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(damaged.size()) - 1));
+    };
+    switch (trial % 4) {
+      case 0:
+        damaged[pos()] ^= static_cast<uint8_t>(1u << rng.UniformInt(0, 7));
+        break;
+      case 1:
+        damaged[pos()] = static_cast<uint8_t>(rng.UniformInt(0, 255));
+        break;
+      case 2:
+        damaged.resize(pos());
+        break;
+      default:
+        damaged.insert(damaged.begin() + static_cast<std::ptrdiff_t>(pos()),
+                       static_cast<uint8_t>(rng.UniformInt(0, 255)));
+        break;
+    }
+    archive::FitsFile fits = unit.ToFits();
+    for (archive::FitsHdu& hdu : fits.hdus()) {
+      if (hdu.name == "PHOTONS") hdu.data = damaged;
+    }
+    SCOPED_TRACE(trial);
+    if (ExpectOnePassMatchesUnpack(fits.Serialize())) ++decoded;
+  }
+  // The sorted, decodable damage is a real share of the trials.
+  EXPECT_GT(decoded, 100);
 }
 
 }  // namespace
