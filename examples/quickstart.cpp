@@ -1,7 +1,7 @@
 // Quickstart: stand up a minimal HEDC repository, load one raw data
 // unit, browse it through the web tier, and run one analysis.
 //
-//   telemetry -> raw unit (FITS + hzip) -> data-load process
+//   telemetry -> raw unit (FITS-lite) -> data-load process
 //   (event detection, HLEs, standard catalog, wavelet views)
 //   -> web browsing -> PL analysis -> ANA tuple + image file.
 #include <cstdio>

@@ -14,7 +14,11 @@
 # that lane; the stress label regex picks it up here) — under
 # ThreadSanitizer, and last every non-stress test (`ctest -LE stress`, the
 # codec fuzz suites included) under AddressSanitizer + UndefinedBehavior
-# Sanitizer. Run from the repo root:
+# Sanitizer. The reachability lane (ctest -L reachability: every src/
+# function is reached by a program or listed in
+# scripts/reachability_allowlist.txt) runs once, in the default build: the
+# check compiles its own unsanitized -O0 tree, so the ASan lane excludes
+# its label. Run from the repo root:
 #   scripts/verify.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,8 +30,11 @@ cmake --build build -j
 echo "=== cluster lane (routing, failover, coherence) ==="
 (cd build && ctest -L cluster --output-on-failure)
 
-echo "=== full suite, 8 tests in parallel (fast tests + stress + bench-smoke) ==="
-(cd build && ctest --output-on-failure -j8)
+echo "=== reachability lane (every src/ function reached or listed) ==="
+(cd build && ctest -L reachability --output-on-failure)
+
+echo "=== full suite but the reachability lane, 8 tests in parallel (fast tests + stress + bench-smoke) ==="
+(cd build && ctest -LE reachability --output-on-failure -j8)
 
 echo "=== end-to-end benchmark unit tests (perfbench) ==="
 python3 perfbench/run.py --test
@@ -63,6 +70,6 @@ cmake -B build-asan -S . -DHEDC_SANITIZE=address >/dev/null
 cmake --build build-asan -j
 
 echo "=== every non-stress test under ASan + UBSan (includes the codec fuzz suites) ==="
-(cd build-asan && ctest -LE stress --output-on-failure -j4)
+(cd build-asan && ctest -LE "stress|reachability" --output-on-failure -j4)
 
 echo "verify: OK"

@@ -3,8 +3,8 @@
 // LZSS-style codec: greedy longest-match against a 64 KiB sliding window,
 // emitting literal runs and (distance, length) back-references with varint
 // coding. Not deflate-compatible. It is the entropy stage of rendered
-// images; raw data units are no longer written with it (it grows the
-// delta-coded photon payload), but units stored in hzip form still load.
+// images only: raw data units are stored as plain FITS-lite (hzip grows
+// their delta-coded photon payload), and an hzip raw unit is kCorruption.
 #ifndef HEDC_ARCHIVE_COMPRESSION_H_
 #define HEDC_ARCHIVE_COMPRESSION_H_
 

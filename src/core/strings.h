@@ -20,7 +20,6 @@ std::string ToLower(std::string_view s);
 std::string ToUpper(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 
 // Case-insensitive ASCII comparison.
 bool EqualsIgnoreCase(std::string_view a, std::string_view b);

@@ -13,46 +13,11 @@ ThreadPool::ThreadPool(size_t num_threads, size_t queue_capacity)
 
 ThreadPool::~ThreadPool() { Shutdown(); }
 
-bool ThreadPool::Submit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    if (shutdown_) return false;
-    ++pending_;
-  }
-  if (!queue_.Push(std::move(task))) {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    --pending_;
-    return false;
-  }
-  return true;
-}
-
 bool ThreadPool::TrySubmit(std::function<void()> task) {
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    if (shutdown_) return false;
-    ++pending_;
-  }
-  if (!queue_.TryPush(std::move(task))) {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    --pending_;
-    if (pending_ == 0) idle_cv_.notify_all();
-    return false;
-  }
-  return true;
-}
-
-void ThreadPool::Wait() {
-  std::unique_lock<std::mutex> lock(wait_mu_);
-  idle_cv_.wait(lock, [this] { return pending_ == 0; });
+  return queue_.TryPush(std::move(task));
 }
 
 void ThreadPool::Shutdown() {
-  {
-    std::lock_guard<std::mutex> lock(wait_mu_);
-    if (shutdown_) return;
-    shutdown_ = true;
-  }
   queue_.Close();
   for (auto& t : threads_) {
     if (t.joinable()) t.join();
@@ -60,15 +25,8 @@ void ThreadPool::Shutdown() {
 }
 
 void ThreadPool::WorkerLoop() {
-  while (true) {
-    std::optional<std::function<void()>> task = queue_.Pop();
-    if (!task.has_value()) return;
+  while (std::optional<std::function<void()>> task = queue_.Pop()) {
     (*task)();
-    {
-      std::lock_guard<std::mutex> lock(wait_mu_);
-      --pending_;
-      if (pending_ == 0) idle_cv_.notify_all();
-    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Fixed-size worker pool and a bounded MPMC queue.
 //
-// IDL server managers invoke analyses on a worker pool (§8), and the
-// database runs morsel-parallel scans on one.
+// The database runs its morsel-parallel scans and join builds on a pool;
+// a caller that finds the pool's queue full runs the work inline.
 #ifndef HEDC_CORE_THREAD_POOL_H_
 #define HEDC_CORE_THREAD_POOL_H_
 
@@ -80,18 +80,14 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Enqueues `task`; returns false after Shutdown().
-  bool Submit(std::function<void()> task);
-
-  // Non-blocking Submit: fails instead of waiting when the queue is
-  // full. Lets latency-sensitive callers (parallel scans) degrade to
-  // running the work inline rather than block behind a saturated pool.
+  // Enqueues `task` without blocking: fails when the queue is full or
+  // after Shutdown(). Lets latency-sensitive callers (parallel scans)
+  // degrade to running the work inline rather than block behind a
+  // saturated pool.
   bool TrySubmit(std::function<void()> task);
 
-  // Blocks until all submitted tasks have finished executing.
-  void Wait();
-
-  // Stops accepting tasks, drains the queue, joins workers.
+  // Stops accepting tasks, drains the queue, joins workers. Called by
+  // the owner (and the destructor), not concurrently.
   void Shutdown();
 
   size_t num_threads() const { return threads_.size(); }
@@ -101,10 +97,6 @@ class ThreadPool {
 
   BoundedQueue<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
-  std::mutex wait_mu_;
-  std::condition_variable idle_cv_;
-  size_t pending_ = 0;  // queued + running
-  bool shutdown_ = false;
 };
 
 }  // namespace hedc

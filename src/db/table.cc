@@ -152,8 +152,6 @@ Result<Row> Table::Get(int64_t row_id) const {
 
 const Row* Table::Find(int64_t row_id) const { return Slot(row_id); }
 
-bool Table::Exists(int64_t row_id) const { return Slot(row_id) != nullptr; }
-
 void Table::Scan(
     const std::function<bool(int64_t, const Row&)>& visit) const {
   for (const auto& [key, m] : morsels_) {
@@ -169,16 +167,6 @@ void Table::Scan(
 void Table::ListMorsels(std::vector<const Morsel*>* out) const {
   out->reserve(out->size() + morsels_.size());
   for (const auto& [key, m] : morsels_) out->push_back(m.get());
-}
-
-bool Table::ScanChunk(ScanCursor* cursor, DataChunk* chunk,
-                      const Morsel** morsel) const {
-  auto it = morsels_.lower_bound(cursor->next_key);
-  if (it == morsels_.end()) return false;
-  cursor->next_key = it->first + 1;
-  FillChunk(*it->second, chunk);
-  if (morsel != nullptr) *morsel = it->second.get();
-  return true;
 }
 
 void Table::FillChunk(const Morsel& m, DataChunk* chunk) const {
@@ -233,32 +221,13 @@ const IndexDef* Table::FindIndex(size_t column, bool need_range) const {
   return need_range ? nullptr : hash_match;
 }
 
-const BTreeIndex* Table::btree(const std::string& index_name) const {
+BTreeIndex* Table::mutable_btree(const std::string& index_name) {
   for (size_t i = 0; i < index_defs_.size(); ++i) {
     if (EqualsIgnoreCase(index_defs_[i].name, index_name)) {
       return btrees_[i].get();
     }
   }
   return nullptr;
-}
-
-const HashIndex* Table::hash(const std::string& index_name) const {
-  for (size_t i = 0; i < index_defs_.size(); ++i) {
-    if (EqualsIgnoreCase(index_defs_[i].name, index_name)) {
-      return hashes_[i].get();
-    }
-  }
-  return nullptr;
-}
-
-BTreeIndex* Table::mutable_btree(const std::string& index_name) {
-  return const_cast<BTreeIndex*>(
-      static_cast<const Table*>(this)->btree(index_name));
-}
-
-HashIndex* Table::mutable_hash(const std::string& index_name) {
-  return const_cast<HashIndex*>(
-      static_cast<const Table*>(this)->hash(index_name));
 }
 
 void Table::IndexLookup(const IndexDef& def, const Value& key,

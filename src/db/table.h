@@ -72,7 +72,6 @@ class Table {
   // Borrowed pointer to the row, or nullptr if absent. Stable until the
   // next mutation of this table (callers hold the table latch).
   const Row* Find(int64_t row_id) const;
-  bool Exists(int64_t row_id) const;
 
   // Full scan in ascending row-id order; `visit` returns false to stop.
   void Scan(const std::function<bool(int64_t, const Row&)>& visit) const;
@@ -108,19 +107,8 @@ class Table {
   // stable while the caller holds the table latch.
   void ListMorsels(std::vector<const Morsel*>* out) const;
 
-  // Cursor for chunk-at-a-time scanning (serial batched path).
-  struct ScanCursor {
-    int64_t next_key = 0;  // morsel map key (first_row_id / width)
-  };
-
-  // Fills `chunk` with the live rows of the next non-empty morsel and
-  // advances the cursor; returns false when the heap is exhausted. If
-  // `morsel` is non-null it receives the source morsel (for zone maps).
-  bool ScanChunk(ScanCursor* cursor, DataChunk* chunk,
-                 const Morsel** morsel = nullptr) const;
-
-  // Fills `chunk` with the live rows of `m` (parallel workers fill
-  // chunks from morsels they claimed).
+  // Fills `chunk` with the live rows of `m` (scans fill chunks from the
+  // morsels they walk or, in parallel, claim).
   void FillChunk(const Morsel& m, DataChunk* chunk) const;
 
   // Index management. Column is named; fails if absent or duplicated.
@@ -135,12 +123,9 @@ class Table {
   const IndexDef* primary_key_index() const {
     return has_primary_key_ ? &index_defs_.front() : nullptr;
   }
-  const BTreeIndex* btree(const std::string& index_name) const;
-  const HashIndex* hash(const std::string& index_name) const;
-  // Mutable index access for recovery tooling and fault-injection tests
+  // The named B+-tree index (nullptr if none), for fault-injection tests
   // (e.g. planting a stale entry to exercise the executor's skip path).
   BTreeIndex* mutable_btree(const std::string& index_name);
-  HashIndex* mutable_hash(const std::string& index_name);
 
   // Row ids via index lookup (point) and range scan.
   void IndexLookup(const IndexDef& def, const Value& key,

@@ -378,18 +378,6 @@ Result<std::vector<AnaRecord>> SemanticLayer::ListAnalyses(
   return DecodeRows(std::move(rs), kAnaFields);
 }
 
-Status SemanticLayer::SetAnaPublic(const Session& session, int64_t ana_id,
-                                   bool value) {
-  HEDC_ASSIGN_OR_RETURN(AnaRecord record, GetAna(session, ana_id));
-  HEDC_RETURN_IF_ERROR(RequireOwnership(session, record.owner_id));
-  HEDC_ASSIGN_OR_RETURN(
-      db::ResultSet r,
-      io_->Update("ana", "UPDATE ana SET is_public = ? WHERE ana_id = ?",
-                  {db::Value::Bool(value), db::Value::Int(ana_id)}));
-  (void)r;
-  return Status::Ok();
-}
-
 Status SemanticLayer::DeleteAna(const Session& session, int64_t ana_id) {
   HEDC_ASSIGN_OR_RETURN(AnaRecord record, GetAna(session, ana_id));
   HEDC_RETURN_IF_ERROR(RequireOwnership(session, record.owner_id));

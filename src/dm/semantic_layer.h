@@ -109,7 +109,6 @@ class SemanticLayer {
   Result<AnaRecord> GetAna(const Session& session, int64_t ana_id);
   Result<std::vector<AnaRecord>> ListAnalyses(const Session& session,
                                               int64_t hle_id);
-  Status SetAnaPublic(const Session& session, int64_t ana_id, bool value);
   Status DeleteAna(const Session& session, int64_t ana_id);
 
   // Redundant-work detection (§3.5): an existing, visible analysis of

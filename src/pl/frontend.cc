@@ -69,26 +69,6 @@ void DurationPredictor::Observe(const std::string& routine,
   }
 }
 
-const char* RequestStateName(RequestState state) {
-  switch (state) {
-    case RequestState::kQueued:
-      return "queued";
-    case RequestState::kEstimated:
-      return "estimated";
-    case RequestState::kExecuting:
-      return "executing";
-    case RequestState::kDelivered:
-      return "delivered";
-    case RequestState::kCommitted:
-      return "committed";
-    case RequestState::kFailed:
-      return "failed";
-    case RequestState::kCancelled:
-      return "cancelled";
-  }
-  return "?";
-}
-
 Frontend::Frontend(GlobalDirectory* directory, DurationPredictor* predictor,
                    Clock* clock, Committer committer, Options options)
     : directory_(directory),

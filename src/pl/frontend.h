@@ -84,8 +84,6 @@ enum class RequestState {
   kCancelled,
 };
 
-const char* RequestStateName(RequestState state);
-
 struct ProcessingRequest {
   int64_t request_id = 0;
   // Request-tracing id carried through all four phases; Submit defaults it

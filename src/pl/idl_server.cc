@@ -47,15 +47,6 @@ bool IdlServer::TryClaim() {
   return state_.compare_exchange_strong(expected, ServerState::kBusy);
 }
 
-Result<analysis::AnalysisProduct> IdlServer::Invoke(
-    const std::string& routine, const rhessi::PhotonList& photons,
-    const analysis::AnalysisParams& params) {
-  if (!TryClaim()) {
-    return Status::Unavailable(name_ + " is " + ServerStateName(state_));
-  }
-  return InvokeClaimed(routine, photons, params);
-}
-
 Result<analysis::AnalysisProduct> IdlServer::InvokeClaimed(
     const std::string& routine, const rhessi::PhotonList& photons,
     const analysis::AnalysisParams& params) {

@@ -52,18 +52,13 @@ class IdlServer {
   // managed (start, stop, restart)").
   Status Restart();
 
-  // Synchronous invocation. Fails kUnavailable if the server is not idle
-  // or crashed mid-call; kTimeout on exceeding the work budget; kNotFound
-  // for unknown routines.
-  Result<analysis::AnalysisProduct> Invoke(const std::string& routine,
-                                           const rhessi::PhotonList& photons,
-                                           const analysis::AnalysisParams& params);
-
   // Claims an idle interpreter for one call (idle -> busy); false if it
   // is not idle. The claimer then calls InvokeClaimed exactly once.
   bool TryClaim();
-  // Invoke on an interpreter this caller claimed: same results, and the
-  // interpreter ends idle again or crashed.
+  // Synchronous invocation on an interpreter this caller claimed. Fails
+  // kUnavailable if the interpreter crashed mid-call; kTimeout on
+  // exceeding the work budget; kNotFound for unknown routines. The
+  // interpreter ends idle again, or crashed.
   Result<analysis::AnalysisProduct> InvokeClaimed(
       const std::string& routine, const rhessi::PhotonList& photons,
       const analysis::AnalysisParams& params);

@@ -42,13 +42,6 @@ int CalibrationTable::LatestVersion() const {
   return versions_.empty() ? 0 : versions_.rbegin()->first;
 }
 
-std::vector<int> CalibrationTable::Versions() const {
-  std::vector<int> out;
-  out.reserve(versions_.size());
-  for (const auto& [v, cal] : versions_) out.push_back(v);
-  return out;
-}
-
 Result<PhotonList> CalibrationTable::Recalibrate(const PhotonList& photons,
                                                  int from_version,
                                                  int to_version) const {

@@ -38,7 +38,6 @@ class CalibrationTable {
   Status Register(CalibrationVersion version);
   Result<CalibrationVersion> Get(int version) const;
   int LatestVersion() const;
-  std::vector<int> Versions() const;
 
   // Recalibrates photons from `from_version` to `to_version` by undoing
   // the old correction and applying the new one.

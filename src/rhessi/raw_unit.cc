@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "archive/compression.h"
 #include "core/strings.h"
 
 namespace hedc::rhessi {
@@ -27,17 +26,6 @@ archive::FitsFile RawDataUnit::ToFits() const {
 }
 
 namespace {
-
-// Both stored forms: plain FITS-lite, and the hzip stream older versions
-// of Pack wrote.
-Result<archive::FitsFile> ParseStored(const std::vector<uint8_t>& bytes) {
-  if (archive::IsCompressed(bytes)) {
-    HEDC_ASSIGN_OR_RETURN(std::vector<uint8_t> raw,
-                          archive::Decompress(bytes));
-    return archive::FitsFile::Parse(raw);
-  }
-  return archive::FitsFile::Parse(bytes);
-}
 
 // Reads the header cards into `unit` (its photons untouched) and opens the
 // PHOTONS payload, whose photon count must match NPHOTONS when given.
@@ -135,10 +123,16 @@ class UnitBinner {
         view_(header.t_start, header.t_stop),
         out_(out) {}
 
+  // A photon later than kMaxPhotonTimeSec is not binned, only noted.
   void operator()(const PhotonEvent& p) {
+    if (p.time_sec > kMaxPhotonTimeSec) {
+      too_late_ = true;
+      return;
+    }
     detection_.Add(p.time_sec, p.energy_kev, &out_->detection);
     view_.Add(p.time_sec, p.energy_kev, out_);
   }
+  bool too_late() const { return too_late_; }
 
   void Finish() const {
     detection_.Finish(&out_->detection);
@@ -149,7 +143,13 @@ class UnitBinner {
   DetectionBinner detection_;
   ViewBinner view_;
   BinnedUnit* out_;
+  bool too_late_ = false;
 };
+
+Status LatePhotonError() {
+  return Status::Corruption(
+      StrFormat("raw unit photon later than %.0f s", kMaxPhotonTimeSec));
+}
 
 }  // namespace
 
@@ -158,6 +158,14 @@ Result<RawDataUnit> RawDataUnit::FromFits(const archive::FitsFile& fits) {
   HEDC_ASSIGN_OR_RETURN(PhotonPayload payload, ReadHeader(fits, &unit));
   HEDC_ASSIGN_OR_RETURN(unit.photons,
                         DecodePhotons(payload, &unit.time_sorted));
+  auto late = [](const PhotonEvent& p) {
+    return p.time_sec > kMaxPhotonTimeSec;
+  };
+  if (unit.time_sorted ? !unit.photons.empty() && late(unit.photons.back())
+                       : std::any_of(unit.photons.begin(),
+                                     unit.photons.end(), late)) {
+    return LatePhotonError();
+  }
   return unit;
 }
 
@@ -166,7 +174,8 @@ std::vector<uint8_t> RawDataUnit::Pack() const {
 }
 
 Result<RawDataUnit> RawDataUnit::Unpack(const std::vector<uint8_t>& bytes) {
-  HEDC_ASSIGN_OR_RETURN(archive::FitsFile fits, ParseStored(bytes));
+  HEDC_ASSIGN_OR_RETURN(archive::FitsFile fits,
+                        archive::FitsFile::Parse(bytes));
   return FromFits(fits);
 }
 
@@ -179,7 +188,8 @@ BinnedUnit BinUnit(const RawDataUnit& unit) {
 }
 
 Result<BinnedUnit> UnpackBinned(const std::vector<uint8_t>& bytes) {
-  HEDC_ASSIGN_OR_RETURN(archive::FitsFile fits, ParseStored(bytes));
+  HEDC_ASSIGN_OR_RETURN(archive::FitsFile fits,
+                        archive::FitsFile::Parse(bytes));
   RawDataUnit header;
   HEDC_ASSIGN_OR_RETURN(PhotonPayload payload, ReadHeader(fits, &header));
   BinnedUnit out = StartBinnedUnit(header, payload.count);
@@ -189,6 +199,7 @@ Result<BinnedUnit> UnpackBinned(const std::vector<uint8_t>& bytes) {
   if (!time_sorted) {
     return Status::Corruption("raw unit photon times decrease");
   }
+  if (binner.too_late()) return LatePhotonError();
   binner.Finish();
   return out;
 }

@@ -1,9 +1,9 @@
 // Raw data units: telemetry segmented along the time axis and packaged
 // into FITS files (§2.1's "units of roughly 40 MB ... formatted as FITS
-// and compressed using gnu-zip", scaled down). New units are stored as
-// plain FITS-lite: hzip makes the delta-coded photon payload 2-3% larger
-// (bench/abl_compression). Units stored in the older hzip form still
-// unpack.
+// and compressed using gnu-zip", scaled down). Units are stored as
+// plain FITS-lite, not hzip: hzip makes the delta-coded photon payload
+// 2-3% larger (bench/abl_compression). Any other container is
+// kCorruption.
 #ifndef HEDC_RHESSI_RAW_UNIT_H_
 #define HEDC_RHESSI_RAW_UNIT_H_
 
@@ -33,11 +33,19 @@ struct RawDataUnit {
   archive::FitsFile ToFits() const;
   static Result<RawDataUnit> FromFits(const archive::FitsFile& fits);
 
-  // Serialize / parse round trip. Unpack also reads units in the hzip
-  // form older versions of Pack wrote.
+  // Serialize / parse round trip.
   std::vector<uint8_t> Pack() const;
   static Result<RawDataUnit> Unpack(const std::vector<uint8_t>& bytes);
 };
+
+// Detection bins run from t = 0 to a unit's last photon, so what binning
+// a unit allocates grows with its last photon time, not with its size. A
+// unit with a photon later than this is kCorruption to Unpack and
+// UnpackBinned before any bin is allocated: 1e5 s (27.8 h, at most 2.4 MB
+// of 1 s bins) is 7.2x the latest photon of any unit the tests, examples,
+// benches and perfbench pack (13,979 s, in the flare_pipeline example's
+// 4 h of telemetry).
+inline constexpr double kMaxPhotonTimeSec = 1e5;
 
 // A unit's stored view has kViewBins time bins over
 // [t_start, t_stop + 1 µs).
@@ -58,7 +66,8 @@ struct BinnedUnit {
   std::vector<double> view_energies;
 };
 
-// Bins a unit's photons, which must be time-sorted.
+// Bins a unit's photons, which must be time-sorted and no later than
+// kMaxPhotonTimeSec (as Unpack guarantees); later photons are skipped.
 BinnedUnit BinUnit(const RawDataUnit& unit);
 
 // Unpack and BinUnit in one pass over the encoded photons, without

@@ -9,7 +9,6 @@
 namespace hedc::wavelet {
 
 namespace {
-constexpr uint32_t kCodecMagic = 0x48575631;        // "HWV1"
 constexpr uint32_t kProgressiveMagic = 0x48575633;  // "HWV3"
 
 bool IsPow2(uint64_t n) { return n != 0 && (n & (n - 1)) == 0; }
@@ -123,40 +122,6 @@ std::vector<uint8_t> EncodeSignalProgressive(const std::vector<double>& signal,
 }
 
 namespace {
-
-struct StreamHeader {
-  size_t original_len;
-  size_t padded_len;
-  double quant_step;
-  size_t num_coeffs;
-};
-
-Status ReadHeader(ByteReader* reader, StreamHeader* header) {
-  uint32_t magic = 0;
-  HEDC_RETURN_IF_ERROR(reader->GetU32(&magic));
-  if (magic != kCodecMagic) {
-    return Status::Corruption("not a wavelet stream (bad magic)");
-  }
-  uint64_t original_len = 0, padded_len = 0, num_coeffs = 0;
-  HEDC_RETURN_IF_ERROR(reader->GetVarint(&original_len));
-  HEDC_RETURN_IF_ERROR(reader->GetVarint(&padded_len));
-  HEDC_RETURN_IF_ERROR(reader->GetF64(&header->quant_step));
-  HEDC_RETURN_IF_ERROR(reader->GetVarint(&num_coeffs));
-  header->original_len = original_len;
-  header->padded_len = padded_len;
-  header->num_coeffs = num_coeffs;
-  if (padded_len == 0 || padded_len > kMaxPaddedLen || !IsPow2(padded_len) ||
-      padded_len < original_len || !std::isfinite(header->quant_step) ||
-      header->quant_step <= 0) {
-    return Status::Corruption("wavelet stream header invalid");
-  }
-  // Each record is at least two bytes; a count that cannot fit in the
-  // remaining stream is hostile, not merely truncated.
-  if (num_coeffs > padded_len || num_coeffs * 2 > reader->remaining()) {
-    return Status::Corruption("wavelet coefficient count exceeds stream");
-  }
-  return Status::Ok();
-}
 
 // HWV3 header plus the derived payload geometry.
 struct ProgressiveHeader {
@@ -303,66 +268,22 @@ Result<std::vector<double>> DecodeProgressive(const uint8_t* data,
 
 Result<std::vector<double>> DecodeSignal(const std::vector<uint8_t>& stream,
                                          double fraction) {
-  if (stream.size() >= 4) {
-    uint32_t magic = static_cast<uint32_t>(stream[0]) |
-                     static_cast<uint32_t>(stream[1]) << 8 |
-                     static_cast<uint32_t>(stream[2]) << 16 |
-                     static_cast<uint32_t>(stream[3]) << 24;
-    if (magic == kProgressiveMagic) {
-      ByteReader peek(stream);
-      ProgressiveHeader header;
-      HEDC_RETURN_IF_ERROR(ReadProgressiveHeader(&peek, &header));
-      size_t take = header.num_coeffs;
-      if (fraction < 1.0) {
-        take = static_cast<size_t>(
-            std::ceil(fraction * static_cast<double>(header.num_coeffs)));
-        if (fraction > 0 && take == 0) take = 1;
-      }
-      return DecodeProgressive(stream.data(), stream.size(), take, nullptr);
-    }
-  }
-
-  ByteReader reader(stream);
-  StreamHeader header;
-  HEDC_RETURN_IF_ERROR(ReadHeader(&reader, &header));
-
+  ByteReader peek(stream);
+  ProgressiveHeader header;
+  HEDC_RETURN_IF_ERROR(ReadProgressiveHeader(&peek, &header));
   size_t take = header.num_coeffs;
   if (fraction < 1.0) {
     take = static_cast<size_t>(
         std::ceil(fraction * static_cast<double>(header.num_coeffs)));
     if (fraction > 0 && take == 0) take = 1;
   }
-
-  std::vector<double> coeffs(header.padded_len, 0.0);
-  for (size_t i = 0; i < header.num_coeffs && i < take; ++i) {
-    uint64_t index = 0;
-    int64_t quantized = 0;
-    HEDC_RETURN_IF_ERROR(reader.GetVarint(&index));
-    HEDC_RETURN_IF_ERROR(reader.GetSignedVarint(&quantized));
-    if (index >= header.padded_len) {
-      return Status::Corruption("wavelet coefficient index out of range");
-    }
-    coeffs[index] = static_cast<double>(quantized) * header.quant_step;
-  }
-
-  HaarInverse(&coeffs);
-  coeffs.resize(header.original_len);
-  return coeffs;
+  return DecodeProgressive(stream.data(), stream.size(), take, nullptr);
 }
 
 Result<std::vector<double>> DecodeSignalPrefix(const uint8_t* data,
                                                size_t size,
                                                PrefixInfo* info) {
   return DecodeProgressive(data, size, static_cast<size_t>(-1), info);
-}
-
-bool IsProgressiveStream(const std::vector<uint8_t>& stream) {
-  if (stream.size() < 4) return false;
-  uint32_t magic = static_cast<uint32_t>(stream[0]) |
-                   static_cast<uint32_t>(stream[1]) << 8 |
-                   static_cast<uint32_t>(stream[2]) << 16 |
-                   static_cast<uint32_t>(stream[3]) << 24;
-  return magic == kProgressiveMagic;
 }
 
 Result<size_t> ResolutionLevels(const std::vector<uint8_t>& stream) {
@@ -391,15 +312,9 @@ Result<std::vector<uint8_t>> SlicePrefixForLevel(
 }
 
 Result<size_t> CoefficientCount(const std::vector<uint8_t>& stream) {
-  if (IsProgressiveStream(stream)) {
-    ByteReader reader(stream);
-    ProgressiveHeader header;
-    HEDC_RETURN_IF_ERROR(ReadProgressiveHeader(&reader, &header));
-    return header.num_coeffs;
-  }
   ByteReader reader(stream);
-  StreamHeader header;
-  HEDC_RETURN_IF_ERROR(ReadHeader(&reader, &header));
+  ProgressiveHeader header;
+  HEDC_RETURN_IF_ERROR(ReadProgressiveHeader(&reader, &header));
   return header.num_coeffs;
 }
 

@@ -1,25 +1,15 @@
 // Progressive wavelet codec.
 //
-// Two stream formats share the Haar transform and varint coefficient
-// records:
-//  - HWV3 (EncodeSignalProgressive), the only format written:
-//    coefficients ordered by resolution level, then by decreasing
-//    magnitude within each level, with a per-level byte-offset table in
-//    the header. Any *byte* prefix of the stream is decodable on its own,
-//    so one stored stream serves every resolution: a server slices the
-//    first K bytes and the client reconstructs the best K-byte
-//    approximation plus a deterministic error bound from the energy
-//    accounting carried in the header ("the client works on approximated
-//    and aggregated versions of the original data", §6.3).
-//  - HWV1, read-only: the legacy format, coefficients in
-//    decreasing-magnitude order, so a *coefficient-count* prefix
-//    reconstructs the best approximation for that budget. Streams stored
-//    before HWV3 still decode; nothing writes new ones.
-//
-// Decoding with fraction = 1.0 (or the full HWV3 stream) is lossless up
-// to quantization, and the reconstructed samples are bit-identical
-// between the two formats for the same signal and options: the fill
-// order of the coefficient array does not change its contents.
+// One stream format, HWV3 (EncodeSignalProgressive): Haar coefficients
+// as varint records, ordered by resolution level, then by decreasing
+// magnitude within each level, with a per-level byte-offset table in the
+// header. Any *byte* prefix of the stream is decodable on its own, so one
+// stored stream serves every resolution: a server slices the first K
+// bytes and the client reconstructs the best K-byte approximation plus a
+// deterministic error bound from the energy accounting carried in the
+// header ("the client works on approximated and aggregated versions of
+// the original data", §6.3). Decoding the full stream is lossless up to
+// quantization. A stream with any other magic is kCorruption.
 #ifndef HEDC_WAVELET_CODEC_H_
 #define HEDC_WAVELET_CODEC_H_
 
@@ -51,21 +41,19 @@ struct CodecOptions {
 };
 
 // Decodes using roughly the first `fraction` (0..1] of the coefficient
-// stream. fraction >= 1 uses everything. Accepts both HWV1 and HWV3
-// streams (for HWV3 the fraction selects a coefficient-count prefix in
-// stored, i.e. level-major, order).
+// stream: a coefficient-count prefix in stored (level-major) order.
+// fraction >= 1 uses everything.
 Result<std::vector<double>> DecodeSignal(const std::vector<uint8_t>& stream,
                                          double fraction = 1.0);
 
 // Number of coefficients retained in the stream (post-threshold).
-// Accepts both formats.
 Result<size_t> CoefficientCount(const std::vector<uint8_t>& stream);
 
 // Relative L2 error between two signals (||a-b|| / ||a||; 0 when a == 0).
 double RelativeL2Error(const std::vector<double>& reference,
                        const std::vector<double>& approximation);
 
-// --- prefix-decodable progressive streams (HWV3) -----------------------
+// --- byte-prefix decoding ----------------------------------------------
 
 // What a byte-prefix decode reconstructed, plus the energy accounting
 // needed for deterministic error bars. With the orthonormal Haar basis
@@ -107,9 +95,6 @@ struct PrefixInfo {
 // coefficient order, per-level byte offsets, energy accounting).
 std::vector<uint8_t> EncodeSignalProgressive(
     const std::vector<double>& signal, const CodecOptions& options = {});
-
-// True if `stream` starts with the HWV3 magic.
-bool IsProgressiveStream(const std::vector<uint8_t>& stream);
 
 // Number of resolution levels in an HWV3 stream: level 0 is the single
 // scaling (DC) coefficient, level l adds detail indices [2^(l-1), 2^l).

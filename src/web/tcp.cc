@@ -120,77 +120,6 @@ Result<TcpSocket> TcpConnect(const std::string& host, int port) {
   return TcpSocket(fd);
 }
 
-TcpListener::~TcpListener() {
-  Close();
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-}
-
-Status TcpListener::Listen(int port) {
-  // Re-listen after Close(): the old fd is only shut down there (closing
-  // it could race a concurrent accept against fd reuse), so a restarting
-  // server must release it here or leak one fd per start/stop cycle.
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) return Errno("socket");
-  int one = 1;
-  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  struct sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::bind(fd_, reinterpret_cast<struct sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    return Errno("bind 127.0.0.1:" + std::to_string(port));
-  }
-  if (::listen(fd_, 64) != 0) return Errno("listen");
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd_, reinterpret_cast<struct sockaddr*>(&addr), &len) !=
-      0) {
-    return Errno("getsockname");
-  }
-  port_ = ntohs(addr.sin_port);
-  closed_.store(false, std::memory_order_release);
-  return Status::Ok();
-}
-
-Result<TcpSocket> TcpListener::Accept() {
-  while (true) {
-    if (closed_.load(std::memory_order_acquire)) {
-      return Status::Unavailable("listener closed");
-    }
-    int fd = ::accept(fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      if (closed_.load(std::memory_order_acquire)) {
-        return Status::Unavailable("listener closed");
-      }
-      return Errno("accept");
-    }
-    if (closed_.load(std::memory_order_acquire)) {
-      ::close(fd);
-      return Status::Unavailable("listener closed");
-    }
-    DisableSigpipeAndNagle(fd);
-    return TcpSocket(fd);
-  }
-}
-
-void TcpListener::Close() {
-  // The fd itself is closed in the destructor, after any accept thread has
-  // observed the shutdown and exited; closing here could race a concurrent
-  // accept() against fd reuse.
-  if (fd_ >= 0 && !closed_.exchange(true, std::memory_order_acq_rel)) {
-    ::shutdown(fd_, SHUT_RDWR);
-  }
-}
-
 Status SendFrame(TcpSocket& socket, const std::vector<uint8_t>& payload) {
   uint8_t header[4];
   uint32_t n = static_cast<uint32_t>(payload.size());

@@ -1,4 +1,4 @@
-// Loopback TCP plumbing: listener, connected socket, and a CRC-checked
+// Loopback TCP plumbing: a connected socket and a CRC-checked
 // length-delimited frame codec.
 //
 // The presentation tier speaks in-process structures (web/http.h); this
@@ -9,14 +9,13 @@
 // frames surface as kCorruption instead of desynchronizing the stream.
 // The servers (web::HttpTcpServer, dm::TcpRmiServer) do not use these
 // blocking calls: they serve on the epoll reactor (net/reactor.h), which
-// shares only EncodeFrame. TcpListener remains for simple loopback peers
-// such as test doubles. Binds are restricted to 127.0.0.1 — the
-// scale-out story only needs process-local sockets to make the transport
-// (and its failure modes) real.
+// shares only EncodeFrame; dm::TcpChannel is the client here. The stack
+// listens only on 127.0.0.1 — the scale-out story only needs
+// process-local sockets to make the transport (and its failure modes)
+// real.
 #ifndef HEDC_WEB_TCP_H_
 #define HEDC_WEB_TCP_H_
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -57,27 +56,6 @@ class TcpSocket {
 
 // Connects to host:port (kUnavailable on refusal).
 Result<TcpSocket> TcpConnect(const std::string& host, int port);
-
-// Listening socket on 127.0.0.1. Close() from another thread unblocks a
-// pending Accept(), which then reports kUnavailable.
-class TcpListener {
- public:
-  TcpListener() = default;
-  ~TcpListener();
-  TcpListener(const TcpListener&) = delete;
-  TcpListener& operator=(const TcpListener&) = delete;
-
-  // Binds and listens; port 0 picks an ephemeral port (see port()).
-  Status Listen(int port = 0);
-  int port() const { return port_; }
-  Result<TcpSocket> Accept();
-  void Close();
-
- private:
-  int fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> closed_{false};
-};
 
 // Frame codec: [u32 payload length][payload bytes][u32 crc32(payload)].
 // RecvFrame reports kCorruption on a bad checksum or an oversized length

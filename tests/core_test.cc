@@ -14,7 +14,6 @@
 #include "core/content_hash.h"
 #include "core/crc32.h"
 #include "core/ids.h"
-#include "core/logging.h"
 #include "core/rng.h"
 #include "core/status.h"
 #include "core/strings.h"
@@ -102,8 +101,6 @@ TEST(StringsTest, CaseHelpers) {
 TEST(StringsTest, StartsEndsWith) {
   EXPECT_TRUE(StartsWith("hle_12", "hle_"));
   EXPECT_FALSE(StartsWith("h", "hle_"));
-  EXPECT_TRUE(EndsWith("file.fits", ".fits"));
-  EXPECT_FALSE(EndsWith("fits", ".fits"));
 }
 
 TEST(StringsTest, ParseInt64) {
@@ -369,19 +366,20 @@ TEST(IdGeneratorTest, MonotonicAndAdvancable) {
 }
 
 TEST(ThreadPoolTest, ExecutesAllTasks) {
-  ThreadPool pool(4);
   std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_TRUE(pool.Submit([&count] { count.fetch_add(1); }));
-  }
-  pool.Wait();
+  {
+    ThreadPool pool(4);
+    for (int i = 0; i < 100; ++i) {
+      ASSERT_TRUE(pool.TrySubmit([&count] { count.fetch_add(1); }));
+    }
+  }  // the destructor drains the queue and joins the workers
   EXPECT_EQ(count.load(), 100);
 }
 
 TEST(ThreadPoolTest, RejectsAfterShutdown) {
   ThreadPool pool(2);
   pool.Shutdown();
-  EXPECT_FALSE(pool.Submit([] {}));
+  EXPECT_FALSE(pool.TrySubmit([] {}));
 }
 
 TEST(BoundedQueueTest, FifoOrder) {
@@ -410,69 +408,6 @@ TEST(BoundedQueueTest, CloseDrainsThenReturnsNullopt) {
   EXPECT_EQ(*v, 1);
   EXPECT_FALSE(q.Pop().has_value());
   EXPECT_FALSE(q.Push(9));
-}
-
-TEST(LoggingTest, SinkCapturesMessages) {
-  std::vector<std::string> captured;
-  auto prev = Logger::Instance()->SetSink(
-      [&captured](LogLevel, const std::string& m) { captured.push_back(m); });
-  HEDC_LOG(kInfo) << "loaded " << 3 << " units";
-  Logger::Instance()->SetSink(prev);
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0], "loaded 3 units");
-}
-
-TEST(LoggingTest, MinLevelFilters) {
-  std::vector<std::string> captured;
-  auto prev = Logger::Instance()->SetSink(
-      [&captured](LogLevel, const std::string& m) { captured.push_back(m); });
-  Logger::Instance()->SetMinLevel(LogLevel::kError);
-  HEDC_LOG(kInfo) << "dropped";
-  HEDC_LOG(kError) << "kept";
-  Logger::Instance()->SetMinLevel(LogLevel::kInfo);
-  Logger::Instance()->SetSink(prev);
-  ASSERT_EQ(captured.size(), 1u);
-  EXPECT_EQ(captured[0], "kept");
-}
-
-// Regression: SetSink used to copy the sink outside the lock, so a swap
-// could destroy a sink while another thread was invoking it. The sink now
-// runs under the logger mutex; swapping sinks while other threads log must
-// never drop, duplicate, or tear a message.
-TEST(LoggingTest, StressSinkSwapUnderConcurrentLogging) {
-  constexpr int kThreads = 4;
-  constexpr int kMessagesPerThread = 2000;
-  constexpr int kSwaps = 200;
-  std::atomic<int64_t> delivered{0};
-  auto counting_sink = [&delivered](LogLevel, const std::string& m) {
-    // A torn/destroyed sink would crash or mangle the payload here.
-    ASSERT_EQ(m, "tick");
-    delivered.fetch_add(1, std::memory_order_relaxed);
-  };
-  auto prev = Logger::Instance()->SetSink(counting_sink);
-
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> loggers;
-  for (int t = 0; t < kThreads; ++t) {
-    loggers.emplace_back([] {
-      for (int i = 0; i < kMessagesPerThread; ++i) HEDC_LOG(kInfo) << "tick";
-    });
-  }
-  std::thread swapper([&] {
-    int swaps = 0;
-    while (!stop.load(std::memory_order_relaxed) && swaps < kSwaps) {
-      // Every installed sink counts into the same atomic, so the total
-      // stays exact no matter which one a given Log call lands on.
-      Logger::Instance()->SetSink(counting_sink);
-      ++swaps;
-    }
-  });
-  for (auto& t : loggers) t.join();
-  stop.store(true, std::memory_order_relaxed);
-  swapper.join();
-  Logger::Instance()->SetSink(prev);
-
-  EXPECT_EQ(delivered.load(), kThreads * kMessagesPerThread);
 }
 
 TEST(ContentHashTest, EmptyInputIsOffsetBasis) {

@@ -78,9 +78,11 @@ TEST(DataChunkTest, FlattenTypedColumnsAndNulls) {
   Table table("t", TestSchema(), /*rows_per_morsel=*/64);
   Fill(&table, 10);
 
-  Table::ScanCursor cursor;
+  std::vector<const Table::Morsel*> morsels;
+  table.ListMorsels(&morsels);
+  ASSERT_EQ(morsels.size(), 1u);
   DataChunk chunk;
-  ASSERT_TRUE(table.ScanChunk(&cursor, &chunk));
+  table.FillChunk(*morsels[0], &chunk);
   ASSERT_EQ(chunk.size(), 10u);
 
   const FlatColumn& ids = chunk.Flatten(0);

@@ -14,6 +14,7 @@
 #include "dm/hedc_schema.h"
 #include "dm/resilient_channel.h"
 #include "dm/tcp_remote.h"
+#include "tcp_listener.h"
 
 namespace hedc::dm {
 namespace {

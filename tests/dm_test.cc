@@ -10,6 +10,7 @@
 #include <tuple>
 #include <vector>
 
+#include "archive/compression.h"
 #include "core/clock.h"
 #include "core/content_hash.h"
 #include "core/strings.h"
@@ -795,11 +796,22 @@ TEST_F(ProcessTest, LoadRejectsGarbageWithoutSideEffects) {
   for (archive::FitsHdu& hdu : truncated.hdus()) {
     if (hdu.name == "PHOTONS") hdu.data.resize(hdu.data.size() - 7);
   }
+  // Two photons, the last at t = 2e6 s: detection bins from t = 0 would
+  // take ~48 MB for a few hundred bytes.
+  rhessi::RawDataUnit late;
+  late.unit_id = unit.unit_id;
+  late.photons.resize(2);
+  late.photons[0].time_sec = 0.5;
+  late.photons[1].time_sec = 2e6;
+  late.t_start = 0.5;
+  late.t_stop = 2e6;
   const std::pair<const char*, std::vector<uint8_t>> inputs[] = {
       {"garbage", {1, 2, 3, 4}},
       {"unsorted", unsorted.Pack()},
       {"miscounted", miscounted.Serialize()},
-      {"truncated", truncated.Serialize()}};
+      {"truncated", truncated.Serialize()},
+      {"late", late.Pack()},
+      {"hzip", archive::Compress(unit.Pack())}};
   for (const auto& [name, packed] : inputs) {
     SCOPED_TRACE(name);
     Result<DataLoadReport> report = process_->LoadRawUnit(root_, packed);

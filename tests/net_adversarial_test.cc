@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dm/tcp_remote.h"
+#include "tcp_listener.h"
 
 namespace hedc {
 namespace {

@@ -59,7 +59,8 @@ TEST_F(PlTest, InvokeRunsRealRoutine) {
   ASSERT_TRUE(server->Start().ok());
   analysis::AnalysisParams params;
   params.SetInt("bins", 16);
-  auto product = server->Invoke("histogram", SmallPhotons(), params);
+  ASSERT_TRUE(server->TryClaim());
+  auto product = server->InvokeClaimed("histogram", SmallPhotons(), params);
   ASSERT_TRUE(product.ok()) << product.status().ToString();
   EXPECT_EQ(product.value().routine, "histogram");
   EXPECT_EQ(server->invocations(), 1);
@@ -68,14 +69,15 @@ TEST_F(PlTest, InvokeRunsRealRoutine) {
 
 TEST_F(PlTest, InvokeOnStoppedServerFails) {
   auto server = MakeServer("idl0");
-  auto r = server->Invoke("histogram", SmallPhotons(), {});
-  EXPECT_TRUE(r.status().IsUnavailable());
+  EXPECT_FALSE(server->TryClaim());
+  EXPECT_EQ(server->state(), ServerState::kStopped);
 }
 
 TEST_F(PlTest, UnknownRoutineNotFound) {
   auto server = MakeServer("idl0");
   ASSERT_TRUE(server->Start().ok());
-  EXPECT_TRUE(server->Invoke("warp_drive", SmallPhotons(), {})
+  ASSERT_TRUE(server->TryClaim());
+  EXPECT_TRUE(server->InvokeClaimed("warp_drive", SmallPhotons(), {})
                   .status()
                   .IsNotFound());
   EXPECT_EQ(server->state(), ServerState::kIdle);  // not crashed
@@ -88,7 +90,8 @@ TEST_F(PlTest, VirtualTimeCharging) {
   ASSERT_TRUE(server->Start().ok());
   rhessi::PhotonList photons = SmallPhotons();
   Micros t0 = clock_.Now();
-  ASSERT_TRUE(server->Invoke("histogram", photons, {}).ok());
+  ASSERT_TRUE(server->TryClaim());
+  ASSERT_TRUE(server->InvokeClaimed("histogram", photons, {}).ok());
   Micros elapsed = clock_.Now() - t0;
   Micros expected = static_cast<Micros>(
       static_cast<double>(photons.size()) / 1000.0 * kMicrosPerSecond);
@@ -101,16 +104,19 @@ TEST_F(PlTest, CrashInjectionAndTimeout) {
   options.crash_probability = 1.0;
   auto server = MakeServer("crashy", options);
   ASSERT_TRUE(server->Start().ok());
-  auto r = server->Invoke("histogram", SmallPhotons(), {});
+  ASSERT_TRUE(server->TryClaim());
+  auto r = server->InvokeClaimed("histogram", SmallPhotons(), {});
   EXPECT_TRUE(r.status().IsUnavailable());
   EXPECT_EQ(server->state(), ServerState::kCrashed);
+  EXPECT_FALSE(server->TryClaim());
   EXPECT_EQ(server->crashes(), 1);
 
   IdlServer::Options timeout_options;
   timeout_options.timeout_work_units = 1;  // everything times out
   auto slow = MakeServer("slow", timeout_options);
   ASSERT_TRUE(slow->Start().ok());
-  EXPECT_TRUE(slow->Invoke("histogram", SmallPhotons(), {})
+  ASSERT_TRUE(slow->TryClaim());
+  EXPECT_TRUE(slow->InvokeClaimed("histogram", SmallPhotons(), {})
                   .status()
                   .IsTimeout());
 }

@@ -11,7 +11,6 @@
 #include "core/rng.h"
 #include "core/status.h"
 #include "core/bytes.h"
-#include "hwv1_streams.h"
 #include "wavelet/codec.h"
 
 namespace hedc::wavelet {
@@ -45,11 +44,30 @@ std::vector<double> RandomSignal(Rng* rng, size_t n) {
   return signal;
 }
 
+// A well-formed stream of the retired HWV1 layout (magic, varint lengths,
+// f64 quant step, varint count, then index/value varint records). The
+// decoder no longer reads it: whole or cut, it must be kCorruption.
+std::vector<uint8_t> Hwv1Stream(Rng* rng, size_t n) {
+  size_t padded = 1;
+  while (padded < n) padded *= 2;
+  ByteBuffer out;
+  out.PutU32(0x48575631);  // "HWV1"
+  out.PutVarint(n);
+  out.PutVarint(padded);
+  out.PutF64(1e-4);
+  out.PutVarint(padded);
+  for (size_t i = 0; i < padded; ++i) {
+    out.PutVarint(i);
+    out.PutSignedVarint(rng->UniformInt(-1000000, 1000000));
+  }
+  return std::move(out).TakeData();
+}
+
 TEST(CodecFuzzTest, TruncationAtEveryByte) {
   Rng rng(101);
   std::vector<double> signal = RandomSignal(&rng, 300);
   for (const std::vector<uint8_t>& stream :
-       {LegacyStream(1), EncodeSignalProgressive(signal)}) {
+       {Hwv1Stream(&rng, 300), EncodeSignalProgressive(signal)}) {
     ASSERT_FALSE(stream.empty());
     for (size_t size = 0; size < stream.size(); ++size) {
       std::vector<uint8_t> truncated(stream.begin(),
@@ -59,17 +77,19 @@ TEST(CodecFuzzTest, TruncationAtEveryByte) {
   }
 }
 
-// A truncated legacy (HWV1) stream is corrupt — unlike HWV3 there is no
-// byte-prefix contract, so the decoder must refuse rather than return a
-// silently short signal.
+// A legacy (HWV1) stream, truncated or whole, is corrupt: the format is
+// no longer read, and a cut stream must not come back as a silently
+// short signal.
 TEST(CodecFuzzTest, TruncatedLegacyStreamIsCorruption) {
-  std::vector<uint8_t> stream = LegacyStream(7);
-  ASSERT_FALSE(stream.empty());
-  for (size_t cut = 1; cut + 1 < stream.size(); cut += 7) {
+  Rng rng(7);
+  std::vector<uint8_t> stream = Hwv1Stream(&rng, 300);
+  for (size_t cut = 0; cut + 1 < stream.size(); cut += 7) {
     std::vector<uint8_t> truncated(stream.begin(), stream.end() - cut);
     auto decoded = DecodeSignal(truncated, 1.0);
     ASSERT_FALSE(decoded.ok()) << "cut " << cut;
     EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(CoefficientCount(truncated).status().code(),
+              StatusCode::kCorruption);
   }
 }
 
@@ -77,7 +97,7 @@ TEST(CodecFuzzTest, BitFlipsNeverCrash) {
   Rng rng(103);
   std::vector<double> signal = RandomSignal(&rng, 400);
   std::vector<std::vector<uint8_t>> streams = {
-      LegacyStream(42), EncodeSignalProgressive(signal)};
+      Hwv1Stream(&rng, 300), EncodeSignalProgressive(signal)};
   for (const auto& stream : streams) {
     ASSERT_FALSE(stream.empty());
     for (int round = 0; round < 400; ++round) {
@@ -196,19 +216,10 @@ TEST(CodecFuzzTest, InconsistentLevelTablesRejected) {
 // the long-haul lane for the sanitizer builds.
 TEST(CodecFuzzStress, MutationSoak) {
   Rng rng(107);
-  std::vector<std::vector<uint8_t>> legacy;
-  for (uint64_t seed : kLegacySeeds) {
-    legacy.push_back(LegacyStream(seed));
-    ASSERT_FALSE(legacy.back().empty());
-  }
   for (int round = 0; round < 3000; ++round) {
     size_t n = static_cast<size_t>(rng.UniformInt(1, 700));
     std::vector<double> signal = RandomSignal(&rng, n);
-    // Even rounds mutate a fresh HWV3 stream, odd rounds a stored HWV1
-    // one.
-    std::vector<uint8_t> stream =
-        (round % 2 == 0) ? EncodeSignalProgressive(signal)
-                         : legacy[static_cast<size_t>(round / 2) % 3];
+    std::vector<uint8_t> stream = EncodeSignalProgressive(signal);
     // Mutate: truncate, flip, or splice.
     switch (rng.UniformInt(0, 2)) {
       case 0:

