@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "analysis/energy_bin_memo.h"
 #include "analysis/routine.h"
 #include "core/strings.h"
 
@@ -68,6 +69,9 @@ std::vector<std::string> RoutineRegistry::Names() const {
 
 namespace {
 
+// The most cells a routine's series or pixel plane may have (64 Mi).
+constexpr int64_t kMaxCells = int64_t{64} << 20;
+
 double WindowStart(const AnalysisParams& params) {
   return params.GetDouble("t_start", 0);
 }
@@ -115,7 +119,7 @@ class LightcurveRoutine : public AnalysisRoutine {
   Result<AnalysisProduct> Run(const rhessi::PhotonList& photons,
                               const AnalysisParams& params) const override {
     double bin = params.GetDouble("bin_sec", 1.0);
-    if (bin <= 0) return Status::InvalidArgument("bin_sec must be positive");
+    if (!(bin > 0)) return Status::InvalidArgument("bin_sec must be positive");
     const Window window(params);
     auto [first, last] = window.Ends(photons);
     AnalysisProduct product;
@@ -125,19 +129,34 @@ class LightcurveRoutine : public AnalysisRoutine {
     if (first != nullptr) {
       double t0 = first->time_sec;
       double t1 = last->time_sec;
-      size_t bins = static_cast<size_t>((t1 - t0) / bin) + 1;
+      // floor(span) + 1 bins, at most kMaxCells; also rejects a NaN span.
+      double span = (t1 - t0) / bin;
+      if (!(span < static_cast<double>(kMaxCells))) {
+        return Status::InvalidArgument("lightcurve bins out of range");
+      }
+      size_t bins = static_cast<size_t>(span) + 1;
       series.x.resize(bins);
       series.y.assign(bins, 0.0);
       for (size_t i = 0; i < bins; ++i) {
         series.x[i] = t0 + static_cast<double>(i) * bin;
       }
+      // Time-sorted photons fill one bin after another: count the open
+      // bin in a register and add it to the series when the bin changes.
+      size_t open = 0;
+      uint64_t open_count = 0;
       for (const rhessi::PhotonEvent& p : photons) {
         if (!window.Contains(p)) continue;
         ++selected;
         size_t b = static_cast<size_t>((p.time_sec - t0) / bin);
         if (b >= bins) b = bins - 1;
-        series.y[b] += 1.0;
+        if (b != open) {
+          series.y[open] += static_cast<double>(open_count);
+          open = b;
+          open_count = 0;
+        }
+        ++open_count;
       }
+      series.y[open] += static_cast<double>(open_count);
     }
     product.rendered = RenderSeries(series);
     product.metadata["photons"] = std::to_string(selected);
@@ -179,15 +198,22 @@ class HistogramRoutine : public AnalysisRoutine {
                                           (static_cast<double>(i) + 0.5) /
                                           static_cast<double>(bins));
     }
+    auto bin_of = [&](float energy) {
+      double le = std::log(std::max<double>(energy, e0));
+      int64_t b = static_cast<int64_t>((le - log_lo) / (log_hi - log_lo) *
+                                       static_cast<double>(bins));
+      return std::clamp<int64_t>(b, 0, bins - 1);
+    };
+    EnergyBinMemo memo;
+    std::vector<uint64_t> counts(static_cast<size_t>(bins), 0);
     size_t selected = 0;
     for (const rhessi::PhotonEvent& p : photons) {
       if (!window.Contains(p)) continue;
       ++selected;
-      double le = std::log(std::max<double>(p.energy_kev, e0));
-      int64_t b = static_cast<int64_t>((le - log_lo) / (log_hi - log_lo) *
-                                       static_cast<double>(bins));
-      b = std::clamp<int64_t>(b, 0, bins - 1);
-      series.y[b] += 1.0;
+      ++counts[memo.Bin(p.energy_kev, bin_of)];
+    }
+    for (int64_t i = 0; i < bins; ++i) {
+      series.y[i] = static_cast<double>(counts[i]);
     }
     AnalysisProduct product;
     product.routine = name();
@@ -214,7 +240,9 @@ class SpectrogramRoutine : public AnalysisRoutine {
                               const AnalysisParams& params) const override {
     int64_t t_bins = params.GetInt("t_bins", 128);
     int64_t e_bins = params.GetInt("e_bins", 64);
-    if (t_bins <= 0 || e_bins <= 0 || t_bins * e_bins > 64 * 1024 * 1024) {
+    // Each factor is bounded first, so the product cannot overflow.
+    if (t_bins <= 0 || e_bins <= 0 || t_bins > kMaxCells ||
+        e_bins > kMaxCells || t_bins * e_bins > kMaxCells) {
       return Status::InvalidArgument("spectrogram bins out of range");
     }
     const Window window(params);
@@ -231,6 +259,13 @@ class SpectrogramRoutine : public AnalysisRoutine {
       double t1 = last->time_sec + 1e-9;
       double log_lo = std::log(rhessi::kMinEnergyKev);
       double log_hi = std::log(rhessi::kMaxEnergyKev);
+      auto bin_of = [&](float energy) {
+        double le = std::log(std::max<double>(energy, rhessi::kMinEnergyKev));
+        return std::min(static_cast<size_t>((le - log_lo) / (log_hi - log_lo) *
+                                            static_cast<double>(e_bins)),
+                        image.height - 1);
+      };
+      EnergyBinMemo memo;
       for (const rhessi::PhotonEvent& p : photons) {
         if (!window.Contains(p)) continue;
         ++selected;
@@ -238,12 +273,7 @@ class SpectrogramRoutine : public AnalysisRoutine {
             static_cast<size_t>((p.time_sec - t0) / (t1 - t0) *
                                 static_cast<double>(t_bins)),
             image.width - 1);
-        double le = std::log(std::max<double>(p.energy_kev,
-                                              rhessi::kMinEnergyKev));
-        size_t by = std::min(
-            static_cast<size_t>((le - log_lo) / (log_hi - log_lo) *
-                                static_cast<double>(e_bins)),
-            image.height - 1);
+        size_t by = memo.Bin(p.energy_kev, bin_of);
         image.pixels[by * image.width + bx] += 1.0;
       }
     }
@@ -256,9 +286,11 @@ class SpectrogramRoutine : public AnalysisRoutine {
 
   double EstimateWorkUnits(size_t photon_count,
                            const AnalysisParams& params) const override {
+    // In doubles: the bin counts are not validated yet and may overflow
+    // an int64_t product.
     return static_cast<double>(photon_count) +
-           static_cast<double>(params.GetInt("t_bins", 128) *
-                               params.GetInt("e_bins", 64));
+           static_cast<double>(params.GetInt("t_bins", 128)) *
+               static_cast<double>(params.GetInt("e_bins", 64));
   }
 };
 
@@ -332,9 +364,9 @@ class ImagingRoutine : public AnalysisRoutine {
 
   double EstimateWorkUnits(size_t photon_count,
                            const AnalysisParams& params) const override {
-    int64_t npix = params.GetInt("pixels", 64);
-    return static_cast<double>(photon_count) *
-           static_cast<double>(npix * npix);
+    // In doubles: `pixels` is not validated yet and may overflow int64_t.
+    double npix = static_cast<double>(params.GetInt("pixels", 64));
+    return static_cast<double>(photon_count) * (npix * npix);
   }
 };
 

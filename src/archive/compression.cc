@@ -1,7 +1,10 @@
 #include "archive/compression.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstring>
+#include <memory>
 
 #include "core/bytes.h"
 
@@ -14,6 +17,8 @@ constexpr size_t kWindowSize = 64 * 1024;
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxMatch = 1 << 16;
 constexpr size_t kHashBuckets = 1 << 16;
+constexpr int kMaxChain = 32;
+constexpr uint32_t kNoPosition = ~uint32_t{0};
 
 // Token stream grammar:
 //   0x00 <varint n> <n raw bytes>        literal run
@@ -24,6 +29,31 @@ uint32_t HashQuad(const uint8_t* p) {
   return (v * 2654435761u) >> 16;
 }
 
+uint64_t Load64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+// Length of the common prefix of `a` and `b`, at most `max_len`. Compares
+// 8 bytes at a time; the first set bit of the XOR of two words lies in
+// their first differing byte.
+size_t MatchLength(const uint8_t* a, const uint8_t* b, size_t max_len) {
+  size_t len = 0;
+  while (len + 8 <= max_len) {
+    uint64_t diff = Load64(a + len) ^ Load64(b + len);
+    if (diff != 0) {
+      int bit = std::endian::native == std::endian::little
+                    ? std::countr_zero(diff)
+                    : std::countl_zero(diff);
+      return len + static_cast<size_t>(bit) / 8;
+    }
+    len += 8;
+  }
+  while (len < max_len && a[len] == b[len]) ++len;
+  return len;
+}
+
 }  // namespace
 
 std::vector<uint8_t> Compress(const std::vector<uint8_t>& input) {
@@ -31,66 +61,81 @@ std::vector<uint8_t> Compress(const std::vector<uint8_t>& input) {
   out.PutU32(kHzipMagic);
   out.PutVarint(input.size());
 
-  // Chained hash table over 4-byte prefixes.
-  std::vector<int64_t> head(kHashBuckets, -1);
-  std::vector<int64_t> prev(input.size(), -1);
+  // Chained hash table over 4-byte prefixes, holding 32-bit positions.
+  // Every position is written to `prev` before a chain can reach it.
+  const size_t n = input.size();
+  assert(n < kNoPosition);
+  const uint8_t* data = input.data();
+  std::vector<uint32_t> head(kHashBuckets, kNoPosition);
+  auto prev = std::make_unique_for_overwrite<uint32_t[]>(n);
 
   size_t literal_start = 0;
   auto flush_literals = [&](size_t end) {
     if (end > literal_start) {
       out.PutU8(0x00);
       out.PutVarint(end - literal_start);
-      out.PutBytes(input.data() + literal_start, end - literal_start);
+      out.PutBytes(data + literal_start, end - literal_start);
     }
   };
 
   size_t i = 0;
-  while (i < input.size()) {
+  while (i < n) {
     size_t best_len = 0;
     size_t best_dist = 0;
-    if (i + kMinMatch <= input.size()) {
-      uint32_t h = HashQuad(input.data() + i);
-      int64_t candidate = head[h];
-      int chain = 0;
-      while (candidate >= 0 && chain < 32) {
-        size_t dist = i - static_cast<size_t>(candidate);
+    if (i + kMinMatch <= n) {
+      // Greedy: the longest match among the chain's 32 most recent
+      // candidates, the nearest on a tie. A candidate that differs from
+      // the input at offset best_len cannot beat the best (zlib's
+      // scan-end test), and none can once the best reaches max_len.
+      const size_t max_len = std::min(kMaxMatch, n - i);
+      const uint8_t* b = data + i;
+      const uint32_t h = HashQuad(b);
+      uint32_t candidate = head[h];
+      for (int chain = 0; candidate != kNoPosition && chain < kMaxChain;
+           ++chain, candidate = prev[candidate]) {
+        size_t dist = i - candidate;
         if (dist > kWindowSize) break;
-        // Extend match.
-        size_t len = 0;
-        size_t max_len = std::min(kMaxMatch, input.size() - i);
-        const uint8_t* a = input.data() + candidate;
-        const uint8_t* b = input.data() + i;
-        while (len < max_len && a[len] == b[len]) ++len;
+        const uint8_t* a = data + candidate;
+        if (a[best_len] != b[best_len]) continue;
+        size_t len = MatchLength(a, b, max_len);
         if (len > best_len) {
           best_len = len;
           best_dist = dist;
+          if (best_len == max_len) break;
         }
-        candidate = prev[candidate];
-        ++chain;
       }
-      // Insert current position into the chain.
+      // Insert the current position into its chain.
       prev[i] = head[h];
-      head[h] = static_cast<int64_t>(i);
+      head[h] = static_cast<uint32_t>(i);
     }
     if (best_len >= kMinMatch) {
       flush_literals(i);
       out.PutU8(0x01);
       out.PutVarint(best_dist);
       out.PutVarint(best_len);
-      // Register skipped positions sparsely (every 2nd) to bound cost.
-      for (size_t j = i + 1; j < i + best_len && j + 4 <= input.size();
-           j += 2) {
-        uint32_t h = HashQuad(input.data() + j);
-        prev[j] = head[h];
-        head[h] = static_cast<int64_t>(j);
+      // Register skipped positions sparsely (every 2nd) to bound cost. A
+      // run of one 4-byte prefix chains into one bucket, so the bucket's
+      // head stays in a register until the bucket changes.
+      size_t bucket = kHashBuckets;
+      uint32_t bucket_head = kNoPosition;
+      for (size_t j = i + 1; j < i + best_len && j + 4 <= n; j += 2) {
+        uint32_t h = HashQuad(data + j);
+        if (h != bucket) {
+          if (bucket != kHashBuckets) head[bucket] = bucket_head;
+          bucket = h;
+          bucket_head = head[h];
+        }
+        prev[j] = bucket_head;
+        bucket_head = static_cast<uint32_t>(j);
       }
+      if (bucket != kHashBuckets) head[bucket] = bucket_head;
       i += best_len;
       literal_start = i;
     } else {
       ++i;
     }
   }
-  flush_literals(input.size());
+  flush_literals(n);
   return std::move(out).TakeData();
 }
 

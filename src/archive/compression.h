@@ -15,7 +15,8 @@
 
 namespace hedc::archive {
 
-// Compresses `input`; output starts with a magic/size header and is always
+// Compresses `input` (shorter than 4 GiB: the match search keeps 32-bit
+// positions); output starts with a magic/size header and is always
 // decodable by Decompress (worst case ~ input + small overhead).
 std::vector<uint8_t> Compress(const std::vector<uint8_t>& input);
 

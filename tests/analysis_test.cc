@@ -1,6 +1,7 @@
 // Analysis routines and products.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include <cstdint>
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "analysis/approx.h"
+#include "analysis/energy_bin_memo.h"
 #include "analysis/routine.h"
 #include "core/content_hash.h"
 #include "core/rng.h"
@@ -148,6 +150,164 @@ TEST(SpectrogramTest, ProducesImageWithAllCounts) {
   EXPECT_EQ(img.width, 32u);
   EXPECT_EQ(img.height, 16u);
   EXPECT_DOUBLE_EQ(img.TotalFlux(), 2000.0);
+}
+
+TEST(LightcurveTest, RejectsTooManyBins) {
+  // 100 s at 1e-17 s per bin is 1e19 bins: past the 64 Mi-cell cap, and
+  // too many to allocate.
+  auto registry = CreateStandardRegistry();
+  for (const char* bin_sec : {"1e-17", "1e-12", "1e-7", "nan"}) {
+    AnalysisParams params;
+    params.Set("bin_sec", bin_sec);
+    auto r = registry->Get("lightcurve")->Run(MakePhotons(1000, 100.0),
+                                              params);
+    ASSERT_FALSE(r.ok()) << bin_sec;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << bin_sec;
+  }
+}
+
+TEST(SpectrogramTest, RejectsOverflowingBinCounts) {
+  // 2^32 x 2^32 cells wrap an int64_t product; each factor alone is
+  // already past the cap.
+  auto registry = CreateStandardRegistry();
+  const AnalysisRoutine* spectrogram = registry->Get("spectrogram");
+  for (auto [t_bins, e_bins] :
+       {std::pair<int64_t, int64_t>{int64_t{1} << 32, int64_t{1} << 32},
+        {int64_t{1} << 62, 4},
+        {1, (int64_t{64} << 20) + 1},
+        {8193, 8192}}) {
+    AnalysisParams params;
+    params.SetInt("t_bins", t_bins);
+    params.SetInt("e_bins", e_bins);
+    auto r = spectrogram->Run(MakePhotons(100), params);
+    ASSERT_FALSE(r.ok()) << t_bins << "x" << e_bins;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_GT(spectrogram->EstimateWorkUnits(100, params), 1e6);
+  }
+}
+
+// The histogram's and the spectrogram's energy bins, computed directly
+// (std::log per photon) for one photon at every 0.1 keV energy, must equal
+// the routines' memoized bins, in every energy band of RoutineGoldenTest.
+TEST(EnergyBinMemoTest, BinsMatchDirectLogExpression) {
+  rhessi::PhotonList photons;
+  for (int deci = 0; deci <= 200000; ++deci) {
+    rhessi::PhotonEvent p;
+    p.time_sec = 1e-3 * deci;
+    p.energy_kev = static_cast<float>(deci) / 10.0f;
+    photons.push_back(p);
+  }
+  const std::pair<const char*, std::pair<const char*, const char*>>
+      energies[] = {{"all", {"", ""}},
+                    {"band", {"6", "50"}},
+                    {"narrow", {"25", "25.5"}},
+                    {"below_floor", {"1", "12"}},
+                    {"inverted", {"100", "10"}}};
+  auto registry = CreateStandardRegistry();
+  for (const auto& [band, e] : energies) {
+    const double e_min = *e.first ? std::atof(e.first) : rhessi::kMinEnergyKev;
+    const double e_max = *e.second ? std::atof(e.second)
+                                   : rhessi::kMaxEnergyKev;
+    auto params_for = [&](std::map<std::string, std::string> routine) {
+      AnalysisParams params(std::move(routine));
+      if (*e.first != '\0') params.Set("e_min", e.first);
+      if (*e.second != '\0') params.Set("e_max", e.second);
+      return params;
+    };
+    auto selected = [&](const rhessi::PhotonEvent& p) {
+      return p.energy_kev >= e_min && p.energy_kev < e_max;
+    };
+    for (int64_t bins : {24, 64, 100000}) {
+      SCOPED_TRACE(StrFormat("histogram %s bins=%lld", band,
+                             static_cast<long long>(bins)));
+      const double e0 = std::max(e_min, rhessi::kMinEnergyKev);
+      std::vector<double> want(static_cast<size_t>(bins), 0.0);
+      for (const rhessi::PhotonEvent& p : photons) {
+        if (!selected(p)) continue;
+        double le = std::log(std::max<double>(p.energy_kev, e0));
+        int64_t b = static_cast<int64_t>(
+            (le - std::log(e0)) / (std::log(e_max) - std::log(e0)) *
+            static_cast<double>(bins));
+        want[std::clamp<int64_t>(b, 0, bins - 1)] += 1.0;
+      }
+      auto r = registry->Get("histogram")->Run(
+          photons, params_for({{"bins", std::to_string(bins)}}));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value().series->y, want);
+    }
+    for (int64_t e_bins : {16, 64, 65536}) {
+      SCOPED_TRACE(StrFormat("spectrogram %s e_bins=%lld", band,
+                             static_cast<long long>(e_bins)));
+      const double log_lo = std::log(rhessi::kMinEnergyKev);
+      const double log_hi = std::log(rhessi::kMaxEnergyKev);
+      std::vector<double> want(static_cast<size_t>(e_bins), 0.0);
+      for (const rhessi::PhotonEvent& p : photons) {
+        if (!selected(p)) continue;
+        double le =
+            std::log(std::max<double>(p.energy_kev, rhessi::kMinEnergyKev));
+        size_t by = std::min(
+            static_cast<size_t>((le - log_lo) / (log_hi - log_lo) *
+                                static_cast<double>(e_bins)),
+            static_cast<size_t>(e_bins - 1));
+        want[by] += 1.0;
+      }
+      // One time bin: the pixel plane is the energy column.
+      auto r = registry->Get("spectrogram")->Run(
+          photons, params_for({{"t_bins", "1"},
+                               {"e_bins", std::to_string(e_bins)}}));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value().image->pixels, want);
+    }
+  }
+}
+
+TEST(EnergyBinMemoTest, CollidingEnergiesEvictEachOther) {
+  // Two energies with one memo slot but different bins, alternating, so
+  // every lookup after the first two misses and recomputes.
+  float a = 10.0f, b = 0;
+  for (int deci = 101; deci < 200000 && b == 0; ++deci) {
+    float e = static_cast<float>(deci) / 10.0f;
+    if (EnergyBinMemo::Slot(e) == EnergyBinMemo::Slot(a)) b = e;
+  }
+  ASSERT_NE(b, 0.0f);
+  EnergyBinMemo memo;
+  int computed = 0;
+  auto bin_of = [&computed](float e) {
+    ++computed;
+    return static_cast<uint32_t>(e * 10.0f);
+  };
+  EXPECT_EQ(memo.Bin(a, bin_of), 100u);
+  EXPECT_EQ(memo.Bin(a, bin_of), 100u);
+  EXPECT_EQ(computed, 1);
+  EXPECT_EQ(memo.Bin(b, bin_of), static_cast<uint32_t>(b * 10.0f));
+  EXPECT_EQ(memo.Bin(a, bin_of), 100u);
+  EXPECT_EQ(computed, 3);
+
+  rhessi::PhotonList photons;
+  for (int i = 0; i < 1000; ++i) {
+    rhessi::PhotonEvent p;
+    p.time_sec = 0.01 * i;
+    p.energy_kev = i % 2 == 0 ? a : b;
+    photons.push_back(p);
+  }
+  auto registry = CreateStandardRegistry();
+  AnalysisParams histogram_params;
+  histogram_params.SetInt("bins", 100000);
+  auto h = registry->Get("histogram")->Run(photons, histogram_params);
+  ASSERT_TRUE(h.ok());
+  AnalysisParams spectrogram_params;
+  spectrogram_params.SetInt("t_bins", 1);
+  spectrogram_params.SetInt("e_bins", 65536);
+  auto s = registry->Get("spectrogram")->Run(photons, spectrogram_params);
+  ASSERT_TRUE(s.ok());
+  for (const std::vector<double>* counts :
+       {&h.value().series->y, &s.value().image->pixels}) {
+    std::vector<double> nonzero;
+    for (double c : *counts) {
+      if (c != 0) nonzero.push_back(c);
+    }
+    EXPECT_EQ(nonzero, (std::vector<double>{500, 500}));
+  }
 }
 
 // Every field of a product, compared exactly (doubles by value).

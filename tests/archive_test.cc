@@ -1,16 +1,23 @@
 // FITS-lite, hzip, archive backends and the name mapper.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <map>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "analysis/routine.h"
 #include "archive/archive.h"
 #include "archive/compression.h"
 #include "archive/fits.h"
 #include "archive/name_mapper.h"
+#include "core/bytes.h"
 #include "core/metrics.h"
 #include "core/rng.h"
+#include "rhessi/telemetry.h"
 
 namespace hedc::archive {
 namespace {
@@ -149,6 +156,212 @@ TEST_P(PropertyCompressionTest, RoundTripsStructuredData) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PropertyCompressionTest,
                          ::testing::Values(1, 2, 3, 4, 5, 99));
+
+// The byte-wise greedy match search Compress used before its word-wise
+// one, kept as the reference the current encoder must match byte for byte.
+std::vector<uint8_t> ReferenceCompress(const std::vector<uint8_t>& input) {
+  constexpr size_t kWindowSize = 64 * 1024;
+  constexpr size_t kMinMatch = 4;
+  constexpr size_t kMaxMatch = 1 << 16;
+  constexpr size_t kHashBuckets = 1 << 16;
+  auto hash_quad = [](const uint8_t* p) {
+    uint32_t v;
+    std::memcpy(&v, p, 4);
+    return (v * 2654435761u) >> 16;
+  };
+  ByteBuffer out;
+  out.PutU32(0x485a4950);  // "HZIP"
+  out.PutVarint(input.size());
+  std::vector<int64_t> head(kHashBuckets, -1);
+  std::vector<int64_t> prev(input.size(), -1);
+  size_t literal_start = 0;
+  auto flush_literals = [&](size_t end) {
+    if (end > literal_start) {
+      out.PutU8(0x00);
+      out.PutVarint(end - literal_start);
+      out.PutBytes(input.data() + literal_start, end - literal_start);
+    }
+  };
+  size_t i = 0;
+  while (i < input.size()) {
+    size_t best_len = 0;
+    size_t best_dist = 0;
+    if (i + kMinMatch <= input.size()) {
+      uint32_t h = hash_quad(input.data() + i);
+      int64_t candidate = head[h];
+      int chain = 0;
+      while (candidate >= 0 && chain < 32) {
+        size_t dist = i - static_cast<size_t>(candidate);
+        if (dist > kWindowSize) break;
+        size_t len = 0;
+        size_t max_len = std::min(kMaxMatch, input.size() - i);
+        const uint8_t* a = input.data() + candidate;
+        const uint8_t* b = input.data() + i;
+        while (len < max_len && a[len] == b[len]) ++len;
+        if (len > best_len) {
+          best_len = len;
+          best_dist = dist;
+        }
+        candidate = prev[candidate];
+        ++chain;
+      }
+      prev[i] = head[h];
+      head[h] = static_cast<int64_t>(i);
+    }
+    if (best_len >= kMinMatch) {
+      flush_literals(i);
+      out.PutU8(0x01);
+      out.PutVarint(best_dist);
+      out.PutVarint(best_len);
+      for (size_t j = i + 1; j < i + best_len && j + 4 <= input.size();
+           j += 2) {
+        uint32_t h = hash_quad(input.data() + j);
+        prev[j] = head[h];
+        head[h] = static_cast<int64_t>(j);
+      }
+      i += best_len;
+      literal_start = i;
+    } else {
+      ++i;
+    }
+  }
+  flush_literals(input.size());
+  return std::move(out).TakeData();
+}
+
+// Compress emits the reference's bytes, and they decode to the input.
+void ExpectSameAsReference(const std::vector<uint8_t>& input,
+                           const std::string& what) {
+  SCOPED_TRACE(what + ", " + std::to_string(input.size()) + " bytes");
+  std::vector<uint8_t> compressed = Compress(input);
+  EXPECT_EQ(compressed, ReferenceCompress(input));
+  auto restored = Decompress(compressed);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.value(), input);
+}
+
+TEST(CompressionDifferentialTest, RandomData) {
+  Rng rng(7);
+  for (int alphabet : {256, 16, 4, 2}) {
+    for (size_t size : {1000u, 20000u, 150000u}) {
+      std::vector<uint8_t> data(size);
+      for (auto& b : data) {
+        b = static_cast<uint8_t>(rng.UniformInt(0, alphabet - 1));
+      }
+      ExpectSameAsReference(data, "alphabet " + std::to_string(alphabet));
+    }
+  }
+}
+
+TEST(CompressionDifferentialTest, LongZeroRuns) {
+  // Longer than the 64 KiB window and than the longest match (65536).
+  for (size_t size : {65535u, 65536u, 65537u, 65541u, 140000u, 300000u}) {
+    ExpectSameAsReference(std::vector<uint8_t>(size, 0), "zeros");
+  }
+  // Runs split by markers further apart than the window, and runs whose
+  // repeats lie just inside and just outside it.
+  std::vector<uint8_t> data(70000, 0);
+  data.push_back(1);
+  data.insert(data.end(), 70000, 0);
+  data.push_back(2);
+  data.insert(data.end(), 65536 - 1, 0);
+  data.push_back(1);
+  data.insert(data.end(), 10, 0);
+  ExpectSameAsReference(data, "marked zero runs");
+}
+
+TEST(CompressionDifferentialTest, EveryShortLength) {
+  Rng rng(11);
+  for (size_t len = 0; len <= 40; ++len) {
+    std::vector<uint8_t> zeros(len, 0);
+    ExpectSameAsReference(zeros, "zeros");
+    std::vector<uint8_t> motif(len), noise(len);
+    for (size_t k = 0; k < len; ++k) {
+      motif[k] = static_cast<uint8_t>("abcab"[k % 5]);
+      noise[k] = static_cast<uint8_t>(rng.UniformInt(0, 3));
+    }
+    ExpectSameAsReference(motif, "motif");
+    ExpectSameAsReference(noise, "noise");
+  }
+}
+
+TEST(CompressionDifferentialTest, StructuredData) {
+  for (uint64_t seed : {1, 2, 3}) {
+    Rng rng(seed);
+    std::vector<uint8_t> data;
+    while (data.size() < 100000) {
+      size_t n = static_cast<size_t>(rng.UniformInt(1, 3000));
+      if (rng.UniformInt(0, 1) == 0) {
+        data.insert(data.end(), n, static_cast<uint8_t>(rng.UniformInt(0, 2)));
+      } else if (data.size() > n) {
+        // Copy an earlier stretch, then change one byte of it.
+        size_t from = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(data.size() - n)));
+        std::vector<uint8_t> copy(data.begin() + from,
+                                  data.begin() + from + n);
+        copy[copy.size() / 2] ^= 0x5a;
+        data.insert(data.end(), copy.begin(), copy.end());
+      }
+    }
+    ExpectSameAsReference(data, "structured seed " + std::to_string(seed));
+  }
+}
+
+// The 8-bit pixel plane a rendered product compresses (after its
+// GIF-lite header), and that compressed stream.
+std::pair<std::vector<uint8_t>, std::vector<uint8_t>> RenderedPlane(
+    const std::vector<uint8_t>& rendered) {
+  ByteReader reader(rendered);
+  uint32_t magic = 0;
+  uint64_t width = 0, height = 0, clen = 0;
+  double lo = 0, hi = 0;
+  EXPECT_TRUE(reader.GetU32(&magic).ok());
+  EXPECT_TRUE(reader.GetVarint(&width).ok());
+  EXPECT_TRUE(reader.GetVarint(&height).ok());
+  EXPECT_TRUE(reader.GetF64(&lo).ok());
+  EXPECT_TRUE(reader.GetF64(&hi).ok());
+  EXPECT_TRUE(reader.GetVarint(&clen).ok());
+  std::vector<uint8_t> compressed(clen);
+  EXPECT_TRUE(reader.GetBytes(compressed.data(), clen).ok());
+  auto plane = Decompress(compressed);
+  EXPECT_TRUE(plane.ok());
+  EXPECT_EQ(plane.value().size(), width * height);
+  return {plane.value(), compressed};
+}
+
+TEST(CompressionDifferentialTest, RenderedRoutinePlanes) {
+  rhessi::TelemetryOptions options;
+  options.duration_sec = 600;
+  options.flares_per_hour = 20;
+  options.seed = 31;
+  const rhessi::PhotonList photons =
+      rhessi::GenerateTelemetry(options).photons;
+  ASSERT_GT(photons.size(), 1000u);
+  auto registry = analysis::CreateStandardRegistry();
+  const std::pair<const char*, std::map<std::string, std::string>>
+      routines[] = {{"lightcurve", {{"bin_sec", "1"}}},
+                    {"lightcurve", {{"bin_sec", "0.05"}}},
+                    {"spectrogram", {{"t_bins", "128"}, {"e_bins", "64"}}},
+                    {"histogram", {{"bins", "64"}}}};
+  const double first = photons.front().time_sec;
+  const double last = photons.back().time_sec;
+  for (const auto& [routine, routine_params] : routines) {
+    // The whole list, a flare-sized slice and an empty window.
+    for (auto [t0, t1] : {std::pair{first, last + 1},
+                          std::pair{first + 100, first + 160},
+                          std::pair{first - 10, first - 1}}) {
+      analysis::AnalysisParams params(routine_params);
+      params.SetDouble("t_start", t0);
+      params.SetDouble("t_end", t1);
+      auto product = registry->Get(routine)->Run(photons, params);
+      ASSERT_TRUE(product.ok()) << product.status().ToString();
+      auto [plane, compressed] = RenderedPlane(product.value().rendered);
+      EXPECT_EQ(compressed, ReferenceCompress(plane)) << routine;
+      ExpectSameAsReference(plane, std::string(routine) + " " +
+                                       params.Canonical());
+    }
+  }
+}
 
 TEST(DiskArchiveTest, WriteReadDeleteList) {
   DiskArchive disk;
