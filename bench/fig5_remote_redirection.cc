@@ -18,8 +18,8 @@
 #include <vector>
 
 #include "bench_json.h"
+#include "cluster/node.h"
 #include "dm/chaos_channel.h"
-#include "dm/hedc_schema.h"
 #include "dm/resilient_channel.h"
 #include "dm/tcp_remote.h"
 #include "testbed/browse_model.h"
@@ -31,35 +31,13 @@ using bench::BenchRow;
 using bench::Source;
 using bench::PercentileUs;
 
-// One full DM node (own database + schema) behind a TcpRmiServer.
-struct Node {
-  explicit Node(const std::string& name) {
-    ok = dm::CreateFullSchema(&db).ok();
-    archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                      std::make_unique<archive::DiskArchive>());
-    mapper = std::make_unique<archive::NameMapper>(&db, Config());
-    ok = ok && mapper->Init().ok() &&
-         mapper->RegisterArchive(1, "disk", "raid1").ok();
-    manager = std::make_unique<dm::DataManager>(
-        name, &db, &archives, mapper.get(), RealClock::Instance(),
-        dm::DataManager::Options{});
-    rmi = std::make_unique<dm::RmiServer>(manager.get(), &metrics);
-    tcp = std::make_unique<dm::TcpRmiServer>(rmi.get(), &metrics);
-    ok = ok && tcp->Start().ok() &&
-         db.Execute("INSERT INTO users VALUES (1, '" + name +
-                    "', 'h', TRUE, FALSE, FALSE, FALSE, FALSE, 'active', 0)")
-             .ok();
+// One booted cluster node: a full DM stack whose identity user (id 1)
+// is `name`, behind a TcpRmiServer.
+struct BootedNode : cluster::ClusterNode {
+  explicit BootedNode(const std::string& name) : ClusterNode(name, {}) {
+    ok = Boot().ok();
   }
-  ~Node() { tcp->Stop(); }
-
   bool ok = false;
-  MetricsRegistry metrics;
-  db::Database db;
-  archive::ArchiveManager archives;
-  std::unique_ptr<archive::NameMapper> mapper;
-  std::unique_ptr<dm::DataManager> manager;
-  std::unique_ptr<dm::RmiServer> rmi;
-  std::unique_ptr<dm::TcpRmiServer> tcp;
 };
 
 struct Measured {
@@ -131,13 +109,13 @@ int main(int argc, char** argv) {
   // (a) Raw TcpChannel round-trips against one node.
   double direct_p50_us = 0;
   {
-    Node node("alpha");
+    BootedNode node("alpha");
     if (!node.ok) {
       std::fprintf(stderr, "node setup failed\n");
       return 1;
     }
-    dm::TcpChannel channel("127.0.0.1", node.tcp->port());
-    dm::RemoteDm remote(&channel, &node.metrics);
+    dm::TcpChannel channel("127.0.0.1", node.port());
+    dm::RemoteDm remote(&channel, node.metrics());
     (void)Drive(&remote, smoke ? 20 : 100);  // warm up connection + caches
     Measured m = Drive(&remote, kCalls);
     direct_p50_us = PercentileUs(m.latencies_us, 0.50);
@@ -149,8 +127,8 @@ int main(int argc, char** argv) {
 
   // (b) Same traffic with seeded chaos on the wire and retries on top.
   {
-    Node node("alpha");
-    dm::TcpChannel tcp_channel("127.0.0.1", node.tcp->port());
+    BootedNode node("alpha");
+    dm::TcpChannel tcp_channel("127.0.0.1", node.port());
     dm::ChaosOptions chaos;
     chaos.drop_p = 0.08;
     chaos.truncate_p = 0.02;
@@ -161,7 +139,7 @@ int main(int argc, char** argv) {
     options.failure_threshold = 1 << 30;  // retries only, no redirection
     dm::ResilientChannel channel(&chaotic, nullptr, RealClock::Instance(),
                                  options);
-    dm::RemoteDm remote(&channel, &node.metrics);
+    dm::RemoteDm remote(&channel, node.metrics());
     Measured m = Drive(&remote, kCalls);
     dm::ResilientChannel::Stats stats = channel.stats();
     std::printf("  tcp_chaos_retry: %8.0f req/s  p50 %5.0fus  p99 %5.0fus"
@@ -177,11 +155,11 @@ int main(int argc, char** argv) {
   // (c) Failover: kill the primary node mid-run; the breaker redirects the
   // remaining calls to the fallback node.
   {
-    Node primary("alpha");
-    Node fallback("bravo");
-    dm::TcpChannel to_primary("127.0.0.1", primary.tcp->port(),
+    BootedNode primary("alpha");
+    BootedNode fallback("bravo");
+    dm::TcpChannel to_primary("127.0.0.1", primary.port(),
                               /*recv_timeout=*/500 * kMicrosPerMilli);
-    dm::TcpChannel to_fallback("127.0.0.1", fallback.tcp->port());
+    dm::TcpChannel to_fallback("127.0.0.1", fallback.port());
     dm::ResilientChannel::Options options = RetryOptions();
     options.failure_threshold = 2;
     options.cooldown = 60 * kMicrosPerSecond;  // stay on the fallback
@@ -189,7 +167,7 @@ int main(int argc, char** argv) {
                                  RealClock::Instance(), options);
     dm::RemoteDm remote(&channel);
     Measured m = Drive(&remote, kCalls, [&](int i) {
-      if (i == kCalls / 2) primary.tcp->Stop();
+      if (i == kCalls / 2) primary.StopServing();
     });
     dm::ResilientChannel::Stats stats = channel.stats();
     std::printf("  tcp_failover:    %8.0f req/s  p50 %5.0fus  p99 %5.0fus"

@@ -7,11 +7,7 @@
 // metadata interactions and one rendered image.
 #include <cstdio>
 
-#include "dm/dm.h"
-#include "dm/hedc_schema.h"
-#include "dm/process_layer.h"
-#include "pl/commit.h"
-#include "pl/frontend.h"
+#include "node/node.h"
 #include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
 #include "testbed/processing_model.h"
@@ -37,18 +33,14 @@ int main() {
   // --- real mini-run -----------------------------------------------------
   std::printf("\nreal stack mini-run (10 imaging analyses, scaled "
               "photons):\n");
-  db::Database metadata_db;
-  dm::CreateFullSchema(&metadata_db);
-  archive::ArchiveManager archives;
-  archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                    std::make_unique<archive::DiskArchive>());
-  Config mapper_config;
-  archive::NameMapper mapper(&metadata_db, mapper_config);
-  mapper.Init();
-  mapper.RegisterArchive(1, "disk", "raid1");
   VirtualClock clock;
-  dm::DataManager data_manager("dm0", &metadata_db, &archives, &mapper,
-                               &clock, dm::DataManager::Options{});
+  Node node("dm0", NodeOptions{}, &clock);
+  if (Status booted = node.Boot(); !booted.ok()) {
+    std::printf("  boot failed: %s\n", booted.ToString().c_str());
+    return 1;
+  }
+  db::Database& metadata_db = *node.db();
+  dm::DataManager& data_manager = *node.dm();
   dm::UserProfile super_user;
   super_user.is_super = true;
   data_manager.users().CreateUser("bench", "pw", super_user);
@@ -58,7 +50,6 @@ int main() {
               data_manager.users().Authenticate("bench", "pw").value(),
               "127.0.0.1", "ck", dm::SessionKind::kAnalysis)
           .value();
-  dm::ProcessLayer process(&data_manager, 1);
   rhessi::TelemetryOptions telemetry_options;
   telemetry_options.duration_sec = 600;
   telemetry_options.flares_per_hour = 12;
@@ -70,22 +61,14 @@ int main() {
   unit.t_start = 0;
   unit.t_stop = telemetry_options.duration_sec;
   unit.photons = telemetry.photons;
-  auto report = process.LoadRawUnit(session, unit.Pack());
+  auto report = node.process()->LoadRawUnit(session, unit.Pack());
   if (!report.ok() || report.value().hle_ids.empty()) {
     std::printf("  (load produced no events; skipping real run)\n");
     return 0;
   }
 
-  auto registry = analysis::CreateStandardRegistry();
-  pl::IdlServerManager manager("host0", {});
-  manager.AddServer(std::make_unique<pl::IdlServer>(
-      "idl0", registry.get(), &clock, pl::IdlServer::Options{}));
-  pl::GlobalDirectory directory;
-  directory.Register("host0", &manager, "local");
-  pl::DurationPredictor predictor;
-  pl::Frontend frontend(&directory, &predictor, &clock,
-                        pl::MakeDmCommitter(&data_manager, session, 1),
-                        pl::Frontend::Options{});
+  node.StartPl(session);
+  pl::Frontend& frontend = *node.frontend();
 
   int64_t hle = report.value().hle_ids[0];
   int64_t q0 = metadata_db.stats().queries.load();

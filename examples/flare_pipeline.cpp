@@ -6,11 +6,7 @@
 #include <memory>
 
 #include "core/clock.h"
-#include "dm/dm.h"
-#include "dm/hedc_schema.h"
-#include "dm/process_layer.h"
-#include "pl/commit.h"
-#include "pl/frontend.h"
+#include "node/node.h"
 #include "rhessi/calibration.h"
 #include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
@@ -18,24 +14,22 @@
 using namespace hedc;
 
 int main() {
-  db::Database metadata_db;
-  dm::CreateFullSchema(&metadata_db);
-  archive::ArchiveManager archives;
   VirtualClock clock;
-  archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                    std::make_unique<archive::DiskArchive>());
-  archives.Register(
+  Node node("dm0", NodeOptions{}, &clock);
+  if (Status booted = node.Boot(); !booted.ok()) {
+    std::printf("boot failed: %s\n", booted.ToString().c_str());
+    return 1;
+  }
+  // Archive 2: the tape tier old units migrate to.
+  node.archives()->Register(
       {2, archive::ArchiveType::kTape, "tape0", true},
       std::make_unique<archive::TapeArchive>(
           std::make_unique<archive::DiskArchive>(), &clock));
-  Config mapper_config;
-  archive::NameMapper mapper(&metadata_db, mapper_config);
-  mapper.Init();
-  mapper.RegisterArchive(1, "disk", "raid1");
-  mapper.RegisterArchive(2, "tape", "tape0");
+  node.mapper()->RegisterArchive(2, "tape", "tape0");
 
-  dm::DataManager data_manager("dm0", &metadata_db, &archives, &mapper,
-                               &clock, dm::DataManager::Options{});
+  dm::DataManager& data_manager = *node.dm();
+  dm::ProcessLayer& process = *node.process();
+
   dm::UserProfile import_rights;
   import_rights.is_super = true;
   data_manager.users().CreateUser("import", "pw", import_rights);
@@ -57,7 +51,6 @@ int main() {
   std::printf("telemetry: %zu photons, %zu injected events\n",
               telemetry.photons.size(), telemetry.truth.size());
 
-  dm::ProcessLayer process(&data_manager, 1);
   std::vector<int64_t> unit_ids;
   size_t total_hles = 0;
   for (const rhessi::RawDataUnit& unit :
@@ -78,18 +71,8 @@ int main() {
   std::printf("catalog now holds %zu auto-detected events\n", total_hles);
 
   // --- the extended catalog: standard analyses for every flare -----------
-  auto registry = analysis::CreateStandardRegistry();
-  pl::IdlServerManager manager("host0", {});
-  manager.AddServer(std::make_unique<pl::IdlServer>(
-      "idl0", registry.get(), &clock, pl::IdlServer::Options{}));
-  manager.AddServer(std::make_unique<pl::IdlServer>(
-      "idl1", registry.get(), &clock, pl::IdlServer::Options{}));
-  pl::GlobalDirectory directory;
-  directory.Register("host0", &manager, "local");
-  pl::DurationPredictor predictor;
-  pl::Frontend frontend(&directory, &predictor, &clock,
-                        pl::MakeDmCommitter(&data_manager, session, 1),
-                        pl::Frontend::Options{});
+  node.StartPl(session);
+  pl::Frontend& frontend = *node.frontend();
 
   auto flares = data_manager.semantics().ListHles(session, 0, 1e12);
   int analyses = 0;

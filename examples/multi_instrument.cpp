@@ -7,30 +7,25 @@
 #include <memory>
 
 #include "core/clock.h"
-#include "dm/dm.h"
-#include "dm/hedc_schema.h"
 #include "dm/predefined_queries.h"
-#include "dm/process_layer.h"
+#include "node/node.h"
 #include "rhessi/phoenix.h"
 #include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
-#include "web/web_server.h"
 
 using namespace hedc;
 
 int main() {
-  db::Database metadata_db;
-  dm::CreateFullSchema(&metadata_db);
   VirtualClock clock;
-  archive::ArchiveManager archives;
-  archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                    std::make_unique<archive::DiskArchive>());
-  Config mapper_config;
-  archive::NameMapper mapper(&metadata_db, mapper_config);
-  mapper.Init();
-  mapper.RegisterArchive(1, "disk", "raid1");
-  dm::DataManager data_manager("dm0", &metadata_db, &archives, &mapper,
-                               &clock, dm::DataManager::Options{});
+  Node node("dm0", NodeOptions{}, &clock);
+  if (Status booted = node.Boot(); !booted.ok()) {
+    std::printf("boot failed: %s\n", booted.ToString().c_str());
+    return 1;
+  }
+  db::Database& metadata_db = *node.db();
+  dm::DataManager& data_manager = *node.dm();
+  dm::ProcessLayer& process = *node.process();
+
   dm::UserProfile admin;
   admin.is_super = true;
   data_manager.users().CreateUser("ops", "pw", admin);
@@ -39,7 +34,6 @@ int main() {
           .GetOrCreate(data_manager.users().Authenticate("ops", "pw").value(),
                        "127.0.0.1", "ck", dm::SessionKind::kHle)
           .value();
-  dm::ProcessLayer process(&data_manager, 1);
 
   // --- instrument 1: RHESSI X-ray telemetry -----------------------------
   rhessi::TelemetryOptions xray;
@@ -105,12 +99,7 @@ int main() {
   }
 
   // --- web views over the merged repository -------------------------------
-  web::WebServer web_server(&data_manager, nullptr);
-  Status registered = web_server.RegisterStandardServlets();
-  if (!registered.ok()) {
-    std::printf("page templates: %s\n", registered.ToString().c_str());
-    return 1;
-  }
+  web::WebServer& web_server = *node.web();
   web::HttpResponse login = web_server.Dispatch(
       web::MakeRequest("/login?user=ops&password=pw"));
   std::string cookie = login.set_cookies["hedc_session"];

@@ -14,9 +14,7 @@
 
 #include "analysis/routine.h"
 #include "core/clock.h"
-#include "dm/dm.h"
-#include "dm/hedc_schema.h"
-#include "dm/process_layer.h"
+#include "node/node.h"
 #include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
 
@@ -67,23 +65,24 @@ class MeanEnergyRoutine : public analysis::AnalysisRoutine {
 }  // namespace
 
 int main() {
-  db::Database metadata_db;
-  dm::CreateFullSchema(&metadata_db);
   VirtualClock clock;
-  archive::ArchiveManager archives;
-  archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                    std::make_unique<archive::DiskArchive>());
+  Node node("dm0", NodeOptions{}, &clock);
+  if (Status booted = node.Boot(); !booted.ok()) {
+    std::printf("boot failed: %s\n", booted.ToString().c_str());
+    return 1;
+  }
+  // Archive 2: the tape tier cold data migrates to.
+  archive::ArchiveManager& archives = *node.archives();
   archives.Register(
       {2, archive::ArchiveType::kTape, "tape0", true},
       std::make_unique<archive::TapeArchive>(
           std::make_unique<archive::DiskArchive>(), &clock));
-  Config mapper_config;
-  archive::NameMapper mapper(&metadata_db, mapper_config);
-  mapper.Init();
-  mapper.RegisterArchive(1, "disk", "raid1");
+  archive::NameMapper& mapper = *node.mapper();
   mapper.RegisterArchive(2, "tape", "tape0");
-  dm::DataManager data_manager("dm0", &metadata_db, &archives, &mapper,
-                               &clock, dm::DataManager::Options{});
+  db::Database& metadata_db = *node.db();
+  dm::DataManager& data_manager = *node.dm();
+  dm::ProcessLayer& process = *node.process();
+
   dm::UserProfile admin;
   admin.is_super = true;
   data_manager.users().CreateUser("ops", "pw", admin);
@@ -92,7 +91,6 @@ int main() {
           .GetOrCreate(data_manager.users().Authenticate("ops", "pw").value(),
                        "127.0.0.1", "ck", dm::SessionKind::kCatalog)
           .value();
-  dm::ProcessLayer process(&data_manager, 1);
 
   // Load two units to operate on.
   rhessi::TelemetryOptions telemetry_options;

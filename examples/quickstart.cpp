@@ -5,40 +5,24 @@
 //   (event detection, HLEs, standard catalog, wavelet views)
 //   -> web browsing -> PL analysis -> ANA tuple + image file.
 #include <cstdio>
-#include <memory>
 
 #include "core/clock.h"
-#include "dm/dm.h"
-#include "dm/hedc_schema.h"
-#include "dm/process_layer.h"
-#include "pl/commit.h"
-#include "pl/frontend.h"
+#include "node/node.h"
 #include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
-#include "web/web_server.h"
 
 using namespace hedc;
 
 int main() {
-  // --- resource tier: metadata DBMS + file archive + name mapping -------
-  db::Database metadata_db;
-  dm::CreateFullSchema(&metadata_db);
-
-  archive::ArchiveManager archives;
-  archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                    std::make_unique<archive::DiskArchive>());
-
-  Config mapper_config;
-  mapper_config.Set("root.filename", "/hedc");
-  archive::NameMapper mapper(&metadata_db, mapper_config);
-  mapper.Init();
-  mapper.RegisterArchive(1, "disk", "raid1");
-
-  // --- application logic tier: the DM ------------------------------------
+  // --- one node: metadata DBMS + file archive + name mapping, the DM,
+  // the PL front end and the web tier -------------------------------------
   VirtualClock clock;
-  dm::DataManager::Options dm_options;
-  dm::DataManager data_manager("dm0", &metadata_db, &archives, &mapper,
-                               &clock, dm_options);
+  Node node("dm0", NodeOptions{}, &clock);
+  if (Status booted = node.Boot(); !booted.ok()) {
+    std::printf("boot failed: %s\n", booted.ToString().c_str());
+    return 1;
+  }
+  dm::DataManager& data_manager = *node.dm();
 
   dm::UserProfile scientist;
   scientist.can_download = scientist.can_analyze = scientist.can_upload =
@@ -69,8 +53,7 @@ int main() {
   unit.t_stop = telemetry_options.duration_sec;
   unit.photons = telemetry.photons;
 
-  dm::ProcessLayer process(&data_manager, /*raw_archive_id=*/1);
-  auto report = process.LoadRawUnit(import_session, unit.Pack());
+  auto report = node.process()->LoadRawUnit(import_session, unit.Pack());
   if (!report.ok()) {
     std::printf("load failed: %s\n", report.status().ToString().c_str());
     return 1;
@@ -79,26 +62,11 @@ int main() {
               static_cast<long long>(report.value().unit_id),
               report.value().photons, report.value().hle_ids.size());
 
-  // --- processing logic tier ---------------------------------------------
-  auto registry = analysis::CreateStandardRegistry();
-  pl::IdlServerManager manager("host0", {});
-  manager.AddServer(std::make_unique<pl::IdlServer>(
-      "idl0", registry.get(), &clock, pl::IdlServer::Options{}));
-  pl::GlobalDirectory directory;
-  directory.Register("host0", &manager, "local");
-  pl::DurationPredictor predictor;
-  pl::Frontend frontend(&directory, &predictor, &clock,
-                        pl::MakeDmCommitter(&data_manager, import_session, 1),
-                        pl::Frontend::Options{});
+  // --- processing logic tier: two interpreters, commits as "import" ----
+  node.StartPl(import_session);
 
   // --- presentation tier ---------------------------------------------------
-  web::WebServer web_server(&data_manager, &frontend);
-  Status registered = web_server.RegisterStandardServlets();
-  if (!registered.ok()) {
-    std::printf("page templates: %s\n", registered.ToString().c_str());
-    return 1;
-  }
-
+  web::WebServer& web_server = *node.web();
   web::HttpResponse login = web_server.Dispatch(
       web::MakeRequest("/login?user=alice&password=secret"));
   std::string cookie = login.set_cookies["hedc_session"];

@@ -8,9 +8,7 @@
 #include "client/streamcorder.h"
 #include "client/synoptic.h"
 #include "core/clock.h"
-#include "dm/dm.h"
-#include "dm/hedc_schema.h"
-#include "dm/process_layer.h"
+#include "node/node.h"
 #include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
 
@@ -18,18 +16,13 @@ using namespace hedc;
 
 int main() {
   // --- server side -------------------------------------------------------
-  db::Database metadata_db;
-  dm::CreateFullSchema(&metadata_db);
-  archive::ArchiveManager archives;
-  archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                    std::make_unique<archive::DiskArchive>());
-  Config mapper_config;
-  archive::NameMapper mapper(&metadata_db, mapper_config);
-  mapper.Init();
-  mapper.RegisterArchive(1, "disk", "raid1");
   VirtualClock clock;
-  dm::DataManager server("hedc", &metadata_db, &archives, &mapper, &clock,
-                         dm::DataManager::Options{});
+  Node node("hedc", NodeOptions{}, &clock);
+  if (Status booted = node.Boot(); !booted.ok()) {
+    std::printf("boot failed: %s\n", booted.ToString().c_str());
+    return 1;
+  }
+  dm::DataManager& server = *node.dm();
   dm::UserProfile scientist;
   scientist.can_download = scientist.can_analyze = scientist.can_upload =
       true;
@@ -46,13 +39,12 @@ int main() {
   telemetry_options.flares_per_hour = 8;
   telemetry_options.seed = 7;
   rhessi::Telemetry telemetry = rhessi::GenerateTelemetry(telemetry_options);
-  dm::ProcessLayer process(&server, 1);
   rhessi::RawDataUnit unit;
   unit.unit_id = 1;
   unit.t_start = 0;
   unit.t_stop = telemetry_options.duration_sec;
   unit.photons = telemetry.photons;
-  auto report = process.LoadRawUnit(session, unit.Pack());
+  auto report = node.process()->LoadRawUnit(session, unit.Pack());
   if (!report.ok() || report.value().hle_ids.empty()) {
     std::printf("server load failed\n");
     return 1;

@@ -1,11 +1,12 @@
 #include "client/streamcorder.h"
 
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 
 #include "archive/fits.h"
 #include "core/metrics.h"
 #include "core/strings.h"
-#include "dm/hedc_schema.h"
 #include "rhessi/raw_unit.h"
 
 namespace hedc::client {
@@ -15,26 +16,23 @@ StreamCorder::StreamCorder(dm::DataManager* server,
     : server_(server),
       server_session_(std::move(server_session)),
       options_(options) {
-  // Local clone of the HEDC server: same schema on an own DBMS.
-  local_db_ = std::make_unique<db::Database>();
-  dm::CreateFullSchema(local_db_.get());
-  local_archives_ = std::make_unique<archive::ArchiveManager>();
-  local_archives_->Register({1, archive::ArchiveType::kDisk, "local", true},
-                            std::make_unique<archive::DiskArchive>());
-  Config mapper_config;
-  mapper_config.Set("root.filename", "streamcorder");
-  local_mapper_ = std::make_unique<archive::NameMapper>(local_db_.get(),
-                                                        mapper_config);
-  local_mapper_->Init();
-  local_mapper_->RegisterArchive(1, "disk", "cache");
-  local_dm_ = std::make_unique<dm::DataManager>(
-      "streamcorder-local", local_db_.get(), local_archives_.get(),
-      local_mapper_.get(), server->clock(), dm::DataManager::Options{});
+  // Local clone of the HEDC server: a node of its own, whose product cache
+  // serves repeated local analyses. In memory, Boot fails only on a
+  // defective schema or page template.
+  NodeOptions local_options;
+  local_options.cache.capacity_bytes = options_.product_cache_capacity_bytes;
+  local_options.cache.metric_prefix = "client.product_cache";
+  local_ = std::make_unique<Node>("streamcorder-local", local_options,
+                                  server->clock());
+  if (Status booted = local_->Boot(); !booted.ok()) {
+    std::fprintf(stderr, "local node: %s\n", booted.ToString().c_str());
+    std::abort();
+  }
   dm::UserProfile local_user;
   local_user.user_id = server_session_.profile.user_id;
   local_user.name = server_session_.profile.name;
   local_user.is_super = true;  // the local clone is fully owned
-  Result<dm::Session> local = local_dm_->sessions().GetOrCreate(
+  Result<dm::Session> local = local_->dm()->sessions().GetOrCreate(
       local_user, "127.0.0.1", "local", dm::SessionKind::kAnalysis);
   if (local.ok()) local_session_ = local.value();
 
@@ -44,16 +42,6 @@ StreamCorder::StreamCorder(dm::DataManager* server,
     cache_ = std::make_unique<DbCache>(options_.cache_capacity_bytes);
   }
   registry_ = analysis::CreateStandardRegistry();
-
-  // The client is "a clone of the HEDC server": it runs the same
-  // derived-product cache over its local DM, so repeated local analyses
-  // are served from storage and survive a client restart.
-  pl::ProductCache::Options pc_options;
-  pc_options.capacity_bytes = options_.product_cache_capacity_bytes;
-  pc_options.metric_prefix = "client.product_cache";
-  product_cache_ =
-      std::make_unique<pl::ProductCache>(local_dm_.get(), pc_options);
-  product_cache_->LoadFromDm();
 }
 
 Result<std::vector<uint8_t>> StreamCorder::FetchRawUnit(int64_t unit_id) {
@@ -173,7 +161,7 @@ Result<StreamCorder::ProgressiveView> StreamCorder::FetchViewProgressive(
 // file: local mirror first, then the server's raw_units tuple. -1 when
 // the unit is unknown to both (the unpacked header decides later).
 int StreamCorder::ResolveCalibrationVersion(int64_t unit_id) {
-  for (db::Database* db : {local_db_.get(), server_->database()}) {
+  for (db::Database* db : {local_->db(), server_->database()}) {
     Result<db::ResultSet> row = db->Execute(
         "SELECT calibration_version FROM raw_units WHERE unit_id = ?",
         {db::Value::Int(unit_id)});
@@ -189,17 +177,18 @@ Result<analysis::AnalysisProduct> StreamCorder::AnalyzeLocally(
     int64_t unit_id, const std::string& routine,
     const analysis::AnalysisParams& params) {
   int calibration_version = ResolveCalibrationVersion(unit_id);
+  pl::ProductCache* cache = local_->product_cache();
   pl::ProductCache::Ticket ticket;
-  if (product_cache_ != nullptr && calibration_version >= 0) {
+  if (calibration_version >= 0) {
     pl::ProductCacheKey key = pl::MakeProductCacheKey(
         routine, params, {{unit_id, calibration_version}});
-    ticket = product_cache_->Admit(key);
+    ticket = cache->Admit(key);
     if (ticket.role == pl::ProductCache::Role::kHit) {
       return pl::DecodeProduct(ticket.hit.bytes);
     }
     if (ticket.role == pl::ProductCache::Role::kFollower) {
       HEDC_ASSIGN_OR_RETURN(pl::ProductCache::CachedProduct shared,
-                            product_cache_->Await(ticket));
+                            cache->Await(ticket));
       return pl::DecodeProduct(shared.bytes);
     }
   }
@@ -220,9 +209,9 @@ Result<analysis::AnalysisProduct> StreamCorder::AnalyzeLocally(
                          std::chrono::steady_clock::now() - wall_start)
                          .count();
     if (product.ok()) {
-      product_cache_->CompleteSuccess(ticket, product.value(), seconds, 0);
+      cache->CompleteSuccess(ticket, product.value(), seconds, 0);
     } else {
-      product_cache_->CompleteFailure(ticket, product.status());
+      cache->CompleteFailure(ticket, product.status());
     }
   }
   return product;
@@ -257,7 +246,7 @@ Status StreamCorder::MirrorHle(int64_t hle_id) {
   // tuple directly to preserve the id.
   HEDC_ASSIGN_OR_RETURN(
       db::ResultSet r,
-      local_db_->Execute(
+      local_->db()->Execute(
           "INSERT INTO hle VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, "
           "?, ?, ?, ?, ?, ?, ?)",
           {db::Value::Int(record.hle_id), db::Value::Int(record.owner_id),
@@ -298,13 +287,13 @@ Result<int64_t> StreamCorder::MirrorRepository() {
       server_->database()->Execute("SELECT * FROM raw_units"));
   for (size_t i = 0; i < units.num_rows(); ++i) {
     int64_t unit_id = units.Get(i, "unit_id").AsInt();
-    Result<db::ResultSet> exists = local_db_->Execute(
+    Result<db::ResultSet> exists = local_->db()->Execute(
         "SELECT COUNT(*) FROM raw_units WHERE unit_id = ?",
         {db::Value::Int(unit_id)});
     if (exists.ok() && exists.value().rows[0][0].AsInt() == 0) {
       HEDC_ASSIGN_OR_RETURN(
           db::ResultSet ins,
-          local_db_->Execute(
+          local_->db()->Execute(
               "INSERT INTO raw_units VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
               {units.rows[i][0], units.rows[i][1], units.rows[i][2],
                units.rows[i][3], units.rows[i][4], units.rows[i][5],
@@ -320,16 +309,16 @@ Result<int64_t> StreamCorder::MirrorRepository() {
           "SELECT * FROM catalogs WHERE is_public = TRUE"));
   for (size_t i = 0; i < catalogs.num_rows(); ++i) {
     int64_t catalog_id = catalogs.Get(i, "catalog_id").AsInt();
-    Result<db::ResultSet> exists = local_db_->Execute(
+    Result<db::ResultSet> exists = local_->db()->Execute(
         "SELECT COUNT(*) FROM catalogs WHERE catalog_id = ?",
         {db::Value::Int(catalog_id)});
     if (!exists.ok() || exists.value().rows[0][0].AsInt() > 0) continue;
     HEDC_ASSIGN_OR_RETURN(
         db::ResultSet ins,
-        local_db_->Execute("INSERT INTO catalogs VALUES (?, ?, ?, ?, ?, ?)",
-                           {catalogs.rows[i][0], catalogs.rows[i][1],
-                            catalogs.rows[i][2], catalogs.rows[i][3],
-                            catalogs.rows[i][4], catalogs.rows[i][5]}));
+        local_->db()->Execute(
+            "INSERT INTO catalogs VALUES (?, ?, ?, ?, ?, ?)",
+            {catalogs.rows[i][0], catalogs.rows[i][1], catalogs.rows[i][2],
+             catalogs.rows[i][3], catalogs.rows[i][4], catalogs.rows[i][5]}));
     (void)ins;
     HEDC_ASSIGN_OR_RETURN(
         db::ResultSet members,
@@ -337,16 +326,16 @@ Result<int64_t> StreamCorder::MirrorRepository() {
             "SELECT * FROM catalog_members WHERE catalog_id = ?",
             {db::Value::Int(catalog_id)}));
     for (size_t m = 0; m < members.num_rows(); ++m) {
-      local_db_->Execute("INSERT INTO catalog_members VALUES (?, ?, ?)",
-                         {members.rows[m][0], members.rows[m][1],
-                          members.rows[m][2]});
+      local_->db()->Execute("INSERT INTO catalog_members VALUES (?, ?, ?)",
+                            {members.rows[m][0], members.rows[m][1],
+                             members.rows[m][2]});
     }
   }
   return mirrored;
 }
 
 Result<dm::HleRecord> StreamCorder::LocalHle(int64_t hle_id) {
-  return local_dm_->semantics().GetHle(local_session_, hle_id);
+  return local_->dm()->semantics().GetHle(local_session_, hle_id);
 }
 
 void StreamCorder::RegisterCordlet(std::unique_ptr<Cordlet> cordlet) {

@@ -20,6 +20,7 @@
 #include "client/cache.h"
 #include "dm/dm.h"
 #include "dm/process_layer.h"
+#include "node/node.h"
 #include "pl/product_cache.h"
 #include "wavelet/codec.h"
 
@@ -48,7 +49,7 @@ class StreamCorder {
   };
 
   // `server` is the HEDC server's DM this client talks to. The client
-  // builds its own local DM clone (own DBMS + archive + schema).
+  // boots its own local clone, a hedc::Node.
   StreamCorder(dm::DataManager* server, dm::Session server_session,
                Options options);
 
@@ -124,8 +125,8 @@ class StreamCorder {
   std::vector<Cordlet*> ModulesFor(const std::string& data_type) const;
 
   ClientCache& cache() { return *cache_; }
-  dm::DataManager& local_dm() { return *local_dm_; }
-  pl::ProductCache& product_cache() { return *product_cache_; }
+  dm::DataManager& local_dm() { return *local_->dm(); }
+  pl::ProductCache& product_cache() { return *local_->product_cache(); }
 
   int64_t server_fetches() const { return server_fetches_; }
 
@@ -138,15 +139,10 @@ class StreamCorder {
   dm::Session server_session_;
   Options options_;
 
-  // Local clone: same schema, own DBMS/archive/mapper.
-  std::unique_ptr<db::Database> local_db_;
-  std::unique_ptr<archive::ArchiveManager> local_archives_;
-  std::unique_ptr<archive::NameMapper> local_mapper_;
-  std::unique_ptr<dm::DataManager> local_dm_;
+  std::unique_ptr<Node> local_;  // the local clone
   dm::Session local_session_;
 
   std::unique_ptr<ClientCache> cache_;
-  std::unique_ptr<pl::ProductCache> product_cache_;
   std::unique_ptr<analysis::RoutineRegistry> registry_;
   std::vector<std::unique_ptr<Cordlet>> cordlets_;
   std::vector<StreamCorder*> peers_;

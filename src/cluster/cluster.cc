@@ -71,7 +71,6 @@ Result<int> ClusterRunner::BootOneLocked() {
 }
 
 void ClusterRunner::WireInvalidationBroadcast(ClusterNode* node) {
-  if (node->process() == nullptr) return;
   // Snapshot the cache list outside any per-cache work so a broadcast
   // never holds the runner lock while touching cache internals (a node
   // being killed may be joining RMI threads that are mid-recalibration).

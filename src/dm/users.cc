@@ -39,6 +39,13 @@ UserProfile ProfileFromRow(const db::ResultSet& rs, size_t row) {
 
 }  // namespace
 
+UserManager::UserManager(db::Database* db) : db_(db) {
+  Result<db::ResultSet> rs = db_->Execute("SELECT MAX(user_id) FROM users");
+  if (rs.ok() && !rs.value().rows.empty()) {
+    ids_.AdvancePast(rs.value().rows[0][0].AsInt());
+  }
+}
+
 Result<int64_t> UserManager::CreateUser(const std::string& name,
                                         const std::string& password,
                                         const UserProfile& rights) {

@@ -34,7 +34,10 @@ std::string HashPassword(const std::string& password);
 
 class UserManager {
  public:
-  explicit UserManager(db::Database* db) : db_(db) {}
+  // Seeds the user-id generator past MAX(user_id), so a node that
+  // replays its log, or a second node on the same DBMS, does not reuse
+  // an id.
+  explicit UserManager(db::Database* db);
 
   // Creates a user; fails on duplicate names.
   Result<int64_t> CreateUser(const std::string& name,

@@ -90,7 +90,7 @@ class StreamCorderTest : public ::testing::Test {
   StreamCorder MakeClient(int cache_version) {
     StreamCorder::Options options;
     options.cache_version = cache_version;
-    return StreamCorder(stack_.data_manager.get(), session_, options);
+    return StreamCorder(stack_.node.dm(), session_, options);
   }
 
   testing::HedcStack stack_;
@@ -187,11 +187,11 @@ TEST_F(StreamCorderTest, LocalAnalysisAndUpload) {
   ASSERT_TRUE(ana_id.ok()) << ana_id.status().ToString();
   // The uploaded analysis is in the server metadata and its image is
   // retrievable.
-  auto record = stack_.data_manager->semantics().GetAna(session_,
-                                                        ana_id.value());
+  auto record =
+      stack_.node.dm()->semantics().GetAna(session_, ana_id.value());
   ASSERT_TRUE(record.ok());
   EXPECT_EQ(record.value().routine, "histogram");
-  EXPECT_TRUE(stack_.data_manager->io()
+  EXPECT_TRUE(stack_.node.dm()->io()
                   .ReadItemFile(2000000000 + ana_id.value())
                   .ok());
 }

@@ -10,8 +10,8 @@
 
 #include "core/backoff.h"
 #include "dm/chaos_channel.h"
-#include "dm/hedc_schema.h"
 #include "dm/resilient_channel.h"
+#include "node/node.h"
 
 namespace hedc::dm {
 namespace {
@@ -393,28 +393,15 @@ TEST(ChaosChannelTest, InjectedDelaysTripTheDeadline) {
 class ChaosDmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(CreateFullSchema(&db_).ok());
-    archives_.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                       std::make_unique<archive::DiskArchive>());
-    mapper_ = std::make_unique<archive::NameMapper>(&db_, Config());
-    ASSERT_TRUE(mapper_->Init().ok());
-    ASSERT_TRUE(mapper_->RegisterArchive(1, "disk", "raid1").ok());
-    dm_ = std::make_unique<DataManager>("chaos-node", &db_, &archives_,
-                                        mapper_.get(), &clock_,
-                                        DataManager::Options{});
-    server_ = std::make_unique<RmiServer>(dm_.get(), &metrics_);
+    ASSERT_TRUE(node_.Boot().ok());
+    server_ = std::make_unique<RmiServer>(node_.dm(), &metrics_);
     inner_ = std::make_unique<InProcessChannel>(server_.get());
-    ASSERT_TRUE(db_.Execute("INSERT INTO users VALUES (1, 'a', 'h', TRUE, "
-                            "FALSE, FALSE, FALSE, FALSE, 'active', 0)")
-                    .ok());
+    ASSERT_TRUE(node_.dm()->users().CreateUser("a", "h", UserProfile{}).ok());
   }
 
   VirtualClock clock_;
   MetricsRegistry metrics_;
-  db::Database db_;
-  archive::ArchiveManager archives_;
-  std::unique_ptr<archive::NameMapper> mapper_;
-  std::unique_ptr<DataManager> dm_;
+  Node node_{"chaos-node", NodeOptions{}, &clock_};
   std::unique_ptr<RmiServer> server_;
   std::unique_ptr<InProcessChannel> inner_;
 };

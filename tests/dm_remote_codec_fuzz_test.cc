@@ -9,8 +9,8 @@
 
 #include "core/rng.h"
 #include "db/wal.h"  // value codec
-#include "dm/hedc_schema.h"
 #include "dm/remote.h"
+#include "node/node.h"
 
 namespace hedc::dm {
 namespace {
@@ -139,16 +139,8 @@ TEST(RemoteCodecFuzzTest, CallHeaderRoundTripAndRejectsMutations) {
 class RmiServerFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(CreateFullSchema(&db_).ok());
-    archives_.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                       std::make_unique<archive::DiskArchive>());
-    mapper_ = std::make_unique<archive::NameMapper>(&db_, Config());
-    ASSERT_TRUE(mapper_->Init().ok());
-    ASSERT_TRUE(mapper_->RegisterArchive(1, "disk", "raid1").ok());
-    dm_ = std::make_unique<DataManager>("fuzz-node", &db_, &archives_,
-                                        mapper_.get(), &clock_,
-                                        DataManager::Options{});
-    server_ = std::make_unique<RmiServer>(dm_.get(), &metrics_);
+    ASSERT_TRUE(node_.Boot().ok());
+    server_ = std::make_unique<RmiServer>(node_.dm(), &metrics_);
   }
 
   // The server must answer a parseable envelope: 0x00 (payload follows)
@@ -169,10 +161,7 @@ class RmiServerFuzzTest : public ::testing::Test {
 
   VirtualClock clock_;
   MetricsRegistry metrics_;
-  db::Database db_;
-  archive::ArchiveManager archives_;
-  std::unique_ptr<archive::NameMapper> mapper_;
-  std::unique_ptr<DataManager> dm_;
+  Node node_{"fuzz-node", NodeOptions{}, &clock_};
   std::unique_ptr<RmiServer> server_;
 };
 

@@ -2,8 +2,8 @@
 // propagation, channel failure, latency accounting.
 #include <gtest/gtest.h>
 
-#include "dm/hedc_schema.h"
 #include "dm/remote.h"
+#include "node/node.h"
 
 namespace hedc::dm {
 namespace {
@@ -11,31 +11,18 @@ namespace {
 class RemoteDmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(CreateFullSchema(&db_).ok());
-    archives_.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                       std::make_unique<archive::DiskArchive>());
-    mapper_ = std::make_unique<archive::NameMapper>(&db_, Config());
-    ASSERT_TRUE(mapper_->Init().ok());
-    ASSERT_TRUE(mapper_->RegisterArchive(1, "disk", "raid1").ok());
-    dm_ = std::make_unique<DataManager>("remote-node", &db_, &archives_,
-                                        mapper_.get(), &clock_,
-                                        DataManager::Options{});
-    server_ = std::make_unique<RmiServer>(dm_.get());
+    ASSERT_TRUE(node_.Boot().ok());
+    server_ = std::make_unique<RmiServer>(node_.dm());
     channel_ = std::make_unique<InProcessChannel>(server_.get(), &clock_,
                                                   /*latency=*/1000,
                                                   /*micros_per_kb=*/100);
     remote_ = std::make_unique<RemoteDm>(channel_.get());
 
-    ASSERT_TRUE(db_.Execute("INSERT INTO users VALUES (1, 'a', 'h', TRUE, "
-                            "FALSE, FALSE, FALSE, FALSE, 'active', 0)")
-                    .ok());
+    ASSERT_TRUE(node_.dm()->users().CreateUser("a", "h", UserProfile{}).ok());
   }
 
   VirtualClock clock_;
-  db::Database db_;
-  archive::ArchiveManager archives_;
-  std::unique_ptr<archive::NameMapper> mapper_;
-  std::unique_ptr<DataManager> dm_;
+  Node node_{"remote-node", NodeOptions{}, &clock_};
   std::unique_ptr<RmiServer> server_;
   std::unique_ptr<InProcessChannel> channel_;
   std::unique_ptr<RemoteDm> remote_;
@@ -78,7 +65,7 @@ TEST_F(RemoteDmTest, ErrorStatusPropagates) {
 }
 
 TEST_F(RemoteDmTest, FileReadOverChannel) {
-  ASSERT_TRUE(dm_->io().WriteItemFile(42, 1, "raw", {9, 8, 7}).ok());
+  ASSERT_TRUE(node_.dm()->io().WriteItemFile(42, 1, "raw", {9, 8, 7}).ok());
   auto data = remote_->ReadItemFile(42);
   ASSERT_TRUE(data.ok()) << data.status().ToString();
   EXPECT_EQ(data.value(), (std::vector<uint8_t>{9, 8, 7}));
@@ -87,7 +74,7 @@ TEST_F(RemoteDmTest, FileReadOverChannel) {
 
 TEST_F(RemoteDmTest, LogOverChannel) {
   ASSERT_TRUE(remote_->LogOperational("remote-test", "hello").ok());
-  auto rs = db_.Execute(
+  auto rs = node_.db()->Execute(
       "SELECT COUNT(*) FROM op_logs WHERE component = 'remote-test'");
   EXPECT_EQ(rs.value().rows[0][0].AsInt(), 1);
 }
@@ -138,7 +125,7 @@ TEST_F(RemoteDmTest, CallHeaderRoundTrips) {
 
 TEST_F(RemoteDmTest, TraceIdPropagatesThroughFrameHeader) {
   MetricsRegistry metrics;
-  RmiServer server(dm_.get(), &metrics);
+  RmiServer server(node_.dm(), &metrics);
   InProcessChannel channel(&server);
   RemoteDm remote(&channel, &metrics);
   remote.set_trace_id(31337);

@@ -11,7 +11,7 @@
 #include <thread>
 #include <vector>
 
-#include "dm/hedc_schema.h"
+#include "cluster/node.h"
 #include "dm/resilient_channel.h"
 #include "dm/tcp_remote.h"
 #include "tcp_listener.h"
@@ -19,35 +19,12 @@
 namespace hedc::dm {
 namespace {
 
-// One full DM node (own database + schema) behind a TcpRmiServer.
-struct Node {
-  explicit Node(const std::string& name) {
-    EXPECT_TRUE(CreateFullSchema(&db).ok());
-    archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                      std::make_unique<archive::DiskArchive>());
-    mapper = std::make_unique<archive::NameMapper>(&db, Config());
-    EXPECT_TRUE(mapper->Init().ok());
-    EXPECT_TRUE(mapper->RegisterArchive(1, "disk", "raid1").ok());
-    dm = std::make_unique<DataManager>(name, &db, &archives, mapper.get(),
-                                       RealClock::Instance(),
-                                       DataManager::Options{});
-    rmi = std::make_unique<RmiServer>(dm.get(), &metrics);
-    tcp = std::make_unique<TcpRmiServer>(rmi.get(), &metrics);
-    EXPECT_TRUE(tcp->Start().ok());
-    EXPECT_TRUE(db.Execute("INSERT INTO users VALUES (1, '" + name +
-                           "', 'h', TRUE, FALSE, FALSE, FALSE, FALSE, "
-                           "'active', 0)")
-                    .ok());
+// One booted cluster node: a full DM stack whose identity user (id 1)
+// is `name`, behind a TcpRmiServer.
+struct BootedNode : cluster::ClusterNode {
+  explicit BootedNode(const std::string& name) : ClusterNode(name, {}) {
+    EXPECT_TRUE(Boot().ok());
   }
-  ~Node() { tcp->Stop(); }
-
-  MetricsRegistry metrics;
-  db::Database db;
-  archive::ArchiveManager archives;
-  std::unique_ptr<archive::NameMapper> mapper;
-  std::unique_ptr<DataManager> dm;
-  std::unique_ptr<RmiServer> rmi;
-  std::unique_ptr<TcpRmiServer> tcp;
 };
 
 ResilientChannel::Options FailoverOptions() {
@@ -61,8 +38,8 @@ ResilientChannel::Options FailoverOptions() {
 }
 
 TEST(TcpRemoteTest, QueryOverRealSocketRoundTrips) {
-  Node node("alpha");
-  TcpChannel channel("127.0.0.1", node.tcp->port());
+  BootedNode node("alpha");
+  TcpChannel channel("127.0.0.1", node.port());
   MetricsRegistry client_metrics;
   RemoteDm remote(&channel, &client_metrics);
   remote.set_trace_id(4242);
@@ -76,21 +53,22 @@ TEST(TcpRemoteTest, QueryOverRealSocketRoundTrips) {
   // The trace id crossed the wire inside the frame header: the server
   // recorded a dm-remote span under the caller's id.
   bool found = false;
-  for (const TraceEvent& event : node.metrics.traces().SnapshotTrace()) {
+  for (const TraceEvent& event : node.metrics()->traces().SnapshotTrace()) {
     if (event.trace_id == 4242 && event.component == "dm-remote" &&
         event.span == "query") {
       found = true;
     }
   }
   EXPECT_TRUE(found);
-  EXPECT_EQ(node.metrics.GetCounter("remote.server.calls")->Value(), 1);
-  EXPECT_EQ(node.metrics.GetCounter("remote.server.connections")->Value(), 1);
+  EXPECT_EQ(node.metrics()->GetCounter("remote.server.calls")->Value(), 1);
+  EXPECT_EQ(node.metrics()->GetCounter("remote.server.connections")->Value(),
+            1);
 }
 
 TEST(TcpRemoteTest, FileReadAndLogOverRealSocket) {
-  Node node("beta");
-  ASSERT_TRUE(node.dm->io().WriteItemFile(42, 1, "raw", {9, 8, 7}).ok());
-  TcpChannel channel("127.0.0.1", node.tcp->port());
+  BootedNode node("beta");
+  ASSERT_TRUE(node.dm()->io().WriteItemFile(42, 1, "raw", {9, 8, 7}).ok());
+  TcpChannel channel("127.0.0.1", node.port());
   RemoteDm remote(&channel);
 
   auto data = remote.ReadItemFile(42);
@@ -98,7 +76,7 @@ TEST(TcpRemoteTest, FileReadAndLogOverRealSocket) {
   EXPECT_EQ(data.value(), (std::vector<uint8_t>{9, 8, 7}));
   EXPECT_TRUE(remote.ReadItemFile(999).status().IsNotFound());
   EXPECT_TRUE(remote.LogOperational("tcp-test", "over the wire").ok());
-  auto rs = node.db.Execute(
+  auto rs = node.db()->Execute(
       "SELECT COUNT(*) FROM op_logs WHERE component = 'tcp-test'");
   EXPECT_EQ(rs.value().rows[0][0].AsInt(), 1);
 }
@@ -138,12 +116,12 @@ TEST(TcpRemoteTest, RecvDeadlineYieldsTimeout) {
 }
 
 TEST(TcpRemoteTest, KillingNodeMidCallFailsOverToFallbackStress) {
-  Node primary("alpha");
-  Node fallback("bravo");
+  BootedNode primary("alpha");
+  BootedNode fallback("bravo");
   MetricsRegistry client_metrics;
-  TcpChannel to_primary("127.0.0.1", primary.tcp->port(),
+  TcpChannel to_primary("127.0.0.1", primary.port(),
                         /*recv_timeout=*/500 * kMicrosPerMilli);
-  TcpChannel to_fallback("127.0.0.1", fallback.tcp->port(),
+  TcpChannel to_fallback("127.0.0.1", fallback.port(),
                          /*recv_timeout=*/2 * kMicrosPerSecond);
   ResilientChannel channel(&to_primary, &to_fallback, RealClock::Instance(),
                            FailoverOptions(), &client_metrics);
@@ -165,7 +143,7 @@ TEST(TcpRemoteTest, KillingNodeMidCallFailsOverToFallbackStress) {
   std::atomic<bool> killed{false};
   std::thread killer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    primary.tcp->Stop();
+    primary.StopServing();
     killed.store(true, std::memory_order_release);
   });
   // At least 200 calls, and at least 50 of them started after the kill
@@ -200,12 +178,12 @@ TEST(TcpRemoteTest, KillingNodeMidCallFailsOverToFallbackStress) {
   // Both tiers recorded spans for trace 777, including the fallback node
   // (the id propagated through redirected frames too).
   int fallback_spans = 0;
-  for (const TraceEvent& event : fallback.metrics.traces().SnapshotTrace()) {
+  for (const TraceEvent& event : fallback.metrics()->traces().SnapshotTrace()) {
     if (event.trace_id == 777 && event.component == "dm-remote") {
       ++fallback_spans;
     }
   }
-  EXPECT_EQ(fallback_spans, fallback.rmi->calls_handled());
+  EXPECT_EQ(fallback_spans, fallback.rmi()->calls_handled());
   EXPECT_GT(fallback_spans, 0);
   int client_spans = 0;
   for (const TraceEvent& event : client_metrics.traces().SnapshotTrace()) {
@@ -230,28 +208,28 @@ int OpenFdCount() {
 // before 1k) nor wedge the accept loop. Every rebooted generation gets a
 // fresh ephemeral port and still answers queries.
 TEST(TcpRemoteTest, StartStopHammerLeaksNoFdsStress) {
-  Node node("hammer");
-  node.tcp->Stop();
+  BootedNode node("hammer");
+  node.StopServing();
   int baseline = OpenFdCount();
   for (int cycle = 0; cycle < 1000; ++cycle) {
-    ASSERT_TRUE(node.tcp->Start().ok()) << "cycle " << cycle;
-    ASSERT_GT(node.tcp->port(), 0);
+    ASSERT_TRUE(node.StartServing().ok()) << "cycle " << cycle;
+    ASSERT_GT(node.port(), 0);
     if (cycle % 100 == 0) {
-      TcpChannel channel("127.0.0.1", node.tcp->port());
+      TcpChannel channel("127.0.0.1", node.port());
       RemoteDm remote(&channel);
       auto rs = remote.Execute("SELECT COUNT(*) FROM users", {});
       ASSERT_TRUE(rs.ok()) << "cycle " << cycle << ": "
                            << rs.status().ToString();
       EXPECT_EQ(rs.value().rows[0][0].AsInt(), 1);
     }
-    node.tcp->Stop();
+    node.StopServing();
   }
   if (baseline >= 0) {
     // Allowance for unrelated fds the runtime may open lazily.
     EXPECT_LE(OpenFdCount(), baseline + 4) << "fd leak across restarts";
   }
-  ASSERT_TRUE(node.tcp->Start().ok());
-  TcpChannel channel("127.0.0.1", node.tcp->port());
+  ASSERT_TRUE(node.StartServing().ok());
+  TcpChannel channel("127.0.0.1", node.port());
   RemoteDm remote(&channel);
   EXPECT_TRUE(remote.Execute("SELECT COUNT(*) FROM users", {}).ok());
 }
@@ -261,14 +239,14 @@ TEST(TcpRemoteTest, StartStopHammerLeaksNoFdsStress) {
 // down half the time) but nothing may crash, hang or corrupt — and the
 // server must still serve cleanly afterwards. TSan-checked in verify.sh.
 TEST(TcpRemoteTest, StopRacesInFlightAcceptStress) {
-  Node node("bouncer");
+  BootedNode node("bouncer");
   std::atomic<bool> done{false};
   std::atomic<int64_t> ok_calls{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&] {
       while (!done.load(std::memory_order_acquire)) {
-        TcpChannel channel("127.0.0.1", node.tcp->port(),
+        TcpChannel channel("127.0.0.1", node.port(),
                            /*recv_timeout=*/200 * kMicrosPerMilli);
         RemoteDm remote(&channel);
         auto rs = remote.Execute("SELECT COUNT(*) FROM users", {});
@@ -278,13 +256,13 @@ TEST(TcpRemoteTest, StopRacesInFlightAcceptStress) {
   }
   for (int cycle = 0; cycle < 60; ++cycle) {
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    node.tcp->Stop();
-    ASSERT_TRUE(node.tcp->Start().ok()) << "cycle " << cycle;
+    node.StopServing();
+    ASSERT_TRUE(node.StartServing().ok()) << "cycle " << cycle;
   }
   done.store(true, std::memory_order_release);
   for (std::thread& t : clients) t.join();
 
-  TcpChannel channel("127.0.0.1", node.tcp->port());
+  TcpChannel channel("127.0.0.1", node.port());
   RemoteDm remote(&channel);
   auto rs = remote.Execute("SELECT COUNT(*) FROM users", {});
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
@@ -292,7 +270,7 @@ TEST(TcpRemoteTest, StopRacesInFlightAcceptStress) {
 }
 
 TEST(TcpRemoteTest, ManyConcurrentClientsOneServerStress) {
-  Node node("gamma");
+  BootedNode node("gamma");
   constexpr int kThreads = 8;
   constexpr int kCallsPerThread = 50;
   std::atomic<int64_t> failures{0};
@@ -300,7 +278,7 @@ TEST(TcpRemoteTest, ManyConcurrentClientsOneServerStress) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      TcpChannel channel("127.0.0.1", node.tcp->port());
+      TcpChannel channel("127.0.0.1", node.port());
       MetricsRegistry metrics;
       ResilientChannel resilient(&channel, nullptr, RealClock::Instance(),
                                  FailoverOptions(), &metrics);
@@ -320,11 +298,11 @@ TEST(TcpRemoteTest, ManyConcurrentClientsOneServerStress) {
   EXPECT_EQ(failures.load(), 0);
   // Atomic ledger: every delivered attempt was counted exactly once
   // across 8 concurrent connections.
-  EXPECT_EQ(node.rmi->calls_handled(),
+  EXPECT_EQ(node.rmi()->calls_handled(),
             kThreads * kCallsPerThread + total_retries.load());
-  EXPECT_EQ(node.metrics.GetCounter("remote.server.calls")->Value(),
-            node.rmi->calls_handled());
-  EXPECT_GE(node.metrics.GetCounter("remote.server.connections")->Value(),
+  EXPECT_EQ(node.metrics()->GetCounter("remote.server.calls")->Value(),
+            node.rmi()->calls_handled());
+  EXPECT_GE(node.metrics()->GetCounter("remote.server.connections")->Value(),
             kThreads);
 }
 

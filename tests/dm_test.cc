@@ -17,6 +17,7 @@
 #include "dm/dm.h"
 #include "dm/hedc_schema.h"
 #include "dm/process_layer.h"
+#include "node/node.h"
 #include "rhessi/raw_unit.h"
 #include "rhessi/telemetry.h"
 
@@ -26,22 +27,14 @@ namespace {
 class DmTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ASSERT_TRUE(CreateFullSchema(&db_).ok());
-    archives_.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                       std::make_unique<archive::DiskArchive>());
-    archives_.Register({2, archive::ArchiveType::kTape, "tape0", true},
-                       std::make_unique<archive::TapeArchive>(
-                           std::make_unique<archive::DiskArchive>(), &clock_));
-    Config config;
-    config.Set("root.filename", "/hedc");
-    mapper_ = std::make_unique<archive::NameMapper>(&db_, config);
-    ASSERT_TRUE(mapper_->Init().ok());
-    ASSERT_TRUE(mapper_->RegisterArchive(1, "disk", "raid1").ok());
-    ASSERT_TRUE(mapper_->RegisterArchive(2, "tape", "tape0").ok());
-
-    dm_ = std::make_unique<DataManager>("dm0", &db_, &archives_,
-                                        mapper_.get(), &clock_,
-                                        DataManager::Options{});
+    ASSERT_TRUE(node_.Boot().ok());
+    dm_ = node_.dm();
+    // Archive 2: tape, for the relocation workflows.
+    node_.archives()->Register(
+        {2, archive::ArchiveType::kTape, "tape0", true},
+        std::make_unique<archive::TapeArchive>(
+            std::make_unique<archive::DiskArchive>(), &clock_));
+    ASSERT_TRUE(node_.mapper()->RegisterArchive(2, "tape", "tape0").ok());
 
     // Users: alice (analyst), bob (browser), root (super).
     UserProfile analyst;
@@ -66,10 +59,9 @@ class DmTest : public ::testing::Test {
   }
 
   VirtualClock clock_;
-  db::Database db_;
-  archive::ArchiveManager archives_;
-  std::unique_ptr<archive::NameMapper> mapper_;
-  std::unique_ptr<DataManager> dm_;
+  Node node_{"dm0", NodeOptions{}, &clock_};
+  db::Database& db_ = *node_.db();
+  DataManager* dm_ = nullptr;
   int64_t alice_id_ = 0, bob_id_ = 0, root_id_ = 0;
   Session alice_, bob_, root_;
 };
@@ -91,6 +83,18 @@ TEST_F(DmTest, AuthenticationChecksPassword) {
                   .Authenticate("mallory", "x")
                   .status()
                   .IsPermissionDenied());
+}
+
+// A second DM node over the same DBMS (or a node that replayed its log)
+// continues the user ids instead of reusing the first node's.
+TEST_F(DmTest, SecondDataManagerContinuesUserIds) {
+  DataManager second("dm1", &db_, node_.archives(), node_.mapper(), &clock_,
+                     DataManager::Options{});
+  Result<int64_t> carol =
+      second.users().CreateUser("carol", "pw-c", UserProfile{});
+  ASSERT_TRUE(carol.ok()) << carol.status().ToString();
+  EXPECT_GT(carol.value(), root_id_);
+  EXPECT_TRUE(second.users().Authenticate("carol", "pw-c").ok());
 }
 
 TEST_F(DmTest, AuthenticationCostsOneQueryOneUpdate) {
@@ -137,7 +141,7 @@ TEST_F(DmTest, SessionCreationPaysSetupCost) {
 
 TEST_F(DmTest, DefaultOptionsChargeNoSetupCost) {
   VirtualClock clock;
-  DataManager dm("dm-default", &db_, &archives_, mapper_.get(), &clock,
+  DataManager dm("dm-default", &db_, node_.archives(), node_.mapper(), &clock,
                  DataManager::Options{});
   EXPECT_EQ(clock.Now(), 0);
   ASSERT_TRUE(dm.sessions()
@@ -739,7 +743,7 @@ class ProcessTest : public DmTest {
  protected:
   void SetUp() override {
     DmTest::SetUp();
-    process_ = std::make_unique<ProcessLayer>(dm_.get(), /*raw_archive=*/1);
+    process_ = node_.process();
     // Synthetic telemetry with guaranteed events.
     rhessi::TelemetryOptions options;
     options.duration_sec = 1200;
@@ -751,7 +755,7 @@ class ProcessTest : public DmTest {
     units_ = rhessi::SegmentIntoUnits(telemetry_.photons, 10000000, 1);
   }
 
-  std::unique_ptr<ProcessLayer> process_;
+  ProcessLayer* process_ = nullptr;
   rhessi::Telemetry telemetry_;
   std::vector<rhessi::RawDataUnit> units_;
 };
@@ -822,7 +826,7 @@ TEST_F(ProcessTest, LoadRejectsGarbageWithoutSideEffects) {
     EXPECT_EQ(unit_count.value().rows[0][0].AsInt(), 0);
     auto hle_count = db_.Execute("SELECT COUNT(*) FROM hle");
     EXPECT_EQ(hle_count.value().rows[0][0].AsInt(), 0);
-    EXPECT_TRUE(archives_.Get(1)->List().empty());
+    EXPECT_TRUE(node_.archives()->Get(1)->List().empty());
     EXPECT_FALSE(dm_->io().ReadItemFile(unit.unit_id).ok());
   }
 }
@@ -831,12 +835,12 @@ TEST_F(ProcessTest, RelocationMovesFilesAndNamesOnly) {
   auto report = process_->LoadRawUnit(root_, units_[0].Pack());
   ASSERT_TRUE(report.ok());
   int64_t unit_id = report.value().unit_id;
-  auto before = mapper_->Resolve(unit_id, archive::NameType::kFilename);
+  auto before = node_.mapper()->Resolve(unit_id, archive::NameType::kFilename);
   ASSERT_TRUE(before.ok());
   EXPECT_EQ(before.value().archive_id, 1);
 
   ASSERT_TRUE(process_->RelocateItems({unit_id}, 1, 2, "archived").ok());
-  auto after = mapper_->Resolve(unit_id, archive::NameType::kFilename);
+  auto after = node_.mapper()->Resolve(unit_id, archive::NameType::kFilename);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().archive_id, 2);
   // Data still readable (now from tape).
@@ -933,7 +937,7 @@ uint64_t RowsDigest(const db::ResultSet& rs) {
 // its HLE rows and of its raw_units tuple. Run with HEDC_UPDATE_GOLDEN=1
 // to rewrite the file after an intended change to what a load derives.
 TEST_F(DmTest, IngestGoldenDigests) {
-  ProcessLayer process(dm_.get(), /*raw_archive_id=*/1);
+  ProcessLayer& process = *node_.process();
   rhessi::TelemetryOptions options;
   options.duration_sec = 7200;
   options.flares_per_hour = 9;

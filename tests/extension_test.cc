@@ -71,30 +71,30 @@ TEST_F(ExtensionStackTest, PhoenixLoadsIntoExtendedCatalog) {
   rhessi::PhoenixSpectrogram spectrum =
       rhessi::GeneratePhoenixSpectrogram(options);
   spectrum.spectrum_id = 1;
-  auto id = stack_.process->LoadPhoenixSpectrogram(stack_.import_session,
-                                                   spectrum);
+  auto id = stack_.node.process()->LoadPhoenixSpectrogram(
+      stack_.import_session, spectrum);
   ASSERT_TRUE(id.ok()) << id.status().ToString();
 
   // Domain slice exists; the generic tables are untouched in shape.
-  EXPECT_NE(stack_.db.GetTable("phoenix_spectra"), nullptr);
-  auto rows = stack_.db.Execute("SELECT COUNT(*) FROM phoenix_spectra");
+  EXPECT_NE(stack_.node.db()->GetTable("phoenix_spectra"), nullptr);
+  auto rows = stack_.node.db()->Execute("SELECT COUNT(*) FROM phoenix_spectra");
   EXPECT_EQ(rows.value().rows[0][0].AsInt(), 1);
 
   // The file is retrievable via the same name mapping.
-  EXPECT_TRUE(stack_.data_manager->io()
+  EXPECT_TRUE(stack_.node.dm()->io()
                   .ReadItemFile(dm::ProcessLayer::PhoenixItemId(1))
                   .ok());
 
   // Radio bursts entered the "phoenix" catalog as public HLEs.
-  auto catalog = stack_.data_manager->semantics().GetCatalogByName(
+  auto catalog = stack_.node.dm()->semantics().GetCatalogByName(
       stack_.import_session, "phoenix");
   ASSERT_TRUE(catalog.ok());
-  auto members = stack_.data_manager->semantics().ListCatalogHles(
+  auto members = stack_.node.dm()->semantics().ListCatalogHles(
       stack_.import_session, catalog.value().catalog_id);
   ASSERT_TRUE(members.ok());
   EXPECT_GE(members.value().size(), 1u);
   // They coexist with the RHESSI events in the same HLE table.
-  auto types = stack_.db.Execute(
+  auto types = stack_.node.db()->Execute(
       "SELECT COUNT(*) FROM hle WHERE event_type = 'radio_burst'");
   EXPECT_GE(types.value().rows[0][0].AsInt(), 1);
 }
@@ -112,7 +112,7 @@ TEST_F(ExtensionStackTest, PurgeRemovesStalePrivateAnalyses) {
     ana.status = "done";
     ana.is_public = is_public;
     ana.created_time = created;
-    return stack_.data_manager->semantics().CreateAna(alice, ana).value();
+    return stack_.node.dm()->semantics().CreateAna(alice, ana).value();
   };
   int64_t old_private_1 = make_ana(10, false, "a=1");
   int64_t old_private_2 = make_ana(20, false, "a=2");
@@ -120,51 +120,51 @@ TEST_F(ExtensionStackTest, PurgeRemovesStalePrivateAnalyses) {
   int64_t fresh_private = make_ana(5000, false, "a=4");
 
   // Non-super users may not purge.
-  EXPECT_TRUE(stack_.process->PurgeStaleAnalyses(alice, 1000)
+  EXPECT_TRUE(stack_.node.process()->PurgeStaleAnalyses(alice, 1000)
                   .status()
                   .IsPermissionDenied());
 
   auto purged =
-      stack_.process->PurgeStaleAnalyses(stack_.import_session, 1000);
+      stack_.node.process()->PurgeStaleAnalyses(stack_.import_session, 1000);
   ASSERT_TRUE(purged.ok()) << purged.status().ToString();
   EXPECT_EQ(purged.value(), 2);
 
-  EXPECT_TRUE(stack_.data_manager->semantics()
+  EXPECT_TRUE(stack_.node.dm()->semantics()
                   .GetAna(alice, old_private_1)
                   .status()
                   .IsNotFound());
-  EXPECT_TRUE(stack_.data_manager->semantics()
+  EXPECT_TRUE(stack_.node.dm()->semantics()
                   .GetAna(alice, old_private_2)
                   .status()
                   .IsNotFound());
   EXPECT_TRUE(
-      stack_.data_manager->semantics().GetAna(alice, old_public).ok());
+      stack_.node.dm()->semantics().GetAna(alice, old_public).ok());
   EXPECT_TRUE(
-      stack_.data_manager->semantics().GetAna(alice, fresh_private).ok());
+      stack_.node.dm()->semantics().GetAna(alice, fresh_private).ok());
 }
 
 TEST_F(ExtensionStackTest, RelocationCompensatesOnOfflineTarget) {
   // Add a tape archive, then take it offline mid-batch: the second item's
   // copy fails and the first is compensated back.
-  stack_.archives.Register(
+  stack_.node.archives()->Register(
       {2, archive::ArchiveType::kDisk, "tape0", true},
       std::make_unique<archive::DiskArchive>());
-  ASSERT_TRUE(stack_.mapper->RegisterArchive(2, "tape", "tape0").ok());
+  ASSERT_TRUE(stack_.node.mapper()->RegisterArchive(2, "tape", "tape0").ok());
 
   // Sanity: unit 1 is on archive 1.
   auto before =
-      stack_.mapper->Resolve(1, archive::NameType::kFilename);
+      stack_.node.mapper()->Resolve(1, archive::NameType::kFilename);
   ASSERT_TRUE(before.ok());
   ASSERT_EQ(before.value().archive_id, 1);
 
   // Batch with a bogus item id in the middle -> failure after the first
   // item moved; compensation must restore it.
-  Status s = stack_.process->RelocateItems({1, 987654321}, 1, 2, "cold");
+  Status s = stack_.node.process()->RelocateItems({1, 987654321}, 1, 2, "cold");
   EXPECT_FALSE(s.ok());
-  auto after = stack_.mapper->Resolve(1, archive::NameType::kFilename);
+  auto after = stack_.node.mapper()->Resolve(1, archive::NameType::kFilename);
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().archive_id, 1);  // compensated back
-  EXPECT_TRUE(stack_.data_manager->io().ReadItemFile(1).ok());
+  EXPECT_TRUE(stack_.node.dm()->io().ReadItemFile(1).ok());
 }
 
 }  // namespace

@@ -21,7 +21,7 @@ class IntegrationTest : public ::testing::Test {
 
   std::string LoginCookie(const std::string& user,
                           const std::string& password) {
-    web::HttpResponse response = stack_.web_server->Dispatch(
+    web::HttpResponse response = stack_.node.web()->Dispatch(
         web::MakeRequest("/login?user=" + user + "&password=" + password));
     return response.set_cookies.count("hedc_session")
                ? response.set_cookies.at("hedc_session")
@@ -35,14 +35,14 @@ TEST_F(IntegrationTest, FullScientistWorkflow) {
   // 1. Alice logs in and browses the standard catalog.
   std::string cookie = LoginCookie("alice", "pw-a");
   ASSERT_FALSE(cookie.empty());
-  web::HttpResponse catalog = stack_.web_server->Dispatch(
+  web::HttpResponse catalog = stack_.node.web()->Dispatch(
       web::MakeRequest("/catalog?name=standard", "10.0.0.1", cookie));
   ASSERT_EQ(catalog.status_code, 200);
 
   // 2. She runs an analysis on the first event.
   ASSERT_FALSE(stack_.hle_ids.empty());
   int64_t hle = stack_.hle_ids[0];
-  web::HttpResponse analyze = stack_.web_server->Dispatch(web::MakeRequest(
+  web::HttpResponse analyze = stack_.node.web()->Dispatch(web::MakeRequest(
       StrFormat("/analyze?hle_id=%lld&routine=spectrogram&t_bins=16"
                 "&e_bins=8",
                 static_cast<long long>(hle)),
@@ -50,19 +50,19 @@ TEST_F(IntegrationTest, FullScientistWorkflow) {
   ASSERT_EQ(analyze.status_code, 200) << analyze.body;
 
   // 3. The result shows up on the HLE page for everyone (public commit).
-  web::HttpResponse page = stack_.web_server->Dispatch(web::MakeRequest(
+  web::HttpResponse page = stack_.node.web()->Dispatch(web::MakeRequest(
       StrFormat("/hle?id=%lld", static_cast<long long>(hle))));
   ASSERT_EQ(page.status_code, 200);
   EXPECT_NE(page.body.find("spectrogram"), std::string::npos);
 
   // 4. Usage statistics recorded every dispatched request.
-  auto stats = stack_.db.Execute("SELECT COUNT(*) FROM usage_stats");
+  auto stats = stack_.node.db()->Execute("SELECT COUNT(*) FROM usage_stats");
   ASSERT_TRUE(stats.ok());
   EXPECT_GE(stats.value().rows[0][0].AsInt(), 4);
 }
 
 TEST_F(IntegrationTest, PredefinedQueriesEndToEnd) {
-  dm::PredefinedQueryService service(&stack_.db);
+  dm::PredefinedQueryService service(stack_.node.db());
   // Admin registers a vetted query.
   auto id = service.Register(
       "flares_after", "flares starting after a given time",
@@ -91,19 +91,19 @@ TEST_F(IntegrationTest, PredefinedQueriesEndToEnd) {
 
   // And through the web tier.
   std::string cookie = LoginCookie("alice", "pw-a");
-  web::HttpResponse response = stack_.web_server->Dispatch(
+  web::HttpResponse response = stack_.node.web()->Dispatch(
       web::MakeRequest("/query?name=flares_after&q0=0", "10.0.0.1", cookie));
   ASSERT_EQ(response.status_code, 200) << response.body;
   EXPECT_NE(response.body.find("rows"), std::string::npos);
 }
 
 TEST_F(IntegrationTest, ExploreVisualTool) {
-  web::HttpResponse html = stack_.web_server->Dispatch(
+  web::HttpResponse html = stack_.node.web()->Dispatch(
       web::MakeRequest("/explore?bins=16"));
   ASSERT_EQ(html.status_code, 200) << html.body;
   EXPECT_NE(html.body.find("clusters"), std::string::npos);
 
-  web::HttpResponse image = stack_.web_server->Dispatch(
+  web::HttpResponse image = stack_.node.web()->Dispatch(
       web::MakeRequest("/explore?bins=16&format=image"));
   ASSERT_EQ(image.status_code, 200);
   EXPECT_EQ(image.content_type, "image/gif");
@@ -116,8 +116,8 @@ TEST_F(IntegrationTest, StreamCorderPeerToPeer) {
   dm::Session session = stack_.Login("alice", "pw-a", "10.0.0.1");
   client::StreamCorder::Options options;
   options.cache_version = 2;
-  client::StreamCorder node_a(stack_.data_manager.get(), session, options);
-  client::StreamCorder node_b(stack_.data_manager.get(), session, options);
+  client::StreamCorder node_a(stack_.node.dm(), session, options);
+  client::StreamCorder node_b(stack_.node.dm(), session, options);
   node_b.AddPeer(&node_a);
 
   // A fetches from the server; B then gets it from A's cache.
@@ -134,17 +134,17 @@ TEST_F(IntegrationTest, StreamCorderPeerToPeer) {
 
 TEST_F(IntegrationTest, StatusPageForAdmins) {
   // Anonymous and normal users are refused.
-  EXPECT_EQ(stack_.web_server->Dispatch(web::MakeRequest("/status"))
+  EXPECT_EQ(stack_.node.web()->Dispatch(web::MakeRequest("/status"))
                 .status_code,
             403);
   std::string alice = LoginCookie("alice", "pw-a");
-  EXPECT_EQ(stack_.web_server
+  EXPECT_EQ(stack_.node.web()
                 ->Dispatch(web::MakeRequest("/status", "10.0.0.1", alice))
                 .status_code,
             403);
   // The super import account sees archives and usage counters.
   std::string admin = LoginCookie("import", "pw-i");
-  web::HttpResponse page = stack_.web_server->Dispatch(
+  web::HttpResponse page = stack_.node.web()->Dispatch(
       web::MakeRequest("/status", "10.0.0.9", admin));
   ASSERT_EQ(page.status_code, 200) << page.body;
   EXPECT_NE(page.body.find("Archives"), std::string::npos);
@@ -153,7 +153,7 @@ TEST_F(IntegrationTest, StatusPageForAdmins) {
 }
 
 TEST_F(IntegrationTest, RemoteDmChannelAgainstLiveStack) {
-  dm::RmiServer rmi(stack_.data_manager.get());
+  dm::RmiServer rmi(stack_.node.dm());
   dm::InProcessChannel channel(&rmi);
   dm::RemoteDm remote(&channel);
   dm::QuerySpec spec("hle");
@@ -163,7 +163,7 @@ TEST_F(IntegrationTest, RemoteDmChannelAgainstLiveStack) {
   EXPECT_EQ(rs.value().rows[0][0].AsInt(),
             static_cast<int64_t>(stack_.hle_ids.size()));
   // Raw unit file transfers over the channel byte-for-byte.
-  auto direct = stack_.data_manager->io().ReadItemFile(1);
+  auto direct = stack_.node.dm()->io().ReadItemFile(1);
   auto via_rmi = remote.ReadItemFile(1);
   ASSERT_TRUE(direct.ok());
   ASSERT_TRUE(via_rmi.ok());
@@ -190,7 +190,7 @@ TEST_F(IntegrationTest, ConcurrentBrowsersAndAnalysts) {
           default:
             url = "/explore?bins=8";
         }
-        web::HttpResponse r = stack_.web_server->Dispatch(
+        web::HttpResponse r = stack_.node.web()->Dispatch(
             web::MakeRequest(url, StrFormat("10.0.1.%d", t), cookie));
         if (r.status_code != 200) failures.fetch_add(1);
       }
@@ -198,7 +198,7 @@ TEST_F(IntegrationTest, ConcurrentBrowsersAndAnalysts) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
-  EXPECT_GE(stack_.web_server->requests_served(), 100);
+  EXPECT_GE(stack_.node.web()->requests_served(), 100);
 }
 
 }  // namespace

@@ -213,12 +213,12 @@ class MetricsE2eTest : public ::testing::Test {
            ("hedc_metrics_e2e_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
     // WAL on: the commit + mirror writes below must tick wal.* metrics.
-    ASSERT_TRUE(stack_.db.OpenWal((dir_ / "db.wal").string()).ok());
+    ASSERT_TRUE(stack_.node.db()->OpenWal((dir_ / "db.wal").string()).ok());
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
   std::string LoginCookie() {
-    web::HttpResponse response = stack_.web_server->Dispatch(
+    web::HttpResponse response = stack_.node.web()->Dispatch(
         web::MakeRequest("/login?user=alice&password=pw-a"));
     return response.set_cookies.at("hedc_session");
   }
@@ -232,12 +232,12 @@ TEST_F(MetricsE2eTest, MetricsServletExposesAllTiers) {
   std::string cookie = LoginCookie();
   std::string url = StrFormat("/analyze?hle_id=%lld&routine=lightcurve",
                               (long long)stack_.hle_ids[0]);
-  web::HttpResponse analyze = stack_.web_server->Dispatch(
+  web::HttpResponse analyze = stack_.node.web()->Dispatch(
       web::MakeRequest(url, "127.0.0.1", cookie));
   ASSERT_EQ(analyze.status_code, 200) << analyze.body;
 
   web::HttpResponse metrics =
-      stack_.web_server->Dispatch(web::MakeRequest("/metrics"));
+      stack_.node.web()->Dispatch(web::MakeRequest("/metrics"));
   ASSERT_EQ(metrics.status_code, 200);
   EXPECT_EQ(metrics.content_type, "text/plain");
   // Live coverage of every instrumented tier.
@@ -268,23 +268,23 @@ TEST_F(MetricsE2eTest, OneRequestIdTraceableAcrossAllFourPlPhases) {
   std::string cookie = LoginCookie();
   std::string url = StrFormat("/analyze?hle_id=%lld&routine=histogram",
                               (long long)stack_.hle_ids[0]);
-  web::HttpResponse analyze = stack_.web_server->Dispatch(
+  web::HttpResponse analyze = stack_.node.web()->Dispatch(
       web::MakeRequest(url, "127.0.0.1", cookie));
   ASSERT_EQ(analyze.status_code, 200) << analyze.body;
 
   // /metrics mirrors the registry, draining spans into request_traces.
   ASSERT_EQ(
-      stack_.web_server->Dispatch(web::MakeRequest("/metrics")).status_code,
+      stack_.node.web()->Dispatch(web::MakeRequest("/metrics")).status_code,
       200);
 
-  Result<db::ResultSet> commits = stack_.db.Execute(
+  Result<db::ResultSet> commits = stack_.node.db()->Execute(
       "SELECT trace_id FROM request_traces WHERE span = 'commit'");
   ASSERT_TRUE(commits.ok()) << commits.status().ToString();
   ASSERT_GE(commits.value().num_rows(), 1u);
   int64_t trace_id = commits.value().rows[0][0].AsInt();
   EXPECT_GT(trace_id, 0);
 
-  Result<db::ResultSet> spans = stack_.db.Execute(
+  Result<db::ResultSet> spans = stack_.node.db()->Execute(
       "SELECT component, span FROM request_traces WHERE trace_id = ?",
       {db::Value::Int(trace_id)});
   ASSERT_TRUE(spans.ok());
@@ -303,21 +303,21 @@ TEST_F(MetricsE2eTest, OneRequestIdTraceableAcrossAllFourPlPhases) {
 
 TEST_F(MetricsE2eTest, StatusPageRendersMirroredMetrics) {
   web::HttpRequest request = web::MakeRequest("/status");
-  web::HttpResponse forbidden = stack_.web_server->Dispatch(request);
+  web::HttpResponse forbidden = stack_.node.web()->Dispatch(request);
   EXPECT_EQ(forbidden.status_code, 403);
 
-  web::HttpResponse login = stack_.web_server->Dispatch(
+  web::HttpResponse login = stack_.node.web()->Dispatch(
       web::MakeRequest("/login?user=import&password=pw-i"));
   web::HttpRequest admin = web::MakeRequest(
       "/status", "127.0.0.1", login.set_cookies.at("hedc_session"));
-  web::HttpResponse status = stack_.web_server->Dispatch(admin);
+  web::HttpResponse status = stack_.node.web()->Dispatch(admin);
   ASSERT_EQ(status.status_code, 200);
   EXPECT_NE(status.body.find("Metrics"), std::string::npos);
   EXPECT_NE(status.body.find("web.requests/status"), std::string::npos);
 
   // The mirror keeps only the latest snapshot (delete-then-insert).
-  ASSERT_TRUE(stack_.data_manager->MirrorMetrics().ok());
-  Result<db::ResultSet> rows = stack_.db.Execute(
+  ASSERT_TRUE(stack_.node.dm()->MirrorMetrics().ok());
+  Result<db::ResultSet> rows = stack_.node.db()->Execute(
       "SELECT COUNT(*) FROM metric_snapshots WHERE metric = "
       "'web.requests/status'");
   ASSERT_TRUE(rows.ok());

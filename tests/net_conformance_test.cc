@@ -21,7 +21,7 @@
 #include <thread>
 #include <vector>
 
-#include "dm/hedc_schema.h"
+#include "cluster/node.h"
 #include "dm/tcp_remote.h"
 #include "web/http_tcp.h"
 
@@ -380,36 +380,22 @@ TEST_P(TransportConformanceTest, RestartServesOnFreshPort) {
 TEST_P(TransportConformanceTest, TraceIdPropagatesThroughFullDmNode) {
   // Full DM node behind the TCP server: the RMI call header's trace id
   // must reach the server's trace log.
-  db::Database db;
-  ASSERT_TRUE(dm::CreateFullSchema(&db).ok());
-  archive::ArchiveManager archives;
-  archives.Register({1, archive::ArchiveType::kDisk, "raid1", true},
-                    std::make_unique<archive::DiskArchive>());
-  auto mapper = std::make_unique<archive::NameMapper>(&db, Config());
-  ASSERT_TRUE(mapper->Init().ok());
-  ASSERT_TRUE(mapper->RegisterArchive(1, "disk", "raid1").ok());
-  dm::DataManager data_manager("conf", &db, &archives, mapper.get(),
-                               RealClock::Instance(),
-                               dm::DataManager::Options{});
-  MetricsRegistry metrics;
-  dm::RmiServer rmi(&data_manager, &metrics);
-  dm::TcpRmiServer server(&rmi, &metrics);
-  ASSERT_TRUE(server.Start().ok());
+  cluster::ClusterNode node("conf", {});
+  ASSERT_TRUE(node.Boot().ok());
 
-  dm::TcpChannel channel("127.0.0.1", server.port());
+  dm::TcpChannel channel("127.0.0.1", node.port());
   dm::RemoteDm remote(&channel);
   remote.set_trace_id(31337);
   auto rs = remote.Execute("SELECT COUNT(*) FROM users", {});
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
 
   bool found = false;
-  for (const TraceEvent& event : metrics.traces().SnapshotTrace()) {
+  for (const TraceEvent& event : node.metrics()->traces().SnapshotTrace()) {
     if (event.trace_id == 31337 && event.component == "dm-remote") {
       found = true;
     }
   }
   EXPECT_TRUE(found) << "trace id did not cross the wire";
-  server.Stop();
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, TransportConformanceTest,

@@ -573,11 +573,11 @@ TEST(ProductCacheFrontendTest, SeededInterpreterCrashDoesNotPoison) {
 class ProductCacheStackTest : public ::testing::Test {
  protected:
   ProcessingRequest RequestFor(int64_t hle_id, const char* routine) {
-    dm::HleRecord hle = stack_.data_manager->semantics()
+    dm::HleRecord hle = stack_.node.dm()->semantics()
                             .GetHle(stack_.import_session, hle_id)
                             .value();
     std::vector<uint8_t> packed =
-        stack_.data_manager->io().ReadItemFile(hle.unit_id).value();
+        stack_.node.dm()->io().ReadItemFile(hle.unit_id).value();
     rhessi::RawDataUnit unit =
         rhessi::RawDataUnit::Unpack(packed).value();
     ProcessingRequest request;
@@ -597,26 +597,26 @@ class ProductCacheStackTest : public ::testing::Test {
 TEST_F(ProductCacheStackTest, WarmHitSharesCommittedAnaId) {
   ASSERT_FALSE(stack_.hle_ids.empty());
   int64_t hle_id = stack_.hle_ids[0];
-  RequestOutcome first = stack_.frontend->Wait(
-      stack_.frontend->Submit(RequestFor(hle_id, "histogram")).value());
+  RequestOutcome first = stack_.node.frontend()->Wait(
+      stack_.node.frontend()->Submit(RequestFor(hle_id, "histogram")).value());
   ASSERT_EQ(first.state, RequestState::kCommitted)
       << first.status.ToString();
   ASSERT_GT(first.committed_ana_id, 0);
-  EXPECT_EQ(stack_.product_cache->entry_count(), 1u);
+  EXPECT_EQ(stack_.node.product_cache()->entry_count(), 1u);
 
-  RequestOutcome second = stack_.frontend->Wait(
-      stack_.frontend->Submit(RequestFor(hle_id, "histogram")).value());
+  RequestOutcome second = stack_.node.frontend()->Wait(
+      stack_.node.frontend()->Submit(RequestFor(hle_id, "histogram")).value());
   ASSERT_EQ(second.state, RequestState::kCommitted);
   // The cached entry carries the committed ana id: no duplicate ANA row.
   EXPECT_EQ(second.committed_ana_id, first.committed_ana_id);
 
   // Persisted directory row exists and is visible on /metrics.
   Result<db::ResultSet> rows =
-      stack_.db.Execute("SELECT COUNT(*) FROM product_cache");
+      stack_.node.db()->Execute("SELECT COUNT(*) FROM product_cache");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().rows[0][0].AsInt(), 1);
   web::HttpResponse metrics =
-      stack_.web_server->Dispatch(web::MakeRequest("/metrics"));
+      stack_.node.web()->Dispatch(web::MakeRequest("/metrics"));
   ASSERT_EQ(metrics.status_code, 200);
   EXPECT_NE(metrics.body.find("product_cache_hits"), std::string::npos);
   EXPECT_NE(metrics.body.find("product_cache_bytes"), std::string::npos);
@@ -627,10 +627,10 @@ TEST_F(ProductCacheStackTest, RecalibrationInvalidatesDependents) {
   int64_t hle_id = stack_.hle_ids[0];
   ProcessingRequest request = RequestFor(hle_id, "histogram");
   int64_t unit_id = request.input_units[0].unit_id;
-  RequestOutcome first = stack_.frontend->Wait(
-      stack_.frontend->Submit(std::move(request)).value());
+  RequestOutcome first = stack_.node.frontend()->Wait(
+      stack_.node.frontend()->Submit(std::move(request)).value());
   ASSERT_EQ(first.state, RequestState::kCommitted);
-  ASSERT_EQ(stack_.product_cache->entry_count(), 1u);
+  ASSERT_EQ(stack_.node.product_cache()->entry_count(), 1u);
 
   // Recalibrate the unit: the workflow bumps the version and fires the
   // invalidator; the dependent entry must drop.
@@ -639,19 +639,19 @@ TEST_F(ProductCacheStackTest, RecalibrationInvalidatesDependents) {
   v2.version = 2;
   for (double& g : v2.gain) g = 1.05;
   ASSERT_TRUE(calibrations.Register(v2).ok());
-  Result<dm::DataLoadReport> recal = stack_.process->RecalibrateUnit(
+  Result<dm::DataLoadReport> recal = stack_.node.process()->RecalibrateUnit(
       stack_.import_session, unit_id, calibrations, 2);
   ASSERT_TRUE(recal.ok()) << recal.status().ToString();
-  EXPECT_EQ(stack_.product_cache->entry_count(), 0u);
+  EXPECT_EQ(stack_.node.product_cache()->entry_count(), 0u);
   Result<db::ResultSet> rows =
-      stack_.db.Execute("SELECT COUNT(*) FROM product_cache");
+      stack_.node.db()->Execute("SELECT COUNT(*) FROM product_cache");
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().rows[0][0].AsInt(), 0);
 
   // The post-recalibration request keys on version 2: fresh execution,
   // fresh commit — stale bytes are never served.
-  RequestOutcome second = stack_.frontend->Wait(
-      stack_.frontend->Submit(RequestFor(hle_id, "histogram")).value());
+  RequestOutcome second = stack_.node.frontend()->Wait(
+      stack_.node.frontend()->Submit(RequestFor(hle_id, "histogram")).value());
   ASSERT_EQ(second.state, RequestState::kCommitted)
       << second.status.ToString();
   EXPECT_NE(second.committed_ana_id, first.committed_ana_id);
@@ -664,39 +664,39 @@ TEST_F(ProductCacheStackTest, PurgeRemovesRowAndBlob) {
   record.is_public = false;
   record.routine = "histogram";
   record.status = "done";
-  Result<int64_t> ana = stack_.data_manager->semantics().CreateAna(
+  Result<int64_t> ana = stack_.node.dm()->semantics().CreateAna(
       stack_.import_session, record);
   ASSERT_TRUE(ana.ok()) << ana.status().ToString();
 
   analysis::AnalysisParams params;
   params.SetInt("bins", 4);
   ProductCacheKey key = MakeProductCacheKey("histogram", params, {{1, 1}});
-  ProductCache::Ticket leader = stack_.product_cache->Admit(key);
+  ProductCache::Ticket leader = stack_.node.product_cache()->Admit(key);
   ASSERT_EQ(leader.role, ProductCache::Role::kLeader);
-  stack_.product_cache->CompleteSuccess(leader, MakeProduct("histogram"),
-                                        1.0, ana.value());
+  stack_.node.product_cache()->CompleteSuccess(
+      leader, MakeProduct("histogram"), 1.0, ana.value());
 
-  Result<db::ResultSet> row = stack_.db.Execute(
+  Result<db::ResultSet> row = stack_.node.db()->Execute(
       "SELECT item_id FROM product_cache WHERE cache_key = ?",
       {db::Value::Int(static_cast<int64_t>(key.hash))});
   ASSERT_TRUE(row.ok());
   ASSERT_EQ(row.value().num_rows(), 1u);
   int64_t item_id = row.value().rows[0][0].AsInt();
-  ASSERT_TRUE(stack_.data_manager->io().ReadItemFile(item_id).ok());
+  ASSERT_TRUE(stack_.node.dm()->io().ReadItemFile(item_id).ok());
 
   // Purge drops the ANA and, through the listener, the cache entry, its
   // directory row and its blob.
   Result<int64_t> purged =
-      stack_.process->PurgeStaleAnalyses(stack_.import_session, 1e18);
+      stack_.node.process()->PurgeStaleAnalyses(stack_.import_session, 1e18);
   ASSERT_TRUE(purged.ok()) << purged.status().ToString();
   EXPECT_GE(purged.value(), 1);
-  EXPECT_FALSE(stack_.product_cache->Peek(key));
-  Result<db::ResultSet> after = stack_.db.Execute(
+  EXPECT_FALSE(stack_.node.product_cache()->Peek(key));
+  Result<db::ResultSet> after = stack_.node.db()->Execute(
       "SELECT COUNT(*) FROM product_cache WHERE cache_key = ?",
       {db::Value::Int(static_cast<int64_t>(key.hash))});
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(after.value().rows[0][0].AsInt(), 0);
-  EXPECT_FALSE(stack_.data_manager->io().ReadItemFile(item_id).ok());
+  EXPECT_FALSE(stack_.node.dm()->io().ReadItemFile(item_id).ok());
 }
 
 TEST_F(ProductCacheStackTest, RestartRecoversPersistedEntries) {
@@ -704,19 +704,18 @@ TEST_F(ProductCacheStackTest, RestartRecoversPersistedEntries) {
   params.SetInt("bins", 32);
   ProductCacheKey key = MakeProductCacheKey("imaging", params, {{1, 1}});
   analysis::AnalysisProduct product = MakeProduct("imaging", 512);
-  stack_.product_cache->CompleteSuccess(stack_.product_cache->Admit(key),
-                                        product, 2.5, 0);
-  ASSERT_EQ(stack_.product_cache->entry_count(), 1u);
+  ProductCache* cache = stack_.node.product_cache();
+  cache->CompleteSuccess(cache->Admit(key), product, 2.5, 0);
+  ASSERT_EQ(cache->entry_count(), 1u);
 
   // A "restarted PL": a fresh cache instance over the same DM recovers
   // the index from the product_cache table and lazily streams the blob.
   ProductCache::Options options;
   options.metric_prefix = "pc_stack_restart";
-  ProductCache restarted(stack_.data_manager.get(), options);
+  ProductCache restarted(stack_.node.dm(), options);
   ASSERT_TRUE(restarted.LoadFromDm().ok());
   EXPECT_EQ(restarted.entry_count(), 1u);
-  EXPECT_EQ(restarted.bytes_cached(),
-            stack_.product_cache->bytes_cached());
+  EXPECT_EQ(restarted.bytes_cached(), cache->bytes_cached());
   ProductCache::Ticket hit = restarted.Admit(key);
   ASSERT_EQ(hit.role, ProductCache::Role::kHit);
   EXPECT_EQ(hit.hit.bytes, EncodeProduct(product));

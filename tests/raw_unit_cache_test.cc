@@ -88,14 +88,14 @@ TEST(RawUnitCacheTest, EvictsLeastRecentlyUsedWithinBudget) {
 class RawUnitCacheStackTest : public ::testing::Test {
  protected:
   RawUnitCacheStackTest() {
-    web::HttpResponse login = stack_.web_server->Dispatch(
+    web::HttpResponse login = stack_.node.web()->Dispatch(
         web::MakeRequest("/login?user=alice&password=pw-a"));
     EXPECT_EQ(login.status_code, 200);
     cookie_ = login.set_cookies["hedc_session"];
   }
 
   web::HttpResponse Analyze(int64_t hle_id, const std::string& query) {
-    return stack_.web_server->Dispatch(web::MakeRequest(
+    return stack_.node.web()->Dispatch(web::MakeRequest(
         StrFormat("/analyze?hle_id=%lld&%s", static_cast<long long>(hle_id),
                   query.c_str()),
         "10.0.0.1", cookie_));
@@ -109,11 +109,13 @@ class RawUnitCacheStackTest : public ::testing::Test {
   }
 
   void CorruptItem(int64_t item_id, size_t offset) {
-    auto name = stack_.mapper->Resolve(item_id, archive::NameType::kFilename);
+    auto name =
+        stack_.node.mapper()->Resolve(item_id, archive::NameType::kFilename);
     ASSERT_TRUE(name.ok());
-    archive::Archive* arch = stack_.archives.Get(name.value().archive_id);
+    archive::Archive* arch =
+        stack_.node.archives()->Get(name.value().archive_id);
     ASSERT_NE(arch, nullptr);
-    auto bytes = stack_.data_manager->io().ReadItemFile(item_id);
+    auto bytes = stack_.node.dm()->io().ReadItemFile(item_id);
     ASSERT_TRUE(bytes.ok());
     std::vector<uint8_t> damaged = bytes.value();
     ASSERT_LT(offset, damaged.size());
@@ -140,7 +142,7 @@ TEST_F(RawUnitCacheStackTest, SecondFreshAnalysisDecodesNothing) {
   EXPECT_EQ(CounterValue("dm.raw_unit_cache.hits") - hits, 1);
   // The counters and the byte gauge are on /metrics.
   web::HttpResponse metrics =
-      stack_.web_server->Dispatch(web::MakeRequest("/metrics"));
+      stack_.node.web()->Dispatch(web::MakeRequest("/metrics"));
   ASSERT_EQ(metrics.status_code, 200);
   for (const char* name : {"raw_unit_cache_hits", "raw_unit_cache_misses",
                            "raw_unit_cache_evictions",
@@ -152,19 +154,19 @@ TEST_F(RawUnitCacheStackTest, SecondFreshAnalysisDecodesNothing) {
 TEST_F(RawUnitCacheStackTest, RecalibratedUnitIsDecodedAtItsNewVersion) {
   ASSERT_FALSE(stack_.hle_ids.empty());
   int64_t hle_id = stack_.hle_ids[0];
-  int64_t unit_id = stack_.data_manager->semantics()
+  int64_t unit_id = stack_.node.dm()->semantics()
                         .GetHle(stack_.import_session, hle_id)
                         .value()
                         .unit_id;
   ASSERT_EQ(Analyze(hle_id, "routine=histogram&bins=16").status_code, 200);
-  ASSERT_EQ(stack_.data_manager->raw_unit_cache().entries(), 1u);
+  ASSERT_EQ(stack_.node.dm()->raw_unit_cache().entries(), 1u);
 
   rhessi::CalibrationTable calibrations;
   rhessi::CalibrationVersion v2;
   v2.version = 2;
   for (double& g : v2.gain) g = 1.05;
   ASSERT_TRUE(calibrations.Register(v2).ok());
-  Result<dm::DataLoadReport> recal = stack_.process->RecalibrateUnit(
+  Result<dm::DataLoadReport> recal = stack_.node.process()->RecalibrateUnit(
       stack_.import_session, unit_id, calibrations, 2);
   ASSERT_TRUE(recal.ok()) << recal.status().ToString();
   ASSERT_FALSE(recal.value().hle_ids.empty());
@@ -175,20 +177,20 @@ TEST_F(RawUnitCacheStackTest, RecalibratedUnitIsDecodedAtItsNewVersion) {
   ASSERT_EQ(page.status_code, 200) << page.body;
   EXPECT_EQ(CounterValue("dm.raw_unit_cache.misses") - misses, 1);
   std::shared_ptr<const rhessi::RawDataUnit> cached =
-      stack_.data_manager->raw_unit_cache().Find(unit_id, 2);
+      stack_.node.dm()->raw_unit_cache().Find(unit_id, 2);
   ASSERT_NE(cached, nullptr);
-  EXPECT_EQ(stack_.data_manager->raw_unit_cache().entries(), 1u);
+  EXPECT_EQ(stack_.node.dm()->raw_unit_cache().entries(), 1u);
 
   // The new ANA and its product-cache lineage name version 2.
   int64_t ana_id = AnaIdOf(page);
   ASSERT_GT(ana_id, 0);
-  Result<db::ResultSet> ana = stack_.db.Execute(
+  Result<db::ResultSet> ana = stack_.node.db()->Execute(
       "SELECT calibration_version FROM ana WHERE ana_id = ?",
       {db::Value::Int(ana_id)});
   ASSERT_TRUE(ana.ok());
   ASSERT_EQ(ana.value().num_rows(), 1u);
   EXPECT_EQ(ana.value().Get(0, "calibration_version").AsInt(), 2);
-  Result<db::ResultSet> lineage = stack_.db.Execute(
+  Result<db::ResultSet> lineage = stack_.node.db()->Execute(
       "SELECT calibration_versions FROM product_cache WHERE ana_id = ?",
       {db::Value::Int(ana_id)});
   ASSERT_TRUE(lineage.ok());
@@ -199,18 +201,18 @@ TEST_F(RawUnitCacheStackTest, RecalibratedUnitIsDecodedAtItsNewVersion) {
 TEST_F(RawUnitCacheStackTest, CorruptUnitAnswers404AndCachesNothing) {
   ASSERT_FALSE(stack_.hle_ids.empty());
   int64_t hle_id = stack_.hle_ids[0];
-  int64_t unit_id = stack_.data_manager->semantics()
+  int64_t unit_id = stack_.node.dm()->semantics()
                         .GetHle(stack_.import_session, hle_id)
                         .value()
                         .unit_id;
   // One flipped byte deep in the photon payload: only the CRC sees it.
-  auto size = stack_.data_manager->io().ReadItemFile(unit_id);
+  auto size = stack_.node.dm()->io().ReadItemFile(unit_id);
   ASSERT_TRUE(size.ok());
   CorruptItem(unit_id, size.value().size() * 3 / 4);
   web::HttpResponse page = Analyze(hle_id, "routine=histogram&bins=16");
   EXPECT_EQ(page.status_code, 404) << page.body;
-  EXPECT_EQ(stack_.data_manager->raw_unit_cache().entries(), 0u);
-  EXPECT_EQ(stack_.data_manager->raw_unit_cache().bytes(), 0u);
+  EXPECT_EQ(stack_.node.dm()->raw_unit_cache().entries(), 0u);
+  EXPECT_EQ(stack_.node.dm()->raw_unit_cache().bytes(), 0u);
   // Still not cached: every retry reads and checks the file again.
   int64_t misses = CounterValue("dm.raw_unit_cache.misses");
   EXPECT_EQ(Analyze(hle_id, "routine=histogram&bins=16").status_code, 404);
@@ -220,7 +222,7 @@ TEST_F(RawUnitCacheStackTest, CorruptUnitAnswers404AndCachesNothing) {
 TEST_F(RawUnitCacheStackTest, ApproxFallbackReusesTheDecodedUnit) {
   ASSERT_FALSE(stack_.hle_ids.empty());
   int64_t hle_id = stack_.hle_ids[0];
-  int64_t unit_id = stack_.data_manager->semantics()
+  int64_t unit_id = stack_.node.dm()->semantics()
                         .GetHle(stack_.import_session, hle_id)
                         .value()
                         .unit_id;
@@ -229,7 +231,7 @@ TEST_F(RawUnitCacheStackTest, ApproxFallbackReusesTheDecodedUnit) {
   CorruptItem(dm::ProcessLayer::ViewItemId(unit_id), 0);
   int64_t misses = CounterValue("dm.raw_unit_cache.misses");
   int64_t hits = CounterValue("dm.raw_unit_cache.hits");
-  web::HttpResponse approx = stack_.web_server->Dispatch(web::MakeRequest(
+  web::HttpResponse approx = stack_.node.web()->Dispatch(web::MakeRequest(
       StrFormat("/approx?unit=%lld&agg=count", static_cast<long long>(unit_id))));
   ASSERT_EQ(approx.status_code, 200) << approx.body;
   EXPECT_NE(approx.body.find("\"method\":\"reservoir\""), std::string::npos)
@@ -249,7 +251,7 @@ TEST(RawUnitCacheStressTest, FreshAnalysesWhileEntriesAreEvicted) {
   std::map<int64_t, dm::HleRecord> hle_of_unit;
   for (int64_t hle_id : stack.hle_ids) {
     dm::HleRecord hle =
-        stack.data_manager->semantics().GetHle(stack.import_session, hle_id)
+        stack.node.dm()->semantics().GetHle(stack.import_session, hle_id)
             .value();
     if (hle.unit_id > 3) continue;
     auto [it, inserted] = hle_of_unit.try_emplace(hle.unit_id, hle);
@@ -264,14 +266,14 @@ TEST(RawUnitCacheStressTest, FreshAnalysesWhileEntriesAreEvicted) {
     ASSERT_GT(hle.photon_count, 0) << "unit " << unit_id;
     rhessi::RawDataUnit unit =
         rhessi::RawDataUnit::Unpack(
-            stack.data_manager->io().ReadItemFile(unit_id).value())
+            stack.node.dm()->io().ReadItemFile(unit_id).value())
             .value();
     largest = std::max(largest, dm::RawUnitCache::UnitBytes(unit));
     units.emplace(unit_id, std::move(unit));
   }
-  stack.data_manager->raw_unit_cache().set_budget_bytes(largest);
+  stack.node.dm()->raw_unit_cache().set_budget_bytes(largest);
 
-  web::HttpResponse login = stack.web_server->Dispatch(
+  web::HttpResponse login = stack.node.web()->Dispatch(
       web::MakeRequest("/login?user=alice&password=pw-a"));
   ASSERT_EQ(login.status_code, 200);
   const std::string cookie = login.set_cookies["hedc_session"];
@@ -294,7 +296,7 @@ TEST(RawUnitCacheStressTest, FreshAnalysesWhileEntriesAreEvicted) {
         int64_t unit_id = 1 + (t + i) % 3;
         const char* routine = i % 2 == 0 ? "histogram" : "lightcurve";
         int run = t * kPerThread + i;
-        web::HttpResponse page = stack.web_server->Dispatch(web::MakeRequest(
+        web::HttpResponse page = stack.node.web()->Dispatch(web::MakeRequest(
             StrFormat("/analyze?hle_id=%lld&routine=%s&run_id=r%d",
                       static_cast<long long>(hle_of_unit.at(unit_id).hle_id),
                       routine, run),
@@ -313,7 +315,7 @@ TEST(RawUnitCacheStressTest, FreshAnalysesWhileEntriesAreEvicted) {
   for (std::thread& analyst : analysts) analyst.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(CounterValue("dm.raw_unit_cache.evictions") - evictions0, 0);
-  EXPECT_LE(stack.data_manager->raw_unit_cache().bytes(), largest);
+  EXPECT_LE(stack.node.dm()->raw_unit_cache().bytes(), largest);
 
   // Each stored image is the routine's product on the unit's photons.
   auto registry = analysis::CreateStandardRegistry();
@@ -328,7 +330,7 @@ TEST(RawUnitCacheStressTest, FreshAnalysesWhileEntriesAreEvicted) {
           registry->Get(d.routine)->Run(units.at(d.unit_id).photons, params);
       ASSERT_TRUE(expected.ok());
       Result<std::vector<uint8_t>> stored =
-          stack.data_manager->io().ReadItemFile(2000000000 + d.ana_id);
+          stack.node.dm()->io().ReadItemFile(2000000000 + d.ana_id);
       ASSERT_TRUE(stored.ok()) << "ana " << d.ana_id;
       EXPECT_EQ(stored.value(), expected.value().rendered)
           << d.routine << " on unit " << d.unit_id;

@@ -213,7 +213,7 @@ class WebStackTest : public ::testing::Test {
                           const std::string& password) {
     HttpRequest login = MakeRequest("/login?user=" + user +
                                     "&password=" + password);
-    HttpResponse response = stack_.web_server->Dispatch(login);
+    HttpResponse response = stack_.node.web()->Dispatch(login);
     EXPECT_EQ(response.status_code, 200);
     return response.set_cookies.count("hedc_session") > 0
                ? response.set_cookies.at("hedc_session")
@@ -226,7 +226,7 @@ class WebStackTest : public ::testing::Test {
 TEST_F(WebStackTest, LoginIssuesCookieAndRejectsBadPassword) {
   EXPECT_FALSE(LoginCookie("alice", "pw-a").empty());
   HttpRequest bad = MakeRequest("/login?user=alice&password=nope");
-  EXPECT_EQ(stack_.web_server->Dispatch(bad).status_code, 403);
+  EXPECT_EQ(stack_.node.web()->Dispatch(bad).status_code, 403);
 }
 
 // Reads one full HTTP response (headers + Content-Length body).
@@ -266,7 +266,7 @@ TEST_F(WebStackTest, FullStackServesOverBothTcpEngines) {
     options.shared_reactor = reactor;
     web::HttpTcpServer http(
         [&](const HttpRequest& request) {
-          return stack_.web_server->Dispatch(request);
+          return stack_.node.web()->Dispatch(request);
         },
         nullptr, options);
     ASSERT_TRUE(http.Start().ok());
@@ -313,7 +313,7 @@ TEST_F(WebStackTest, ConcurrentLoopsCountRequestsAndStatusesExactly) {
   options.reactor.loops = 2;
   web::HttpTcpServer http(
       [&](const HttpRequest& request) {
-        return stack_.web_server->Dispatch(request);
+        return stack_.node.web()->Dispatch(request);
       },
       nullptr, options);
   ASSERT_TRUE(http.Start().ok());
@@ -382,7 +382,7 @@ TEST_F(WebStackTest, ViewServletShipsDecodablePrefixes) {
   for (int64_t resolution : {0, 2, 5, -1}) {
     HttpRequest request = MakeRequest(
         "/view?unit=1&resolution=" + std::to_string(resolution));
-    HttpResponse response = stack_.web_server->Dispatch(request);
+    HttpResponse response = stack_.node.web()->Dispatch(request);
     ASSERT_EQ(response.status_code, 200) << "resolution " << resolution;
     EXPECT_EQ(response.content_type, "application/x-hedc-wavelet");
     ASSERT_FALSE(response.binary_body.empty());
@@ -403,16 +403,16 @@ TEST_F(WebStackTest, ViewServletShipsDecodablePrefixes) {
 
   // The energy HDU serves the sum aggregate; it is a distinct stream.
   HttpRequest energy = MakeRequest("/view?unit=1&resolution=0&kind=energy");
-  EXPECT_EQ(stack_.web_server->Dispatch(energy).status_code, 200);
+  EXPECT_EQ(stack_.node.web()->Dispatch(energy).status_code, 200);
 
   // Bad requests.
-  EXPECT_EQ(stack_.web_server->Dispatch(MakeRequest("/view")).status_code,
+  EXPECT_EQ(stack_.node.web()->Dispatch(MakeRequest("/view")).status_code,
             400);
-  EXPECT_EQ(stack_.web_server
+  EXPECT_EQ(stack_.node.web()
                 ->Dispatch(MakeRequest("/view?unit=1&kind=bogus"))
                 .status_code,
             400);
-  EXPECT_EQ(stack_.web_server
+  EXPECT_EQ(stack_.node.web()
                 ->Dispatch(MakeRequest("/view?unit=999999"))
                 .status_code,
             404);
@@ -421,7 +421,7 @@ TEST_F(WebStackTest, ViewServletShipsDecodablePrefixes) {
 TEST_F(WebStackTest, ViewPrefixCacheHitSkipsRebuild) {
   HttpRequest coarse = MakeRequest("/view?unit=1&resolution=0");
   int64_t before = ViewBuilds();
-  HttpResponse first = stack_.web_server->Dispatch(coarse);
+  HttpResponse first = stack_.node.web()->Dispatch(coarse);
   ASSERT_EQ(first.status_code, 200);
   EXPECT_EQ(ViewBuilds(), before + 1);  // cold: one real build
 
@@ -429,19 +429,19 @@ TEST_F(WebStackTest, ViewPrefixCacheHitSkipsRebuild) {
   // calibration_version): repeats never re-read or re-slice the stored
   // stream.
   for (int i = 0; i < 3; ++i) {
-    HttpResponse repeat = stack_.web_server->Dispatch(coarse);
+    HttpResponse repeat = stack_.node.web()->Dispatch(coarse);
     ASSERT_EQ(repeat.status_code, 200);
     EXPECT_EQ(repeat.binary_body, first.binary_body);
   }
   EXPECT_EQ(ViewBuilds(), before + 1);
 
   // A different resolution is a different cache entry.
-  ASSERT_EQ(stack_.web_server->Dispatch(MakeRequest(
+  ASSERT_EQ(stack_.node.web()->Dispatch(MakeRequest(
                                             "/view?unit=1&resolution=3"))
                 .status_code,
             200);
   EXPECT_EQ(ViewBuilds(), before + 2);
-  ASSERT_EQ(stack_.web_server->Dispatch(MakeRequest(
+  ASSERT_EQ(stack_.node.web()->Dispatch(MakeRequest(
                                             "/view?unit=1&resolution=3"))
                 .status_code,
             200);
@@ -450,13 +450,13 @@ TEST_F(WebStackTest, ViewPrefixCacheHitSkipsRebuild) {
   // Out-of-range levels select the same bytes as the range's ends, so
   // they share their cache entries: every negative level is the full
   // stream, every level past the codec's largest is that level.
-  size_t entries = stack_.product_cache->entry_count();
+  size_t entries = stack_.node.product_cache()->entry_count();
   for (const auto& [a, b] :
        {std::pair<int64_t, int64_t>{-1, -7},
         std::pair<int64_t, int64_t>{1000, int64_t{1} << 40}}) {
-    HttpResponse first_of_pair = stack_.web_server->Dispatch(
+    HttpResponse first_of_pair = stack_.node.web()->Dispatch(
         MakeRequest("/view?unit=1&resolution=" + std::to_string(a)));
-    HttpResponse second_of_pair = stack_.web_server->Dispatch(
+    HttpResponse second_of_pair = stack_.node.web()->Dispatch(
         MakeRequest("/view?unit=1&resolution=" + std::to_string(b)));
     ASSERT_EQ(first_of_pair.status_code, 200) << a;
     ASSERT_EQ(second_of_pair.status_code, 200) << b;
@@ -464,18 +464,18 @@ TEST_F(WebStackTest, ViewPrefixCacheHitSkipsRebuild) {
         << a << " vs " << b;
   }
   EXPECT_EQ(ViewBuilds(), before + 4);
-  EXPECT_EQ(stack_.product_cache->entry_count(), entries + 2);
+  EXPECT_EQ(stack_.node.product_cache()->entry_count(), entries + 2);
 }
 
 TEST_F(WebStackTest, RecalibrationInvalidatesEveryViewResolution) {
   // Warm two resolutions of unit 1 into the product cache.
   HttpRequest coarse = MakeRequest("/view?unit=1&resolution=0");
   HttpRequest fine = MakeRequest("/view?unit=1&resolution=4");
-  HttpResponse coarse_v1 = stack_.web_server->Dispatch(coarse);
+  HttpResponse coarse_v1 = stack_.node.web()->Dispatch(coarse);
   ASSERT_EQ(coarse_v1.status_code, 200);
-  ASSERT_EQ(stack_.web_server->Dispatch(fine).status_code, 200);
+  ASSERT_EQ(stack_.node.web()->Dispatch(fine).status_code, 200);
   int64_t warmed = ViewBuilds();
-  ASSERT_EQ(stack_.web_server->Dispatch(coarse).status_code, 200);
+  ASSERT_EQ(stack_.node.web()->Dispatch(coarse).status_code, 200);
   EXPECT_EQ(ViewBuilds(), warmed);  // both cached
 
   // Recalibrate: the lineage hook must drop every cached resolution of
@@ -486,20 +486,20 @@ TEST_F(WebStackTest, RecalibrationInvalidatesEveryViewResolution) {
   v2.version = 2;
   for (double& g : v2.gain) g = 1.10;
   ASSERT_TRUE(calibrations.Register(v2).ok());
-  auto recal = stack_.process->RecalibrateUnit(stack_.import_session, 1,
-                                               calibrations, 2);
+  auto recal = stack_.node.process()->RecalibrateUnit(
+      stack_.import_session, 1, calibrations, 2);
   ASSERT_TRUE(recal.ok()) << recal.status().ToString();
 
-  HttpResponse coarse_v2 = stack_.web_server->Dispatch(coarse);
+  HttpResponse coarse_v2 = stack_.node.web()->Dispatch(coarse);
   ASSERT_EQ(coarse_v2.status_code, 200);
-  HttpResponse fine_v2 = stack_.web_server->Dispatch(fine);
+  HttpResponse fine_v2 = stack_.node.web()->Dispatch(fine);
   ASSERT_EQ(fine_v2.status_code, 200);
   // Both resolutions were rebuilt (cache misses), not served stale.
   EXPECT_EQ(ViewBuilds(), warmed + 2);
   // Recalibration rescales energies, not arrival times, so the count
   // view is unchanged — but the energy view must change.
   HttpRequest energy = MakeRequest("/view?unit=1&kind=energy&resolution=-1");
-  HttpResponse energy_v2 = stack_.web_server->Dispatch(energy);
+  HttpResponse energy_v2 = stack_.node.web()->Dispatch(energy);
   ASSERT_EQ(energy_v2.status_code, 200);
   auto decoded = wavelet::DecodeSignalPrefix(energy_v2.binary_body);
   ASSERT_TRUE(decoded.ok());
@@ -515,7 +515,7 @@ TEST_F(WebStackTest, ViewServedIdenticallyOverBothTcpEngines) {
     options.shared_reactor = reactor;
     web::HttpTcpServer http(
         [&](const HttpRequest& request) {
-          return stack_.web_server->Dispatch(request);
+          return stack_.node.web()->Dispatch(request);
         },
         nullptr, options);
     ASSERT_TRUE(http.Start().ok());
@@ -544,7 +544,7 @@ TEST_F(WebStackTest, ViewServedIdenticallyOverBothTcpEngines) {
 
 TEST_F(WebStackTest, ApproxAggregatesStayWithinReportedBound) {
   // Ground truth straight from the stored raw unit.
-  auto packed = stack_.data_manager->io().ReadItemFile(1);
+  auto packed = stack_.node.dm()->io().ReadItemFile(1);
   ASSERT_TRUE(packed.ok());
   auto unit = rhessi::RawDataUnit::Unpack(packed.value());
   ASSERT_TRUE(unit.ok());
@@ -566,7 +566,7 @@ TEST_F(WebStackTest, ApproxAggregatesStayWithinReportedBound) {
     HttpRequest request = MakeRequest(StrFormat(
         "/approx?unit=1&agg=count&t_lo=%.9f&t_hi=%.9f&resolution=%lld",
         t_lo, t_hi, static_cast<long long>(resolution)));
-    HttpResponse response = stack_.web_server->Dispatch(request);
+    HttpResponse response = stack_.node.web()->Dispatch(request);
     ASSERT_EQ(response.status_code, 200) << response.body;
     EXPECT_NE(response.body.find("\"method\":\"wavelet-prefix\""),
               std::string::npos)
@@ -584,7 +584,7 @@ TEST_F(WebStackTest, ApproxAggregatesStayWithinReportedBound) {
   HttpRequest sum_request = MakeRequest(StrFormat(
       "/approx?unit=1&agg=sum&t_lo=%.9f&t_hi=%.9f&resolution=10", t_lo,
       t_hi));
-  HttpResponse sum_response = stack_.web_server->Dispatch(sum_request);
+  HttpResponse sum_response = stack_.node.web()->Dispatch(sum_request);
   ASSERT_EQ(sum_response.status_code, 200);
   double sum_estimate = JsonNumber(sum_response.body, "estimate");
   double sum_bound = JsonNumber(sum_response.body, "error_bound");
@@ -592,7 +592,7 @@ TEST_F(WebStackTest, ApproxAggregatesStayWithinReportedBound) {
       << sum_response.body;
 
   // Inverted range is a client error.
-  EXPECT_EQ(stack_.web_server
+  EXPECT_EQ(stack_.node.web()
                 ->Dispatch(MakeRequest("/approx?unit=1&t_lo=9&t_hi=3"))
                 .status_code,
             400);
@@ -601,15 +601,15 @@ TEST_F(WebStackTest, ApproxAggregatesStayWithinReportedBound) {
 TEST_F(WebStackTest, ApproxFallsBackToReservoirAndHonorsDisableKnob) {
   // Destroy the stored view in place: the servlet must fall back to the
   // seeded reservoir scan of the raw photons instead of failing.
-  auto name = stack_.mapper->Resolve(dm::ProcessLayer::ViewItemId(1),
+  auto name = stack_.node.mapper()->Resolve(dm::ProcessLayer::ViewItemId(1),
                                      archive::NameType::kFilename);
   ASSERT_TRUE(name.ok());
-  archive::Archive* arch = stack_.archives.Get(name.value().archive_id);
+  archive::Archive* arch = stack_.node.archives()->Get(name.value().archive_id);
   ASSERT_NE(arch, nullptr);
   ASSERT_TRUE(
       arch->Write(name.value().rel_path, {0xde, 0xad, 0xbe, 0xef}).ok());
 
-  auto packed = stack_.data_manager->io().ReadItemFile(1);
+  auto packed = stack_.node.dm()->io().ReadItemFile(1);
   ASSERT_TRUE(packed.ok());
   auto unit = rhessi::RawDataUnit::Unpack(packed.value());
   ASSERT_TRUE(unit.ok());
@@ -623,7 +623,7 @@ TEST_F(WebStackTest, ApproxFallsBackToReservoirAndHonorsDisableKnob) {
 
   HttpRequest request = MakeRequest(StrFormat(
       "/approx?unit=1&agg=count&t_lo=%.9f&t_hi=%.9f", t_lo, t_hi));
-  HttpResponse response = stack_.web_server->Dispatch(request);
+  HttpResponse response = stack_.node.web()->Dispatch(request);
   ASSERT_EQ(response.status_code, 200) << response.body;
   EXPECT_NE(response.body.find("\"method\":\"reservoir\""),
             std::string::npos)
@@ -637,7 +637,7 @@ TEST_F(WebStackTest, ApproxFallsBackToReservoirAndHonorsDisableKnob) {
 
 TEST_F(WebStackTest, CatalogPageListsEvents) {
   HttpRequest request = MakeRequest("/catalog?name=standard");
-  HttpResponse response = stack_.web_server->Dispatch(request);
+  HttpResponse response = stack_.node.web()->Dispatch(request);
   ASSERT_EQ(response.status_code, 200);
   // Every loaded HLE appears as a link.
   for (int64_t hle_id : stack_.hle_ids) {
@@ -647,7 +647,7 @@ TEST_F(WebStackTest, CatalogPageListsEvents) {
 }
 
 TEST_F(WebStackTest, ErrorPagesEscapeRequestText) {
-  HttpResponse response = stack_.web_server->Dispatch(
+  HttpResponse response = stack_.node.web()->Dispatch(
       MakeRequest("/catalog?name=<script>x</script>"));
   ASSERT_EQ(response.status_code, 404);
   EXPECT_NE(response.body.find("&lt;script&gt;x&lt;/script&gt;"),
@@ -657,7 +657,7 @@ TEST_F(WebStackTest, ErrorPagesEscapeRequestText) {
 }
 
 TEST_F(WebStackTest, ExploreImageLinkCarriesRange) {
-  HttpResponse response = stack_.web_server->Dispatch(
+  HttpResponse response = stack_.node.web()->Dispatch(
       MakeRequest("/explore?t_lo=12.5&t_hi=3600"));
   ASSERT_EQ(response.status_code, 200) << response.body;
   EXPECT_NE(response.body.find("/explore?format=image&t_lo=12.5&t_hi=3600'"),
@@ -669,7 +669,7 @@ TEST_F(WebStackTest, HlePageShowsEventDetails) {
   ASSERT_FALSE(stack_.hle_ids.empty());
   HttpRequest request = MakeRequest(
       "/hle?id=" + std::to_string(stack_.hle_ids[0]));
-  HttpResponse response = stack_.web_server->Dispatch(request);
+  HttpResponse response = stack_.node.web()->Dispatch(request);
   ASSERT_EQ(response.status_code, 200);
   EXPECT_NE(response.body.find("HLE " + std::to_string(stack_.hle_ids[0])),
             std::string::npos);
@@ -691,26 +691,26 @@ TEST_F(WebStackTest, HlePageCountsOnlyVisibleAnalyses) {
   dm::UserProfile super_user;
   super_user.is_super = true;
   ASSERT_TRUE(
-      stack_.data_manager->users().CreateUser("root", "pw-r", super_user)
+      stack_.node.dm()->users().CreateUser("root", "pw-r", super_user)
           .ok());
   dm::Session alice = stack_.Login("alice", "pw-a", "10.0.0.1");
   dm::HleRecord hle;
   hle.event_type = "flare";
   hle.is_public = true;
   int64_t hle_id =
-      stack_.data_manager->semantics().CreateHle(alice, hle).value();
+      stack_.node.dm()->semantics().CreateHle(alice, hle).value();
   dm::AnaRecord ana;
   ana.hle_id = hle_id;
   ana.routine = "histogram";
   ana.is_public = false;
-  ASSERT_TRUE(stack_.data_manager->semantics().CreateAna(alice, ana).ok());
+  ASSERT_TRUE(stack_.node.dm()->semantics().CreateAna(alice, ana).ok());
   ana.routine = "lightcurve";
   ana.is_public = true;
-  ASSERT_TRUE(stack_.data_manager->semantics().CreateAna(alice, ana).ok());
+  ASSERT_TRUE(stack_.node.dm()->semantics().CreateAna(alice, ana).ok());
 
   std::string url = "/hle?id=" + std::to_string(hle_id);
   auto page_as = [&](const std::string& user, const std::string& password) {
-    return stack_.web_server->Dispatch(
+    return stack_.node.web()->Dispatch(
         MakeRequest(url, "10.0.1.1", LoginCookie(user, password)));
   };
   HttpResponse bob = page_as("bob", "pw-b");
@@ -736,10 +736,10 @@ TEST_F(WebStackTest, HlePageCountsOnlyVisibleCatalogEntries) {
   dm::UserProfile super_user;
   super_user.is_super = true;
   ASSERT_TRUE(
-      stack_.data_manager->users().CreateUser("root", "pw-r", super_user)
+      stack_.node.dm()->users().CreateUser("root", "pw-r", super_user)
           .ok());
   dm::Session alice = stack_.Login("alice", "pw-a", "10.0.0.1");
-  dm::SemanticLayer& semantics = stack_.data_manager->semantics();
+  dm::SemanticLayer& semantics = stack_.node.dm()->semantics();
   dm::HleRecord hle;
   hle.event_type = "flare";
   hle.is_public = true;
@@ -753,7 +753,7 @@ TEST_F(WebStackTest, HlePageCountsOnlyVisibleCatalogEntries) {
 
   std::string url = "/hle?id=" + std::to_string(hle_id);
   auto page_as = [&](const std::string& user, const std::string& password) {
-    return stack_.web_server->Dispatch(
+    return stack_.node.web()->Dispatch(
         MakeRequest(url, "10.0.1.1", LoginCookie(user, password)));
   };
   HttpResponse bob = page_as("bob", "pw-b");
@@ -771,12 +771,12 @@ TEST_F(WebStackTest, HlePageCountsOnlyVisibleCatalogEntries) {
 }
 
 TEST_F(WebStackTest, MissingPagesAre404) {
-  EXPECT_EQ(stack_.web_server->Dispatch(MakeRequest("/hle?id=99999"))
+  EXPECT_EQ(stack_.node.web()->Dispatch(MakeRequest("/hle?id=99999"))
                 .status_code,
             404);
-  EXPECT_EQ(stack_.web_server->Dispatch(MakeRequest("/nope")).status_code,
+  EXPECT_EQ(stack_.node.web()->Dispatch(MakeRequest("/nope")).status_code,
             404);
-  EXPECT_EQ(stack_.web_server->Dispatch(MakeRequest("/hle?id=abc"))
+  EXPECT_EQ(stack_.node.web()->Dispatch(MakeRequest("/hle?id=abc"))
                 .status_code,
             400);
 }
@@ -786,11 +786,11 @@ TEST_F(WebStackTest, AnalyzeRequiresRights) {
   std::string url = "/analyze?hle_id=" + std::to_string(stack_.hle_ids[0]) +
                     "&routine=lightcurve&bin_sec=2";
   // Anonymous: forbidden.
-  EXPECT_EQ(stack_.web_server->Dispatch(MakeRequest(url)).status_code, 403);
+  EXPECT_EQ(stack_.node.web()->Dispatch(MakeRequest(url)).status_code, 403);
   // bob (browse-only): forbidden.
   HttpRequest as_bob = MakeRequest(url, "10.0.0.2",
                                    LoginCookie("bob", "pw-b"));
-  EXPECT_EQ(stack_.web_server->Dispatch(as_bob).status_code, 403);
+  EXPECT_EQ(stack_.node.web()->Dispatch(as_bob).status_code, 403);
 }
 
 TEST_F(WebStackTest, AnalyzeRunsAndStoresResult) {
@@ -799,13 +799,13 @@ TEST_F(WebStackTest, AnalyzeRunsAndStoresResult) {
   std::string url = "/analyze?hle_id=" + std::to_string(stack_.hle_ids[0]) +
                     "&routine=lightcurve&bin_sec=2";
   HttpRequest request = MakeRequest(url, "10.0.0.1", cookie);
-  HttpResponse response = stack_.web_server->Dispatch(request);
+  HttpResponse response = stack_.node.web()->Dispatch(request);
   ASSERT_EQ(response.status_code, 200) << response.body;
   EXPECT_NE(response.body.find("/ana?id="), std::string::npos);
 
   // Resubmitting the identical analysis offers the precomputed result
   // (§3.5) instead of recomputing.
-  HttpResponse again = stack_.web_server->Dispatch(request);
+  HttpResponse again = stack_.node.web()->Dispatch(request);
   ASSERT_EQ(again.status_code, 200);
   EXPECT_NE(again.body.find("already available"), std::string::npos);
 }
@@ -815,14 +815,14 @@ TEST_F(WebStackTest, AnaPageAndImageServed) {
   std::string url = "/analyze?hle_id=" + std::to_string(stack_.hle_ids[0]) +
                     "&routine=histogram&bins=16";
   HttpResponse submit =
-      stack_.web_server->Dispatch(MakeRequest(url, "10.0.0.1", cookie));
+      stack_.node.web()->Dispatch(MakeRequest(url, "10.0.0.1", cookie));
   ASSERT_EQ(submit.status_code, 200) << submit.body;
   // Extract the ana id from the response.
   size_t pos = submit.body.find("/ana?id=");
   ASSERT_NE(pos, std::string::npos);
   std::string id_str = submit.body.substr(pos + 8);
   id_str = id_str.substr(0, id_str.find('\''));
-  HttpResponse ana_page = stack_.web_server->Dispatch(
+  HttpResponse ana_page = stack_.node.web()->Dispatch(
       MakeRequest("/ana?id=" + id_str, "10.0.0.1", cookie));
   ASSERT_EQ(ana_page.status_code, 200) << ana_page.body;
   EXPECT_NE(ana_page.body.find("histogram"), std::string::npos);
@@ -830,7 +830,7 @@ TEST_F(WebStackTest, AnaPageAndImageServed) {
   // Image bytes are served through the name-mapped archive.
   int64_t ana_id = 0;
   ASSERT_TRUE(ParseInt64(id_str, &ana_id));
-  HttpResponse image = stack_.web_server->Dispatch(MakeRequest(
+  HttpResponse image = stack_.node.web()->Dispatch(MakeRequest(
       "/image?item=" + std::to_string(2000000000 + ana_id)));
   ASSERT_EQ(image.status_code, 200);
   EXPECT_GT(image.binary_body.size(), 0u);
@@ -840,20 +840,20 @@ TEST_F(WebStackTest, AnaPageAndImageServed) {
 TEST_F(WebStackTest, LogoutRevokesTokenAndSessions) {
   std::string cookie = LoginCookie("alice", "pw-a");
   ASSERT_FALSE(cookie.empty());
-  size_t cached = stack_.data_manager->sessions().CacheSize();
+  size_t cached = stack_.node.dm()->sessions().CacheSize();
   // Browse once to materialize a session under this cookie.
-  stack_.web_server->Dispatch(
+  stack_.node.web()->Dispatch(
       MakeRequest("/catalog?name=standard", "10.0.0.1", cookie));
-  EXPECT_GE(stack_.data_manager->sessions().CacheSize(), cached);
+  EXPECT_GE(stack_.node.dm()->sessions().CacheSize(), cached);
 
-  HttpResponse out = stack_.web_server->Dispatch(
+  HttpResponse out = stack_.node.web()->Dispatch(
       MakeRequest("/logout", "10.0.0.1", cookie));
   EXPECT_EQ(out.status_code, 200);
   // The token no longer resolves: analyze is forbidden again.
   std::string url = "/analyze?hle_id=" +
                     std::to_string(stack_.hle_ids[0]) +
                     "&routine=lightcurve";
-  EXPECT_EQ(stack_.web_server->Dispatch(
+  EXPECT_EQ(stack_.node.web()->Dispatch(
                 MakeRequest(url, "10.0.0.1", cookie)).status_code,
             403);
 }
@@ -875,8 +875,7 @@ TEST(WebClusterDispatchTest, NodeRouterPicksServingNode) {
                   .CreateUser("alice", "pw", dm::UserProfile{})
                   .ok());
 
-  WebServer web(fixture.runner().node(0)->dm(), nullptr);
-  ASSERT_TRUE(web.RegisterStandardServlets().ok());
+  WebServer& web = *fixture.runner().node(0)->web();
   HttpRequest login = MakeRequest("/login?user=alice&password=pw", "10.0.0.2");
 
   // Without a router the default node (0) serves, where alice is unknown.
@@ -906,8 +905,7 @@ TEST(WebClusterDispatchTest, RoutedDispatchSticksPerSessionKey) {
   fixture.Start();
   cluster::ClusterRunner* runner = &fixture.runner();
 
-  WebServer web(runner->node(0)->dm(), nullptr);
-  ASSERT_TRUE(web.RegisterStandardServlets().ok());
+  WebServer& web = *runner->node(0)->web();
   web.set_node_router(
       [runner](const HttpRequest& request) -> dm::DataManager* {
         std::string key = request.GetCookie("hedc_session");
@@ -934,29 +932,19 @@ TEST(WebUsageStatsTest, UsageRowsAccumulateAcrossRestarts) {
       std::filesystem::temp_directory_path() /
       ("hedc_usage_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
-  std::string wal = (dir / "db.wal").string();
   Counter* failed =
       MetricsRegistry::Default()->GetCounter("web.usage_stats.failed");
   int64_t failed_before = failed->Value();
   // One process lifetime: recover, serve `requests`, count usage rows.
-  auto serve = [&wal](int requests) -> int64_t {
+  auto serve = [&dir](int requests) -> int64_t {
     VirtualClock clock;
-    db::Database db;
-    EXPECT_TRUE(db.OpenWal(wal).ok());
-    EXPECT_TRUE(dm::CreateFullSchema(&db).ok());
-    archive::ArchiveManager archives;
-    Config mapper_config;
-    mapper_config.Set("root.filename", "/hedc");
-    archive::NameMapper mapper(&db, mapper_config);
-    EXPECT_TRUE(mapper.Init().ok());
-    dm::DataManager data_manager("dm0", &db, &archives, &mapper, &clock,
-                                 dm::DataManager::Options{});
-    WebServer web(&data_manager, nullptr);
-    EXPECT_TRUE(web.RegisterStandardServlets().ok());
+    Node node("dm0", NodeOptions{.wal_dir = dir.string()}, &clock);
+    EXPECT_TRUE(node.Boot().ok());
     for (int i = 0; i < requests; ++i) {
-      web.Dispatch(MakeRequest("/catalog?name=standard"));
+      node.web()->Dispatch(MakeRequest("/catalog?name=standard"));
     }
-    return db.Execute("SELECT COUNT(*) FROM usage_stats")
+    return node.db()
+        ->Execute("SELECT COUNT(*) FROM usage_stats")
         .value()
         .rows[0][0]
         .AsInt();
@@ -978,7 +966,7 @@ class WebGoldenTest : public WebStackTest {
  protected:
   void SetUp() override {
     dm::Session alice = stack_.Login("alice", "pw-a", "10.0.0.1");
-    dm::SemanticLayer& semantics = stack_.data_manager->semantics();
+    dm::SemanticLayer& semantics = stack_.node.dm()->semantics();
     auto make_hle = [&](const std::string& event_type, int64_t photons) {
       dm::HleRecord hle;
       hle.event_type = event_type;
@@ -1017,7 +1005,7 @@ class WebGoldenTest : public WebStackTest {
     for (int64_t hle_id : {empty_hle_, escaped_hle_, busy_hle_}) {
       ASSERT_TRUE(semantics.AddToCatalog(alice, catalog, hle_id).ok());
     }
-    dm::PredefinedQueryService queries(stack_.data_manager->database());
+    dm::PredefinedQueryService queries(stack_.node.dm()->database());
     ASSERT_TRUE(queries
                     .Register("hles<\"x\">", "",
                               "SELECT hle_id, event_type, t_start FROM hle "
@@ -1026,7 +1014,7 @@ class WebGoldenTest : public WebStackTest {
   }
 
   HttpResponse Get(const std::string& url, const std::string& cookie = "") {
-    return stack_.web_server->Dispatch(MakeRequest(url, "10.0.0.1", cookie));
+    return stack_.node.web()->Dispatch(MakeRequest(url, "10.0.0.1", cookie));
   }
 
   static std::string Url(const std::string& base, int64_t id) {
